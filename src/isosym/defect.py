@@ -141,8 +141,15 @@ def _graded_weights(order, d):
             np.array(weights, dtype=np.float64))
 
 
+def _check_orders(**orders):
+    for name, value in orders.items():
+        if value < 0:
+            raise InvalidParams(f"defect order {name} must be >= 0, got {value}")
+
+
 def symmetry_defect_matrix(r, l):
     """S_l(r) as a raw matrix."""
+    _check_orders(l=l)
     total = op_sum(r)
     lad_star = _ladder(adjoint(total), l)
     lad = _ladder(total, l)
@@ -154,6 +161,7 @@ def symmetry_defect_matrix(r, l):
 
 def isometry_defect_matrix(r, l):
     """M_l(r) as a raw matrix."""
+    _check_orders(l=l)
     gammas, weights = _graded_weights(l, r.d)
     lad_star = _ladder_stack([adjoint(m) for m in r.matrices], l)
     lad = _ladder_stack(r.matrices, l)
@@ -194,6 +202,7 @@ def isosymmetry_defect_matrix(r, m, n, tol=None):
     end-to-end detector of a corrupted input); FormsDisagree otherwise.
     Returns the sym_outer value.
     """
+    _check_orders(m=m, n=n)
     a = _lambda_sym_outer(r, m, n)
     b = _lambda_iso_outer(r, m, n)
     gap = fro_norm(a - b)
@@ -276,6 +285,7 @@ def perturbation_expansion(r, q, m, n, tol_comm=TOL_COMM):
 
     which equals L_{m,n}(r + q) within tolerance.
     """
+    _check_orders(m=m, n=n)
     if r.d != q.d:
         raise DMismatch("tuples must have the same number of components")
     if r.dim != q.dim:

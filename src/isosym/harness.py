@@ -14,7 +14,6 @@ iff its residual is <= the configured tolerance.
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -558,16 +557,6 @@ _EVALUATORS = {
 }
 
 
-def _thread_count():
-    raw = os.environ.get("ISOSYM_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count == 0:
-        return os.cpu_count() or 1
-    return max(1, count)
-
-
 def _shrink(tuples, params, evaluate, tol):
     """Compress a failing single-tuple instance to leading principal blocks.
 
@@ -599,26 +588,15 @@ def run_suite(cfg):
     gen = _GENERATORS[cfg.suite]
     evaluate = _EVALUATORS[cfg.suite]
 
-    def one(idx):
-        rng = _trial_rng(cfg, idx)
-        tuples, params = gen(cfg, idx, rng)
+    passed = 0
+    worst = 0.0
+    counterexamples = []
+    for idx in range(cfg.trials):
+        tuples, params = gen(cfg, idx, _trial_rng(cfg, idx))
         try:
             residual = evaluate(tuples, params, cfg.tol)
         except IsosymError:
             residual = float("inf")
-        return tuples, params, residual
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(cfg.trials)))
-    else:
-        results = [one(idx) for idx in range(cfg.trials)]
-
-    passed = 0
-    worst = 0.0
-    counterexamples = []
-    for idx, (tuples, params, residual) in enumerate(results):
         worst = max(worst, residual)
         if residual <= cfg.tol:
             passed += 1

@@ -1,53 +1,9 @@
-"""Kernel backend selection.
+"""The hot product-accumulation loops of the defect evaluations.
 
-Two interchangeable backends provide the hot product-accumulation loops:
-``pyref`` (pure numpy, always available) and ``_ckern`` (compiled, built at
-install time when a C compiler is present).  The compiled one is preferred;
-set ISOSYM_KERNELS=py or ISOSYM_KERNELS=c to force a choice.
-
-Modules call ``kernels.active.<fn>`` so the backend can also be switched at
-runtime with :func:`use` (the benchmark and the cross-checking tests do).
+``pyref`` (pure numpy) is the one implementation.  Modules call
+``kernels.active.<fn>`` rather than importing the functions, so a caller
+that wants to observe the kernel layer (a profiler or tracer) can wrap
+this one binding.
 """
 
-import os
-
-from . import pyref
-
-try:
-    from . import _ckern
-except ImportError:
-    _ckern = None
-
-_BACKENDS = {"py": pyref}
-if _ckern is not None:
-    _BACKENDS["c"] = _ckern
-
-active = pyref
-
-
-def available():
-    """Names of the importable backends."""
-    return sorted(_BACKENDS)
-
-
-def use(name):
-    """Select the active backend; returns the backend module."""
-    global active
-    try:
-        active = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown kernel backend {name!r}; "
-                         f"available: {available()}") from None
-    return active
-
-
-def _select_initial():
-    want = os.environ.get("ISOSYM_KERNELS", "").strip().lower()
-    if want in ("", "auto"):
-        return use("c" if "c" in _BACKENDS else "py")
-    if want == "cy":
-        want = "c"
-    return use(want)
-
-
-_select_initial()
+from . import pyref as active

@@ -1,6 +1,6 @@
-"""Pure numpy kernels: the reference backend.
+"""Pure numpy kernels of the defect evaluations.
 
-Semantics are shared with the compiled backend in ``_ckern``:
+Semantics:
 
 * ``gamma_products(ladders, gammas)``: ladders is a (d, L, n, n) stack with
   ladders[j, p] = M_j^p; returns out[t] = prod_j ladders[j, gammas[t, j]],

@@ -8,13 +8,10 @@ from isosym import kernels
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "isosym" / "schemas"
 
 
-@pytest.fixture(params=kernels.available())
-def backend(request):
-    """Run the decorated test once per importable kernel backend."""
-    previous = kernels.active.NAME
-    kernels.use(request.param)
-    yield request.param
-    kernels.use(previous)
+@pytest.fixture(params=[kernels.active], ids=lambda mod: mod.NAME)
+def kernel(request):
+    """The kernel module the defects are evaluated with; tags the test id."""
+    return request.param
 
 
 @pytest.fixture(scope="session")

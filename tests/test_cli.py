@@ -94,6 +94,18 @@ def test_defect_s_requires_l(capsys, reference_file):
     assert main(["defect", reference_file, "--kind", "S"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["defect", "--kind", "S", "--l", "-1"],
+    ["defect", "--kind", "M", "--l", "-2"],
+    ["defect", "--kind", "Lambda", "--m", "-1", "--n", "2"],
+    ["spectrum", "--m", "-1", "--n", "3"],
+], ids=["S", "M", "Lambda", "spectrum"])
+def test_negative_order_exit_2(capsys, reference_file, args):
+    argv = [args[0], reference_file] + args[1:]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_minimal_staircase(capsys, reference_file, schemas):
     code, report = _run(capsys, ["minimal", reference_file,
                                  "--m-max", "4", "--n-max", "4"])

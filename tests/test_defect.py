@@ -10,7 +10,7 @@ from isosym.defect import (MultiOperator, isometry_defect,
 from isosym.construct import (identity_tuple, nilpotent_tuple, reference_pair,
                               random_commuting_tuple, tensor_sum_parts)
 from isosym.errors import (CommutationViolated, CrossCommutationViolated,
-                           DimensionMismatch, FormsDisagree)
+                           DimensionMismatch, FormsDisagree, InvalidParams)
 from isosym.linalg import adjoint, fro_norm
 
 from oracles import naive_lambda, naive_m, naive_s
@@ -59,54 +59,60 @@ def test_op_sum_zero_and_scaled():
     assert np.allclose(op_sum(scaled), 1.4 * r)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestSymmetryDefect:
-    def test_identity_is_1_symmetric(self, backend):
+    def test_identity_is_1_symmetric(self):
         rep = symmetry_defect(identity_tuple(1, 3), 1)
         assert rep.is_zero and rep.norm == 0.0
 
-    def test_reference_value(self, backend):
+    def test_reference_value(self):
         rep = symmetry_defect(reference_pair(), 1)
         expect = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)
         assert np.array_equal(rep.matrix, expect)
         assert not rep.is_zero
         assert rep.norm == pytest.approx(np.sqrt(2.0))
 
-    def test_nilpotent_vanishes_at_twice_order(self, backend):
+    def test_nilpotent_vanishes_at_twice_order(self):
         for q in (1, 2, 3):
             r = nilpotent_tuple(2, 2 * q, q, seed=q)
             assert symmetry_defect(r, 2 * q).norm == 0.0
             assert symmetry_defect(r, 2 * q + 1).norm == 0.0
 
-    def test_s1_antihermitian(self, backend):
+    def test_s1_antihermitian(self):
         r = random_commuting_tuple(3, 5, 17)
         s1 = symmetry_defect_matrix(r, 1)
         assert fro_norm(adjoint(s1) + s1) <= 1e-12
 
-    def test_against_oracle(self, backend):
+    def test_against_oracle(self):
         r = random_commuting_tuple(2, 4, 23)
         for l in range(5):
             got = symmetry_defect_matrix(r, l)
             expect = naive_s(list(r.matrices), l)
             assert fro_norm(got - expect) <= 1e-10 * (1 + fro_norm(expect))
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(InvalidParams):
+            symmetry_defect(reference_pair(), -1)
 
+
+@pytest.mark.usefixtures("kernel")
 class TestIsometryDefect:
-    def test_identity_is_1_isometric(self, backend):
+    def test_identity_is_1_isometric(self):
         rep = isometry_defect(identity_tuple(1, 4), 1)
         assert rep.is_zero and rep.norm == 0.0
 
-    def test_reference_value(self, backend):
+    def test_reference_value(self):
         rep = isometry_defect(reference_pair(), 1)
         assert np.array_equal(rep.matrix, np.diag([1.0, 0.0, 0.0]).astype(complex))
         assert not rep.is_zero
 
-    def test_hermitian_output(self, backend):
+    def test_hermitian_output(self):
         r = random_commuting_tuple(3, 5, 29)
         for l in range(4):
             m = isometry_defect_matrix(r, l)
             assert fro_norm(m - adjoint(m)) <= 1e-11 * (1 + fro_norm(m))
 
-    def test_scaled_tuple_collapses_to_single_operator(self, backend):
+    def test_scaled_tuple_collapses_to_single_operator(self):
         # the multinomial weights contract over normalized direction weights
         rng = np.random.default_rng(31)
         base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -118,20 +124,25 @@ class TestIsometryDefect:
             expect = isometry_defect_matrix(single, m)
             assert fro_norm(got - expect) <= 1e-10 * (1 + fro_norm(expect))
 
-    def test_against_oracle(self, backend):
+    def test_against_oracle(self):
         r = random_commuting_tuple(3, 4, 37)
         for l in range(4):
             got = isometry_defect_matrix(r, l)
             expect = naive_m(list(r.matrices), l)
             assert fro_norm(got - expect) <= 1e-10 * (1 + fro_norm(expect))
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(InvalidParams):
+            isometry_defect(reference_pair(), -2)
 
+
+@pytest.mark.usefixtures("kernel")
 class TestIsosymmetryDefect:
-    def test_reference_is_1_1(self, backend):
+    def test_reference_is_1_1(self):
         rep = isosymmetry_defect(reference_pair(), 1, 1)
         assert rep.is_zero and rep.norm == 0.0
 
-    def test_collapses_to_isometry_and_symmetry(self, backend):
+    def test_collapses_to_isometry_and_symmetry(self):
         r = random_commuting_tuple(2, 5, 41)
         for order in range(4):
             lam_m = isosymmetry_defect_matrix(r, order, 0)
@@ -139,12 +150,12 @@ class TestIsosymmetryDefect:
             assert fro_norm(lam_m - isometry_defect_matrix(r, order)) <= 1e-10
             assert fro_norm(lam_s - symmetry_defect_matrix(r, order)) <= 1e-10
 
-    def test_zero_tuple(self, backend):
+    def test_zero_tuple(self):
         zero = MultiOperator([np.zeros((3, 3))] * 2)
         for m in range(4):
             assert isosymmetry_defect(zero, m, 1).is_zero
 
-    def test_special_cases_of_low_orders(self, backend):
+    def test_special_cases_of_low_orders(self):
         # L_{1,0} = sum R*R - I ; L_{0,1} = sum (R* - R); and the two
         # displayed shapes of L_{1,1} agree
         r = random_commuting_tuple(3, 4, 43)
@@ -162,7 +173,7 @@ class TestIsosymmetryDefect:
         assert fro_norm(form_a - form_b) <= 1e-11
         assert fro_norm(isosymmetry_defect_matrix(r, 1, 1) - form_a) <= 1e-11
 
-    def test_against_oracle(self, backend):
+    def test_against_oracle(self):
         r = random_commuting_tuple(2, 4, 47)
         for m in range(3):
             for n in range(3):
@@ -170,12 +181,17 @@ class TestIsosymmetryDefect:
                 expect = naive_lambda(list(r.matrices), m, n)
                 assert fro_norm(got - expect) <= 1e-10 * (1 + fro_norm(expect))
 
-    def test_forms_disagree_on_corrupted_input(self, backend):
+    @pytest.mark.parametrize("m, n", [(-1, 2), (2, -1)])
+    def test_negative_order_rejected(self, m, n):
+        with pytest.raises(InvalidParams):
+            isosymmetry_defect(reference_pair(), m, n)
+
+    def test_forms_disagree_on_corrupted_input(self):
         bad = MultiOperator(_noncommuting_pair(), tol_comm=1.0)
         with pytest.raises(FormsDisagree):
             isosymmetry_defect_matrix(bad, 2, 2)
 
-    def test_report_invariants(self, backend):
+    def test_report_invariants(self):
         r = random_commuting_tuple(2, 4, 53)
         rep = isosymmetry_defect(r, 1, 2)
         assert rep.norm == fro_norm(rep.matrix)
@@ -183,18 +199,19 @@ class TestIsosymmetryDefect:
         assert rep.tolerance_used == zero_tolerance(r, 1, 2)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestRecurrenceSteps:
-    def test_step_of_vanished_defect_vanishes(self, backend):
+    def test_step_of_vanished_defect_vanishes(self):
         r = reference_pair()
         assert fro_norm(raise_isometry_order(r, 1, 1)) == 0.0
         assert fro_norm(raise_symmetry_order(r, 1, 1)) == 0.0
 
-    def test_identity_steps(self, backend):
+    def test_identity_steps(self):
         r = identity_tuple(1, 3)
         assert fro_norm(raise_isometry_order(r, 0, 0)) == 0.0
         assert fro_norm(raise_symmetry_order(r, 0, 0)) == 0.0
 
-    def test_steps_match_direct_evaluation(self, backend):
+    def test_steps_match_direct_evaluation(self):
         r = random_commuting_tuple(3, 5, 59)
         for m in range(3):
             for n in range(3):
@@ -205,15 +222,16 @@ class TestRecurrenceSteps:
                 assert fro_norm(up_m - direct_m) <= 1e-10 * (1 + fro_norm(direct_m))
                 assert fro_norm(up_n - direct_n) <= 1e-10 * (1 + fro_norm(direct_n))
 
-    def test_ascent_on_reference(self, backend):
+    def test_ascent_on_reference(self):
         r = reference_pair()
         for m in range(1, 4):
             for n in range(1, 4):
                 assert isosymmetry_defect(r, m, n).is_zero
 
 
+@pytest.mark.usefixtures("kernel")
 class TestPerturbationExpansion:
-    def test_zero_perturbation_reduces_to_base(self, backend):
+    def test_zero_perturbation_reduces_to_base(self):
         r = random_commuting_tuple(2, 4, 61)
         q = MultiOperator([np.zeros((4, 4))] * 2)
         for m, n in [(0, 0), (1, 1), (2, 1), (2, 3)]:
@@ -221,13 +239,13 @@ class TestPerturbationExpansion:
             expect = isosymmetry_defect_matrix(r, m, n)
             assert fro_norm(got - expect) <= 1e-10 * (1 + fro_norm(expect))
 
-    def test_zero_base_identity_orders(self, backend):
+    def test_zero_base_identity_orders(self):
         zero = MultiOperator([np.zeros((3, 3))] * 2)
         q = nilpotent_tuple(2, 3, 2, seed=2)
         got = perturbation_expansion(zero, q, 0, 0)
         assert np.array_equal(got, np.eye(3, dtype=complex))
 
-    def test_matches_direct_on_tensor_instances(self, backend):
+    def test_matches_direct_on_tensor_instances(self):
         p = random_commuting_tuple(2, 3, 67)
         nil = nilpotent_tuple(2, 3, 2, seed=68)
         left, right = tensor_sum_parts(p, nil)
@@ -239,7 +257,13 @@ class TestPerturbationExpansion:
                 rhs = perturbation_expansion(left, right, m, n)
                 assert fro_norm(lhs - rhs) <= 1e-9 * (1 + fro_norm(lhs))
 
-    def test_rejects_cross_commutation_violation(self, backend):
+    @pytest.mark.parametrize("m, n", [(-1, 1), (1, -1)])
+    def test_negative_order_rejected(self, m, n):
+        r = reference_pair()
+        with pytest.raises(InvalidParams):
+            perturbation_expansion(r, r, m, n)
+
+    def test_rejects_cross_commutation_violation(self):
         r = MultiOperator([np.array([[0.0, 1.0], [0.0, 0.0]])])
         q = MultiOperator([np.diag([1.0, 2.0])])
         with pytest.raises(CrossCommutationViolated):

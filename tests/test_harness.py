@@ -31,14 +31,6 @@ def test_different_seeds_change_residuals():
     assert a.worst_residual != b.worst_residual
 
 
-def test_threaded_run_matches_sequential(monkeypatch):
-    cfg = SuiteConfig(suite="recurrence", trials=10, seed=9)
-    sequential = run_suite(cfg).to_dict()
-    monkeypatch.setenv("ISOSYM_THREADS", "4")
-    threaded = run_suite(cfg).to_dict()
-    assert sequential == threaded
-
-
 def test_unknown_suite_rejected():
     with pytest.raises(InvalidParams):
         SuiteConfig(suite="nonsense")

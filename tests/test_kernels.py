@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from isosym import kernels
-
 from oracles import degree_indices, gamma_power
 
 
@@ -17,25 +15,25 @@ def _stack_setup(seed, d=2, kmax=3, dim=4):
     return mats, ladders, gammas
 
 
-def test_gamma_products_against_oracle(backend):
+def test_gamma_products_against_oracle(kernel):
     mats, ladders, gammas = _stack_setup(0)
-    out = kernels.active.gamma_products(ladders, gammas)
+    out = kernel.gamma_products(ladders, gammas)
     for row, gamma in zip(out, gammas):
         expect = gamma_power(mats, tuple(gamma))
         assert np.linalg.norm(row - expect) <= 1e-12 * (1 + np.linalg.norm(expect))
 
 
-def test_pairwise_matmul(backend):
+def test_pairwise_matmul(kernel):
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
     b = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    out = kernels.active.pairwise_matmul(a, b)
+    out = kernel.pairwise_matmul(a, b)
     for i in range(5):
         assert np.allclose(out[i], a[i] @ b[i])
 
 
 @pytest.mark.parametrize("with_mid", [False, True])
-def test_weighted_sandwich_sum(backend, with_mid):
+def test_weighted_sandwich_sum(kernel, with_mid):
     rng = np.random.default_rng(2)
     t, n = 7, 4
     lefts = rng.standard_normal((t, n, n)) + 1j * rng.standard_normal((t, n, n))
@@ -43,37 +41,9 @@ def test_weighted_sandwich_sum(backend, with_mid):
     weights = rng.standard_normal(t)
     mid = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
            if with_mid else None)
-    out = kernels.active.weighted_sandwich_sum(lefts, mid, rights, weights)
+    out = kernel.weighted_sandwich_sum(lefts, mid, rights, weights)
     expect = np.zeros((n, n), dtype=complex)
     for i in range(t):
         term = lefts[i] @ (mid if with_mid else np.eye(n)) @ rights[i]
         expect += weights[i] * term
     assert np.linalg.norm(out - expect) <= 1e-11 * (1 + np.linalg.norm(expect))
-
-
-def test_backends_agree():
-    if len(kernels.available()) < 2:
-        pytest.skip("compiled backend not built")
-    mats, ladders, gammas = _stack_setup(3)
-    rng = np.random.default_rng(4)
-    weights = rng.standard_normal(len(gammas))
-    mid = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    results = {}
-    previous = kernels.active.NAME
-    try:
-        for name in kernels.available():
-            mod = kernels.use(name)
-            prods = mod.gamma_products(ladders, gammas)
-            results[name] = mod.weighted_sandwich_sum(prods, mid, prods, weights)
-    finally:
-        kernels.use(previous)
-    names = sorted(results)
-    ref = results[names[0]]
-    for name in names[1:]:
-        assert np.linalg.norm(results[name] - ref) <= 1e-11 * (1 + np.linalg.norm(ref))
-
-
-def test_backend_selection_errors():
-    with pytest.raises(ValueError):
-        kernels.use("fortran")
-    assert kernels.active.NAME in kernels.available()
