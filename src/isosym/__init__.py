@@ -16,7 +16,7 @@ from .construct import (JordanAugmentSpec, ScaledTupleSpec, identity_tuple,
                         nilpotent_tuple, random_commuting_tuple,
                         reference_pair, scaled_tuple, tensor_sum,
                         tensor_sum_parts)
-from .defect import (DefectReport, MultiOperator, isometry_defect,
+from .defect import (DefectReport, DefectTable, MultiOperator, isometry_defect,
                      isosymmetry_defect, op_sum, perturbation_expansion,
                      raise_isometry_order, raise_symmetry_order,
                      symmetry_defect, zero_tolerance)
@@ -26,15 +26,17 @@ from .linalg import (adjoint, eigenpairs, fro_norm, kron, matmul,
                      matrix_rank, null_space)
 from .multiindex import (binomial, multi_indices, multinomial_weight,
                          trinomial_coeff, verify_multinomial_recurrence)
-from .spectra import (JointEigenpair, SpectralClassification,
+from .spectra import (JointEigenpair, SpectralClassification, SpectralTable,
                       check_orthogonality, check_zero_coordinate_exclusion,
                       classify_spectrum, joint_point_spectrum)
 from .tupleio import read_tuple, tuple_from_dict, tuple_to_dict, write_tuple
 
 __all__ = [
-    "ClassVerdict", "DefectReport", "FamilyRank", "JointEigenpair",
+    "ClassVerdict", "DefectReport", "DefectTable", "FamilyRank",
+    "JointEigenpair",
     "JordanAugmentSpec", "MinimalOrders", "MultiOperator",
-    "ScaledTupleSpec", "SpectralClassification", "SuiteConfig",
+    "ScaledTupleSpec", "SpectralClassification", "SpectralTable",
+    "SuiteConfig",
     "SuiteReport", "adjoint", "binomial", "check_orthogonality",
     "check_zero_coordinate_exclusion", "classify_spectrum",
     "defect_family_rank", "dump_counterexample", "eigenpairs", "fro_norm",

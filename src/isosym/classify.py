@@ -2,8 +2,7 @@
 
 from dataclasses import dataclass
 
-from .defect import isosymmetry_defect, isometry_defect, symmetry_defect, \
-    isosymmetry_defect_matrix
+from .defect import DefectTable
 from .errors import HypothesisUnmet, InvalidParams
 from .linalg import matrix_rank
 
@@ -46,38 +45,43 @@ def _verdict(prop, orders, report):
                         tolerance=report.tolerance_used)
 
 
-def is_m_isometric(r, m, tol=None):
-    """Does M_m(r) vanish?"""
+def is_m_isometric(r, m, tol=None, table=None):
+    """Does M_m(r) vanish?  ``table``: a DefectTable of r to read from."""
     if m < 1:
         raise InvalidParams("m must be >= 1")
-    return _verdict("m_isometric", (m,), isometry_defect(r, m, tol))
+    return _verdict("m_isometric", (m,),
+                    DefectTable.of(r, table).isometry_defect(m, tol))
 
 
-def is_n_symmetric(r, n, tol=None):
-    """Does S_n(r) vanish?"""
+def is_n_symmetric(r, n, tol=None, table=None):
+    """Does S_n(r) vanish?  ``table``: a DefectTable of r to read from."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    return _verdict("n_symmetric", (n,), symmetry_defect(r, n, tol))
+    return _verdict("n_symmetric", (n,),
+                    DefectTable.of(r, table).symmetry_defect(n, tol))
 
 
-def is_isosymmetric(r, m, n, tol=None):
-    """Does L_{m,n}(r) vanish?"""
+def is_isosymmetric(r, m, n, tol=None, table=None):
+    """Does L_{m,n}(r) vanish?  ``table``: a DefectTable of r to read from."""
     if m + n < 1:
         raise InvalidParams("m + n must be >= 1")
-    return _verdict("mn_isosymmetric", (m, n), isosymmetry_defect(r, m, n, tol))
+    return _verdict("mn_isosymmetric", (m, n),
+                    DefectTable.of(r, table).isosymmetry_defect(m, n, tol))
 
 
-def minimal_orders(r, m_max, n_max, tol=None):
+def minimal_orders(r, m_max, n_max, tol=None, table=None):
     """Minimal (m, n) pairs with vanishing defect inside a box.
 
     Scans diagonals of the (m, n) lattice in increasing m + n.  Once a zero
     cell is found, everything it dominates is zero too (one recurrence step
     maps a vanishing defect to a vanishing defect), so dominated cells are
     pruned rather than evaluated; what remains of the zero set is exactly
-    the minimal antichain.
+    the minimal antichain.  Cells are read from ``table`` (a DefectTable of
+    r), so a caller that reads more cells afterwards can pass its own.
     """
     if not (0 <= m_max <= 12 and 0 <= n_max <= 12):
         raise InvalidParams("scan bounds are capped at 12")
+    table = DefectTable.of(r, table)
     found = []
     for total in range(m_max + n_max + 1):
         for m in range(min(m_max, total), -1, -1):
@@ -86,7 +90,7 @@ def minimal_orders(r, m_max, n_max, tol=None):
                 continue
             if any(m >= zm and n >= zn for zm, zn in found):
                 continue
-            if isosymmetry_defect(r, m, n, tol).is_zero:
+            if table.isosymmetry_defect(m, n, tol).is_zero:
                 found.append((m, n))
     found.sort()
     return MinimalOrders(staircase=found, search_bounds=(m_max, n_max),
@@ -108,7 +112,8 @@ def defect_family_rank(r, m, n, direction, tol=None):
         raise InvalidParams("vary_m needs m >= 2 and n >= 1")
     if direction == "vary_n" and (n < 2 or m < 1):
         raise InvalidParams("vary_n needs n >= 2 and m >= 1")
-    corner = isosymmetry_defect(r, m - 1, n - 1, tol)
+    table = DefectTable(r)
+    corner = table.isosymmetry_defect(m - 1, n - 1, tol)
     if corner.is_zero:
         raise HypothesisUnmet(
             f"L_({m - 1},{n - 1}) vanishes (norm {corner.norm:.3e}); "
@@ -117,10 +122,10 @@ def defect_family_rank(r, m, n, direction, tol=None):
                   if corner.norm <= STRICTNESS_BAND * corner.tolerance_used
                   else "met")
     if direction == "vary_m":
-        family = [isosymmetry_defect_matrix(r, k, n - 1) for k in range(m)]
+        family = [table.isosymmetry_defect_matrix(k, n - 1) for k in range(m)]
         size = m
     else:
-        family = [isosymmetry_defect_matrix(r, m - 1, l) for l in range(n)]
+        family = [table.isosymmetry_defect_matrix(m - 1, l) for l in range(n)]
         size = n
     rank = matrix_rank(family)
     return FamilyRank(rank=rank, independent=rank == size,

@@ -16,7 +16,7 @@ from .classify import is_isosymmetric, is_m_isometric, is_n_symmetric, \
 from .construct import (JordanAugmentSpec, ScaledTupleSpec, jordan_augment,
                         nilpotent_tuple, random_commuting_tuple,
                         reference_pair, scaled_tuple, tensor_sum)
-from .defect import TOL_COMM, TOL_ZERO, isometry_defect, \
+from .defect import TOL_COMM, TOL_ZERO, DefectTable, isometry_defect, \
     isosymmetry_defect, symmetry_defect
 from .errors import (BetaNotNormalized, CommutationViolated,
                      ConvergenceFailure, CrossCommutationViolated, DMismatch,
@@ -26,9 +26,8 @@ from .errors import (BetaNotNormalized, CommutationViolated,
 from .harness import SUITE_NAMES, SuiteConfig, dump_counterexample, run_suite
 from .linalg import TOL_RANK, fro_norm
 from .multiindex import multi_indices
-from .spectra import (TOL_SPECTRA, check_orthogonality,
-                      check_zero_coordinate_exclusion, classify_spectrum,
-                      joint_point_spectrum)
+from .spectra import (TOL_SPECTRA, SpectralTable, check_orthogonality,
+                      check_zero_coordinate_exclusion, classify_spectrum)
 from .tupleio import matrix_to_json, read_tuple, write_tuple
 
 EXIT_OK = 0
@@ -110,9 +109,10 @@ def _emit(payload, args):
 
 def _cmd_check(args):
     op, _ = read_tuple(args.file)
-    iso = is_m_isometric(op, args.m, args.tol)
-    sym = is_n_symmetric(op, args.n, args.tol)
-    isosym = is_isosymmetric(op, args.m, args.n, args.tol)
+    table = DefectTable(op)  # L_{m,n} reuses M_m and S_n
+    iso = is_m_isometric(op, args.m, args.tol, table)
+    sym = is_n_symmetric(op, args.n, args.tol, table)
+    isosym = is_isosymmetric(op, args.m, args.n, args.tol, table)
     results = {"commutation_residual": op.commutation_residual,
                "isometric": _verdict_json(iso),
                "symmetric": _verdict_json(sym),
@@ -158,22 +158,23 @@ def _cmd_spectrum(args):
     op, _ = read_tuple(args.file)
     if (args.m is None) != (args.n is None):
         raise InvalidParams("give both --m and --n, or neither")
-    tol = args.tol if args.tol is not None else TOL_SPECTRA
-    pairs = joint_point_spectrum(op, max(tol, TOL_SPECTRA))
+    tol = max(args.tol if args.tol is not None else TOL_SPECTRA, TOL_SPECTRA)
+    table = SpectralTable(op)
+    pairs = table.spectrum(tol)
     results = {"eigenpairs": [
         {"mu": [_complex_json(z) for z in p.mu],
          "multiplicity": int(p.basis.shape[1]),
          "residual": p.residual} for p in pairs]}
     exit_code = EXIT_OK
     if args.m is not None:
-        verdict = is_isosymmetric(op, args.m, args.n)
+        verdict = table.isosymmetric(args.m, args.n)
         results["isosymmetric"] = _verdict_json(verdict)
         if verdict.holds:
             results["classifications"] = [
                 {"mu": [_complex_json(z) for z in c.mu],
                  "on_sphere": c.on_sphere, "real_sum": c.real_sum,
                  "compliant": c.compliant}
-                for c in classify_spectrum(op, args.m, args.n, max(tol, TOL_SPECTRA))]
+                for c in classify_spectrum(op, args.m, args.n, tol, table)]
             results["orthogonality"] = [
                 {"mu": [_complex_json(z) for z in o.mu],
                  "mu_prime": [_complex_json(z) for z in o.mu_prime],
@@ -181,9 +182,8 @@ def _cmd_spectrum(args):
                  "required_orthogonal": o.required_orthogonal,
                  "compliant": o.compliant,
                  "gate_product": o.gate_product, "gate_sum": o.gate_sum}
-                for o in check_orthogonality(op, args.m, args.n)]
-            zc = check_zero_coordinate_exclusion(op, args.m, args.n,
-                                                 max(tol, TOL_SPECTRA))
+                for o in check_orthogonality(op, args.m, args.n, table=table)]
+            zc = check_zero_coordinate_exclusion(op, args.m, args.n, tol, table)
             results["zero_coordinate"] = {
                 "consistent": zc.consistent,
                 "entries": [

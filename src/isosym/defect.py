@@ -17,9 +17,20 @@ m-isometric, n-symmetric and (m,n)-isosymmetric tuples respectively.
 Zero tests are Frobenius-norm tests against a scaled tolerance: the defect
 of order (m, n) is a polynomial of degree at most 2(m+n) in the tuple
 entries, so the scale is tol * (1 + max_j ||R_j||)^(2(m+n)) * dim.
+
+Every defect is evaluated by a DefectTable, which builds the ingredients
+of one tuple (power ladders, gamma products, M_k, S_l) once and reuses
+them for every cell it is asked for.  A caller that reads several defects
+of one tuple creates a table, reads from it and drops it; the table is
+never stored on the tuple or in this module, so it lives exactly as long
+as its caller keeps it.  The one-shot functions (``isosymmetry_defect``
+and the rest) each build a throwaway table.  Cells are always evaluated
+from the definitions, never from the recurrence, and the arrays a table
+hands out are read-only because it keeps them for later reads.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -109,26 +120,44 @@ def op_sum(r):
     return out
 
 
-def _ladder(mat, kmax):
-    """Stack of powers [I, M, M^2, ..., M^kmax]."""
+def _frozen(a):
+    """Mark ``a`` read-only and return it."""
+    a.setflags(write=False)
+    return a
+
+
+def _ladder(mat, kmax, head=None):
+    """Stack of powers [I, M, M^2, ..., M^kmax].
+
+    ``head``, a shorter such stack of the same M, is copied, not recomputed.
+    """
     n = mat.shape[0]
     out = np.empty((kmax + 1, n, n), dtype=np.complex128)
-    out[0] = np.eye(n)
-    for p in range(1, kmax + 1):
+    if head is None:
+        out[0] = np.eye(n)
+        start = 1
+    else:
+        start = len(head)
+        out[:start] = head
+    for p in range(start, kmax + 1):
         out[p] = out[p - 1] @ mat
     return out
 
 
-def _ladder_stack(mats, kmax):
+def _ladder_stack(mats, kmax, head=None):
     """(d, kmax+1, n, n) stack of per-component power ladders."""
-    return np.ascontiguousarray([_ladder(m, kmax) for m in mats])
+    return np.ascontiguousarray([
+        _ladder(m, kmax, None if head is None else head[j])
+        for j, m in enumerate(mats)])
 
 
+@lru_cache(maxsize=128)
 def _graded_weights(order, d):
     """Flattened (gamma, weight) terms of the M-style sum of one order.
 
     Yields every |gamma| <= order with weight
-    (-1)^(order-|gamma|) C(order,|gamma|) |gamma|!/gamma!.
+    (-1)^(order-|gamma|) C(order,|gamma|) |gamma|!/gamma!, ordered by
+    degree, so the gammas of a lower order are a prefix.  Read-only.
     """
     gammas, weights = [], []
     for k in range(order + 1):
@@ -137,81 +166,21 @@ def _graded_weights(order, d):
         for g in multi_indices(d, k):
             gammas.append(g)
             weights.append(sign * c * factorial(k) / mi_factorial(g))
-    return (np.array(gammas, dtype=np.intp).reshape(len(gammas), d),
-            np.array(weights, dtype=np.float64))
+    return (_frozen(np.array(gammas, dtype=np.intp).reshape(len(gammas), d)),
+            _frozen(np.array(weights, dtype=np.float64)))
+
+
+@lru_cache(maxsize=128)
+def _alternating_weights(l):
+    """(-1)^(l-k) C(l,k) for k = 0..l, the weights of the S-style sum."""
+    return _frozen(np.array([(-1.0) ** (l - k) * binomial(l, k)
+                             for k in range(l + 1)]))
 
 
 def _check_orders(**orders):
     for name, value in orders.items():
         if value < 0:
             raise InvalidParams(f"defect order {name} must be >= 0, got {value}")
-
-
-def symmetry_defect_matrix(r, l):
-    """S_l(r) as a raw matrix."""
-    _check_orders(l=l)
-    total = op_sum(r)
-    lad_star = _ladder(adjoint(total), l)
-    lad = _ladder(total, l)
-    ks = np.arange(l + 1)
-    weights = np.array([(-1.0) ** (l - k) * binomial(l, k) for k in ks])
-    return kernels.active.weighted_sandwich_sum(
-        lad_star[ks], None, lad[l - ks], weights)
-
-
-def isometry_defect_matrix(r, l):
-    """M_l(r) as a raw matrix."""
-    _check_orders(l=l)
-    gammas, weights = _graded_weights(l, r.d)
-    lad_star = _ladder_stack([adjoint(m) for m in r.matrices], l)
-    lad = _ladder_stack(r.matrices, l)
-    lefts = kernels.active.gamma_products(lad_star, gammas)
-    rights = kernels.active.gamma_products(lad, gammas)
-    return kernels.active.weighted_sandwich_sum(lefts, None, rights, weights)
-
-
-def _lambda_sym_outer(r, m, n, mid=None):
-    """L_{m,n}(r): S-style alternating sum around M_m."""
-    if mid is None:
-        mid = isometry_defect_matrix(r, m)
-    total = op_sum(r)
-    lad_star = _ladder(adjoint(total), n)
-    lad = _ladder(total, n)
-    ks = np.arange(n + 1)
-    weights = np.array([(-1.0) ** (n - k) * binomial(n, k) for k in ks])
-    return kernels.active.weighted_sandwich_sum(
-        lad_star[ks], mid, lad[n - ks], weights)
-
-
-def _lambda_iso_outer(r, m, n, mid=None):
-    """L_{m,n}(r): M-style weighted sum around S_n."""
-    if mid is None:
-        mid = symmetry_defect_matrix(r, n)
-    gammas, weights = _graded_weights(m, r.d)
-    lad_star = _ladder_stack([adjoint(a) for a in r.matrices], m)
-    lad = _ladder_stack(r.matrices, m)
-    lefts = kernels.active.gamma_products(lad_star, gammas)
-    rights = kernels.active.gamma_products(lad, gammas)
-    return kernels.active.weighted_sandwich_sum(lefts, mid, rights, weights)
-
-
-def isosymmetry_defect_matrix(r, m, n, tol=None):
-    """L_{m,n}(r), evaluated through both equivalent forms.
-
-    The forms must agree within the scaled tolerance (this is the cheapest
-    end-to-end detector of a corrupted input); FormsDisagree otherwise.
-    Returns the sym_outer value.
-    """
-    _check_orders(m=m, n=n)
-    a = _lambda_sym_outer(r, m, n)
-    b = _lambda_iso_outer(r, m, n)
-    gap = fro_norm(a - b)
-    allowed = zero_tolerance(r, m, n, tol)
-    if gap > allowed:
-        raise FormsDisagree(
-            f"the two L_({m},{n}) forms differ by {gap:.3e} "
-            f"(allowed {allowed:.3e}); input likely fails commutation")
-    return a
 
 
 def _report(kind, orders, matrix, tolerance_used):
@@ -221,42 +190,216 @@ def _report(kind, orders, matrix, tolerance_used):
                         is_zero=norm <= tolerance_used)
 
 
+class DefectTable:
+    """The defects of one tuple and their shared ingredients, each built once.
+
+    Ingredients are built on first use and grown in place when a higher
+    order needs more: the power ladders of R_j, R_j*, T = sum_j R_j and T*,
+    the gamma-product stacks R*^g and R^g (ordered by degree, so those of
+    order k are a prefix), every M_k and S_l, and every L_{m,n} cell.  A
+    cell is evaluated in both outer forms once; their gap is kept beside
+    it and checked against the caller's tolerance on every read.
+
+    The caller owns the table: ``r`` does not refer to it, so it is freed
+    with the caller's last reference.  Every array it hands out is kept
+    for later reads and is therefore read-only.
+    """
+
+    __slots__ = ("r", "_total", "_ladders", "_gammas", "_m", "_s", "_cells")
+
+    def __init__(self, r):
+        self.r = r
+        self._total = None   # T = sum_j R_j
+        self._ladders = {}   # "R", "R*": (d, k+1, n, n); "T", "T*": (k+1, n, n)
+        self._gammas = {}    # "R", "R*": (order, gamma-product stack)
+        self._m = {}         # l -> M_l
+        self._s = {}         # l -> S_l
+        self._cells = {}     # (m, n) -> (L_{m,n}, gap between its two forms)
+
+    @classmethod
+    def of(cls, r, table=None):
+        """``table`` once checked to belong to ``r``; a new table if None."""
+        if table is None:
+            return cls(r)
+        if table.r is not r:
+            raise InvalidParams("the defect table belongs to another tuple")
+        return table
+
+    def _powers(self, side, k):
+        """Power ladder of ``side`` ("R", "R*", "T" or "T*") up to power k."""
+        have = self._ladders.get(side)
+        if have is not None and have.shape[-3] > k:
+            return have
+        if side in ("T", "T*"):
+            if self._total is None:
+                self._total = op_sum(self.r)
+            base = self._total if side == "T" else adjoint(self._total)
+            out = _ladder(base, k, have)
+        else:
+            mats = self.r.matrices
+            if side == "R*":
+                mats = [adjoint(a) for a in mats]
+            out = _ladder_stack(mats, k, have)
+        self._ladders[side] = _frozen(out)
+        return out
+
+    def _gamma_products(self, side, order):
+        """``side``^gamma for every |gamma| <= order, as _graded_weights lists them."""
+        have_order, have = self._gammas.get(side, (-1, None))
+        gammas, _ = _graded_weights(order, self.r.d)
+        if have_order >= order:
+            return have[:len(gammas)]
+        # both ladders before the first stack (see _checked_cell)
+        self._powers("R*", order)
+        self._powers("R", order)
+        start = 0 if have is None else len(have)
+        out = kernels.active.gamma_products(self._powers(side, order),
+                                            gammas[start:])
+        if have is not None:
+            out = np.concatenate((have, out))
+        self._gammas[side] = (order, _frozen(out))
+        return out
+
+    def symmetry_defect_matrix(self, l):
+        """S_l as a raw matrix."""
+        _check_orders(l=l)
+        if l not in self._s:
+            ks = np.arange(l + 1)
+            self._s[l] = _frozen(kernels.active.weighted_sandwich_sum(
+                self._powers("T*", l)[ks], None, self._powers("T", l)[l - ks],
+                _alternating_weights(l)))
+        return self._s[l]
+
+    def isometry_defect_matrix(self, l):
+        """M_l as a raw matrix."""
+        _check_orders(l=l)
+        if l not in self._m:
+            _, weights = _graded_weights(l, self.r.d)
+            self._m[l] = _frozen(kernels.active.weighted_sandwich_sum(
+                self._gamma_products("R*", l), None,
+                self._gamma_products("R", l), weights))
+        return self._m[l]
+
+    def _sym_outer(self, m, n):
+        """L_{m,n}: S-style alternating sum around M_m."""
+        mid = self.isometry_defect_matrix(m)
+        ks = np.arange(n + 1)
+        return kernels.active.weighted_sandwich_sum(
+            self._powers("T*", n)[ks], mid, self._powers("T", n)[n - ks],
+            _alternating_weights(n))
+
+    def _iso_outer(self, m, n):
+        """L_{m,n}: M-style weighted sum around S_n."""
+        mid = self.symmetry_defect_matrix(n)
+        _, weights = _graded_weights(m, self.r.d)
+        return kernels.active.weighted_sandwich_sum(
+            self._gamma_products("R*", m), mid,
+            self._gamma_products("R", m), weights)
+
+    def _checked_cell(self, m, n, tol):
+        """L_{m,n} and its zero tolerance, after the two-form check."""
+        _check_orders(m=m, n=n)
+        cell = self._cells.get((m, n))
+        if cell is None:
+            # Small ingredients (ladders, S_n) are built before the large
+            # gamma-product stacks, so the stacks' temporaries reuse each
+            # other's freed memory: the peak stays that of one form.
+            self.symmetry_defect_matrix(n)
+            a = self._sym_outer(m, n)
+            cell = (_frozen(a), fro_norm(a - self._iso_outer(m, n)))
+            self._cells[(m, n)] = cell
+        matrix, gap = cell
+        allowed = zero_tolerance(self.r, m, n, tol)
+        if gap > allowed:
+            raise FormsDisagree(
+                f"the two L_({m},{n}) forms differ by {gap:.3e} "
+                f"(allowed {allowed:.3e}); input likely fails commutation")
+        return matrix, allowed
+
+    def isosymmetry_defect_matrix(self, m, n, tol=None):
+        """L_{m,n}, evaluated through both equivalent forms.
+
+        The forms must agree within the scaled tolerance (this is the
+        cheapest end-to-end detector of a corrupted input); FormsDisagree
+        otherwise.  Returns the sym_outer value.
+        """
+        return self._checked_cell(m, n, tol)[0]
+
+    def symmetry_defect(self, l, tol=None):
+        """S_l with a zero verdict; S_n = 0 means the tuple is n-symmetric."""
+        return _report("S", (l,), self.symmetry_defect_matrix(l),
+                       zero_tolerance(self.r, 0, l, tol))
+
+    def isometry_defect(self, l, tol=None):
+        """M_l with a zero verdict; M_m = 0 means the tuple is m-isometric."""
+        return _report("M", (l,), self.isometry_defect_matrix(l),
+                       zero_tolerance(self.r, l, 0, tol))
+
+    def isosymmetry_defect(self, m, n, tol=None):
+        """L_{m,n} with a zero verdict; zero means (m,n)-isosymmetric."""
+        return _report("Lambda", (m, n), *self._checked_cell(m, n, tol))
+
+
+def symmetry_defect_matrix(r, l):
+    """S_l(r) as a raw (read-only) matrix."""
+    return DefectTable(r).symmetry_defect_matrix(l)
+
+
+def isometry_defect_matrix(r, l):
+    """M_l(r) as a raw (read-only) matrix."""
+    return DefectTable(r).isometry_defect_matrix(l)
+
+
+def _lambda_sym_outer(r, m, n):
+    """L_{m,n}(r): S-style alternating sum around M_m."""
+    return DefectTable(r)._sym_outer(m, n)
+
+
+def _lambda_iso_outer(r, m, n):
+    """L_{m,n}(r): M-style weighted sum around S_n."""
+    return DefectTable(r)._iso_outer(m, n)
+
+
+def isosymmetry_defect_matrix(r, m, n, tol=None):
+    """L_{m,n}(r) as a raw (read-only) matrix; see DefectTable."""
+    return DefectTable(r).isosymmetry_defect_matrix(m, n, tol)
+
+
 def symmetry_defect(r, l, tol=None):
     """S_l(r) with a zero verdict; S_n(r) = 0 means r is n-symmetric."""
-    return _report("S", (l,), symmetry_defect_matrix(r, l),
-                   zero_tolerance(r, 0, l, tol))
+    return DefectTable(r).symmetry_defect(l, tol)
 
 
 def isometry_defect(r, l, tol=None):
     """M_l(r) with a zero verdict; M_m(r) = 0 means r is m-isometric."""
-    return _report("M", (l,), isometry_defect_matrix(r, l),
-                   zero_tolerance(r, l, 0, tol))
+    return DefectTable(r).isometry_defect(l, tol)
 
 
 def isosymmetry_defect(r, m, n, tol=None):
     """L_{m,n}(r) with a zero verdict; zero means (m,n)-isosymmetric."""
-    return _report("Lambda", (m, n), isosymmetry_defect_matrix(r, m, n, tol),
-                   zero_tolerance(r, m, n, tol))
+    return DefectTable(r).isosymmetry_defect(m, n, tol)
 
 
-def raise_isometry_order(r, m, n):
+def raise_isometry_order(r, m, n, table=None):
     """One recurrence step in m: sum_j R_j* L_{m,n} R_j - L_{m,n}.
 
-    Equals L_{m+1,n}(r) within tolerance.
+    Equals L_{m+1,n}(r) within tolerance.  L_{m,n} is read from ``table``
+    (a DefectTable of r) when one is given.
     """
-    lam = isosymmetry_defect_matrix(r, m, n)
+    lam = DefectTable.of(r, table).isosymmetry_defect_matrix(m, n)
     out = -lam
     for rj in r.matrices:
         out = out + adjoint(rj) @ lam @ rj
     return out
 
 
-def raise_symmetry_order(r, m, n):
+def raise_symmetry_order(r, m, n, table=None):
     """One recurrence step in n: (sum_j R_j*) L_{m,n} - L_{m,n} (sum_j R_j).
 
-    Equals L_{m,n+1}(r) within tolerance.
+    Equals L_{m,n+1}(r) within tolerance.  L_{m,n} is read from ``table``
+    (a DefectTable of r) when one is given.
     """
-    lam = isosymmetry_defect_matrix(r, m, n)
+    lam = DefectTable.of(r, table).isosymmetry_defect_matrix(m, n)
     total = op_sum(r)
     return adjoint(total) @ lam - lam @ total
 
@@ -272,6 +415,29 @@ def cross_commutation_residual(r, q):
                 resid = fro_norm(rj @ qc - qc @ rj)
                 worst = max(worst, resid / (nr * nq))
     return worst
+
+
+@lru_cache(maxsize=128)
+def _expansion_terms(m, d):
+    """Per k = 0..m, the read-only (alphas, gammas, coeffs) of the expansion.
+
+    Lists every pair |alpha| + |gamma| = m - k with its coefficient
+    m!/(alpha! gamma! k!).
+    """
+    terms = []
+    for k in range(m + 1):
+        pairs = []
+        coeffs = []
+        for a in range(m - k + 1):
+            for alpha in multi_indices(d, a):
+                for gamma in multi_indices(d, m - k - a):
+                    pairs.append((alpha, gamma))
+                    coeffs.append(float(trinomial_coeff(m, alpha, gamma, k)))
+        alphas = np.array([p[0] for p in pairs], dtype=np.intp).reshape(len(pairs), d)
+        gammas = np.array([p[1] for p in pairs], dtype=np.intp).reshape(len(pairs), d)
+        terms.append((_frozen(alphas), _frozen(gammas),
+                      _frozen(np.array(coeffs))))
+    return tuple(terms)
 
 
 def perturbation_expansion(r, q, m, n, tol_comm=TOL_COMM):
@@ -295,29 +461,19 @@ def perturbation_expansion(r, q, m, n, tol_comm=TOL_COMM):
         raise CrossCommutationViolated(
             f"cross-commutation residual {resid:.3e} exceeds {tol_comm:.3e}")
 
-    d, dim = r.d, r.dim
+    table_r, table_q = DefectTable(r), DefectTable(q)
     lad_star_rq = _ladder_stack(
         [adjoint(a + b) for a, b in zip(r.matrices, q.matrices)], m)
-    lad_star_q = _ladder_stack([adjoint(b) for b in q.matrices], m)
-    lad_r = _ladder_stack(r.matrices, m)
-    lad_q = _ladder_stack(q.matrices, m)
+    lad_star_q = table_q._powers("R*", m)
+    lad_r = table_r._powers("R", m)
+    lad_q = table_q._powers("R", m)
 
-    lam_r = [[isosymmetry_defect_matrix(r, k, l) for l in range(n + 1)]
+    lam_r = [[table_r.isosymmetry_defect_matrix(k, l) for l in range(n + 1)]
              for k in range(m + 1)]
-    s_q = [symmetry_defect_matrix(q, j) for j in range(n + 1)]
+    s_q = [table_q.symmetry_defect_matrix(j) for j in range(n + 1)]
 
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(m + 1):
-        pairs = []
-        coeffs = []
-        for a in range(m - k + 1):
-            for alpha in multi_indices(d, a):
-                for gamma in multi_indices(d, m - k - a):
-                    pairs.append((alpha, gamma))
-                    coeffs.append(float(trinomial_coeff(m, alpha, gamma, k)))
-        alphas = np.array([p[0] for p in pairs], dtype=np.intp).reshape(len(pairs), d)
-        gammas = np.array([p[1] for p in pairs], dtype=np.intp).reshape(len(pairs), d)
-        coeffs = np.array(coeffs)
+    out = np.zeros((r.dim, r.dim), dtype=np.complex128)
+    for k, (alphas, gammas, coeffs) in enumerate(_expansion_terms(m, r.d)):
         lefts = kernels.active.pairwise_matmul(
             kernels.active.gamma_products(lad_star_rq, alphas),
             kernels.active.gamma_products(lad_star_q, gammas))
@@ -329,3 +485,4 @@ def perturbation_expansion(r, q, m, n, tol_comm=TOL_COMM):
             out = out + kernels.active.weighted_sandwich_sum(
                 lefts, mid, rights, binomial(n, j) * coeffs)
     return out
+

@@ -24,16 +24,17 @@ from .construct import (JordanAugmentSpec, ScaledTupleSpec, identity_tuple,
                         jordan_augment_parts, nilpotent_tuple, reference_pair,
                         random_commuting_tuple, scaled_tuple,
                         tensor_sum_parts)
-from .defect import (MultiOperator, _lambda_iso_outer, _lambda_sym_outer,
-                     cross_commutation_residual, isosymmetry_defect,
-                     isosymmetry_defect_matrix, perturbation_expansion,
-                     raise_isometry_order, raise_symmetry_order)
+from .defect import (DefectTable, MultiOperator, _lambda_iso_outer,
+                     _lambda_sym_outer, cross_commutation_residual,
+                     isosymmetry_defect, isosymmetry_defect_matrix,
+                     perturbation_expansion, raise_isometry_order,
+                     raise_symmetry_order)
 from .errors import CommutationViolated, HypothesisUnmet, InvalidParams, \
     IsosymError
 from .linalg import fro_norm
 from .multiindex import multi_indices
-from .spectra import (check_orthogonality, check_zero_coordinate_exclusion,
-                      classify_spectrum, joint_point_spectrum)
+from .spectra import (SpectralTable, check_orthogonality,
+                      check_zero_coordinate_exclusion, classify_spectrum)
 from .tupleio import tuple_from_dict, tuple_to_dict
 
 SUITE_NAMES = ("recurrence", "expansion", "perturbation", "ascent",
@@ -210,10 +211,11 @@ def _gen_recurrence(cfg, idx, rng):
 def _eval_recurrence(tuples, params, tol):
     r = tuples["r"]
     m, n = params["m"], params["n"]
-    up_m = fro_norm(raise_isometry_order(r, m, n)
-                    - isosymmetry_defect_matrix(r, m + 1, n)) / _scale(r, m + 1, n)
-    up_n = fro_norm(raise_symmetry_order(r, m, n)
-                    - isosymmetry_defect_matrix(r, m, n + 1)) / _scale(r, m, n + 1)
+    table = DefectTable(r)
+    up_m = fro_norm(raise_isometry_order(r, m, n, table)
+                    - table.isosymmetry_defect_matrix(m + 1, n)) / _scale(r, m + 1, n)
+    up_n = fro_norm(raise_symmetry_order(r, m, n, table)
+                    - table.isosymmetry_defect_matrix(m, n + 1)) / _scale(r, m, n + 1)
     return max(up_m, up_n)
 
 
@@ -325,13 +327,14 @@ def _eval_ascent(tuples, params, tol):
     r = tuples["r"]
     b = params["bounds"]
     w = params["window"]
+    table = DefectTable(r)
     worst = 0.0
-    for m0, n0 in minimal_orders(r, b, b, tol).staircase:
+    for m0, n0 in minimal_orders(r, b, b, tol, table).staircase:
         for i in range(w + 1):
             for j in range(w + 1):
                 if i == 0 and j == 0:
                     continue
-                rep = isosymmetry_defect(r, m0 + i, n0 + j, tol)
+                rep = table.isosymmetry_defect(m0 + i, n0 + j, tol)
                 worst = max(worst, rep.norm / _scale(r, m0 + i, n0 + j))
     return worst
 
@@ -418,16 +421,17 @@ def _eval_spectral(tuples, params, tol):
     m, n = params["m"], params["n"]
     tol_cls = max(tol, 1e-7)
     tol_orth = max(tol, 1e-8)
+    table = SpectralTable(r)
     worst = 0.0
-    for c in classify_spectrum(r, m, n, tol_cls):
+    for c in classify_spectrum(r, m, n, tol_cls, table):
         if not c.compliant:
             norm = float(np.sqrt(sum(abs(z) ** 2 for z in c.mu)))
             worst = max(worst, min(abs(norm - 1.0), abs(sum(c.mu).imag)))
-    for o in check_orthogonality(r, m, n, tol_orth):
+    for o in check_orthogonality(r, m, n, tol_orth, table):
         clears = (o.gate_product > 10 * tol_orth and o.gate_sum > 10 * tol_orth)
         if clears and o.gram_norm > tol_orth:
             worst = max(worst, o.gram_norm)
-    zc = check_zero_coordinate_exclusion(r, m, n, tol_cls)
+    zc = check_zero_coordinate_exclusion(r, m, n, tol_cls, table)
     for e in zc.entries:
         if not e.consistent:
             worst = max(worst, e.adjoint_sum_distance)
@@ -436,7 +440,7 @@ def _eval_spectral(tuples, params, tol):
         expected = sorted((tuple(complex(re, im) for re, im in mu)
                            for mu in params["expected_mu"]), key=sort_key)
         got = []
-        for pair in joint_point_spectrum(r, tol_cls):
+        for pair in table.spectrum(tol_cls):
             got.extend([pair.mu] * pair.basis.shape[1])
         got.sort(key=sort_key)
         if len(got) != len(expected):

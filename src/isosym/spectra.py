@@ -5,6 +5,10 @@ take an eigenvalue cluster of the first component, extract the null space
 of the shifted operator, compress the remaining components onto it (the
 eigenspace is invariant because the tuple commutes) and recurse.  In
 finite dimension this is the whole approximate point spectrum as well.
+
+A caller that runs several spectral checks on one tuple passes each the
+same SpectralTable, which computes the joint spectrum once per tolerance
+argument and the isosymmetry verdict once per (m, n).
 """
 
 from dataclasses import dataclass, field
@@ -174,23 +178,68 @@ def joint_point_spectrum(r, tol=TOL_SPECTRA):
     return pairs
 
 
-def _require_isosymmetric(r, m, n):
-    verdict = is_isosymmetric(r, m, n)
-    if not verdict.holds:
-        raise HypothesisUnmet(
-            f"tuple is not ({m},{n})-isosymmetric "
-            f"(defect norm {verdict.defect_norm:.3e})")
+class SpectralTable:
+    """Joint spectra and isosymmetry verdicts of one tuple, each computed once.
+
+    ``spectrum(tol)`` runs joint_point_spectrum once per tolerance argument
+    and ``isosymmetric(m, n)`` runs is_isosymmetric once per (m, n).  The
+    caller owns the table and drops it with its last reference; the
+    eigenspace bases it hands out are read-only, since it keeps them.
+    """
+
+    __slots__ = ("r", "_spectra", "_verdicts")
+
+    def __init__(self, r):
+        self.r = r
+        self._spectra = {}
+        self._verdicts = {}
+
+    @classmethod
+    def of(cls, r, table=None):
+        """``table`` once checked to belong to ``r``; a new table if None."""
+        if table is None:
+            return cls(r)
+        if table.r is not r:
+            raise InvalidParams("the spectral table belongs to another tuple")
+        return table
+
+    def spectrum(self, tol=TOL_SPECTRA):
+        """joint_point_spectrum(r, tol), as a tuple of pairs."""
+        pairs = self._spectra.get(tol)
+        if pairs is None:
+            pairs = tuple(joint_point_spectrum(self.r, tol))
+            for pair in pairs:
+                pair.basis.setflags(write=False)
+            self._spectra[tol] = pairs
+        return pairs
+
+    def isosymmetric(self, m, n):
+        """is_isosymmetric(r, m, n) at the default tolerance."""
+        verdict = self._verdicts.get((m, n))
+        if verdict is None:
+            verdict = self._verdicts[(m, n)] = is_isosymmetric(self.r, m, n)
+        return verdict
+
+    def require_isosymmetric(self, m, n):
+        """HypothesisUnmet unless the tuple is (m,n)-isosymmetric."""
+        verdict = self.isosymmetric(m, n)
+        if not verdict.holds:
+            raise HypothesisUnmet(
+                f"tuple is not ({m},{n})-isosymmetric "
+                f"(defect norm {verdict.defect_norm:.3e})")
 
 
-def classify_spectrum(r, m, n, tol=TOL_SPECTRA):
+def classify_spectrum(r, m, n, tol=TOL_SPECTRA, table=None):
     """Locate every joint eigenvalue of an (m,n)-isosymmetric tuple.
 
     Each point must lie on the unit sphere of C^d or have a real
-    coordinate sum; non-compliance is reported, not raised.
+    coordinate sum; non-compliance is reported, not raised.  ``table``:
+    a SpectralTable of r shared with other checks.
     """
-    _require_isosymmetric(r, m, n)
+    table = SpectralTable.of(r, table)
+    table.require_isosymmetric(m, n)
     out = []
-    for pair in joint_point_spectrum(r, tol):
+    for pair in table.spectrum(tol):
         norm = float(np.sqrt(sum(abs(z) ** 2 for z in pair.mu)))
         on_sphere = abs(norm - 1.0) <= tol
         real_sum = abs(sum(pair.mu).imag) <= tol
@@ -200,15 +249,17 @@ def classify_spectrum(r, m, n, tol=TOL_SPECTRA):
     return out
 
 
-def check_orthogonality(r, m, n, tol=1e-8):
+def check_orthogonality(r, m, n, tol=1e-8, table=None):
     """Pairwise Gram test between joint eigenspaces.
 
     A pair (mu, mu') must be orthogonal whenever both gate quantities are
     nonzero: sum_j mu_j conj(mu'_j) != 1 and sum_j (mu_j - conj(mu'_j)) != 0,
     each tested against tol.  Pairs failing a gate carry no constraint.
+    ``table``: a SpectralTable of r shared with other checks.
     """
-    _require_isosymmetric(r, m, n)
-    pairs = joint_point_spectrum(r, max(tol, TOL_SPECTRA))
+    table = SpectralTable.of(r, table)
+    table.require_isosymmetric(m, n)
+    pairs = table.spectrum(max(tol, TOL_SPECTRA))
     out = []
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
@@ -226,9 +277,13 @@ def check_orthogonality(r, m, n, tol=1e-8):
     return out
 
 
-def check_zero_coordinate_exclusion(r, m, n, tol=TOL_SPECTRA):
-    """Contrapositive of the zero-coordinate exclusion, point by point."""
-    _require_isosymmetric(r, m, n)
+def check_zero_coordinate_exclusion(r, m, n, tol=TOL_SPECTRA, table=None):
+    """Contrapositive of the zero-coordinate exclusion, point by point.
+
+    ``table``: a SpectralTable of r shared with other checks.
+    """
+    table = SpectralTable.of(r, table)
+    table.require_isosymmetric(m, n)
     adj_sum = adjoint(op_sum(r))
     try:
         adj_eigs = np.linalg.eigvals(adj_sum)
@@ -236,7 +291,7 @@ def check_zero_coordinate_exclusion(r, m, n, tol=TOL_SPECTRA):
         raise ConvergenceFailure(str(exc)) from exc
     scale = 1.0 + fro_norm(adj_sum)
     entries = []
-    for pair in joint_point_spectrum(r, tol):
+    for pair in table.spectrum(tol):
         prod = 1.0
         for z in pair.mu:
             prod *= abs(z)

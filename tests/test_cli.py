@@ -127,6 +127,33 @@ def test_spectrum_with_classification(capsys, reference_file, schemas):
     assert results["zero_coordinate"]["consistent"]
 
 
+def test_spectrum_computes_spectrum_and_verdict_once(capsys, reference_file,
+                                                    monkeypatch):
+    import isosym.classify
+    import isosym.cli
+    import isosym.spectra
+    calls = {"joint_point_spectrum": 0, "is_isosymmetric": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    # every binding the command could reach each function through
+    for module in (isosym.cli, isosym.spectra, isosym.classify):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(module, name))
+    code, report = _run(capsys, ["spectrum", reference_file,
+                                 "--m", "1", "--n", "1"])
+    assert code == 0
+    assert "classifications" in report["results"]
+    assert calls == {"joint_point_spectrum": 1, "is_isosymmetric": 1}
+
+
 def test_spectrum_property_fails(capsys, tmp_path):
     from isosym.construct import random_commuting_tuple
     path = tmp_path / "r.json"

@@ -1,0 +1,168 @@
+import gc
+
+import numpy as np
+import pytest
+
+from isosym.classify import minimal_orders
+from isosym.construct import random_commuting_tuple, reference_pair
+from isosym.defect import (DefectTable, MultiOperator, isometry_defect_matrix,
+                           isosymmetry_defect, isosymmetry_defect_matrix,
+                           symmetry_defect_matrix)
+from isosym.errors import FormsDisagree, InvalidParams
+from isosym.spectra import SpectralTable, joint_point_spectrum
+
+from test_defect import _noncommuting_pair
+
+
+def _cells(rng, max_order=4):
+    """Every S_l, M_l and L_{m,n} up to order 4, in a scrambled order."""
+    cells = [("S", l) for l in range(max_order + 1)]
+    cells += [("M", l) for l in range(max_order + 1)]
+    cells += [("L", m, n) for m in range(max_order + 1)
+              for n in range(max_order + 1)]
+    return [cells[i] for i in rng.permutation(len(cells))]
+
+
+def _read(table, cell):
+    if cell[0] == "S":
+        return table.symmetry_defect_matrix(cell[1])
+    if cell[0] == "M":
+        return table.isometry_defect_matrix(cell[1])
+    return table.isosymmetry_defect_matrix(cell[1], cell[2])
+
+
+def _one_shot(r, cell):
+    if cell[0] == "S":
+        return symmetry_defect_matrix(r, cell[1])
+    if cell[0] == "M":
+        return isometry_defect_matrix(r, cell[1])
+    return isosymmetry_defect_matrix(r, cell[1], cell[2])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shared_table_matches_one_shot_bit_for_bit(seed):
+    rng = np.random.default_rng([2024, seed])
+    d = int(rng.integers(1, 4))
+    dim = int(rng.integers(2, 9))
+    r = random_commuting_tuple(d, dim, int(rng.integers(0, 2 ** 31)))
+    table = DefectTable(r)
+    for cell in _cells(rng):
+        got = _read(table, cell)
+        assert got.tobytes() == _one_shot(r, cell).tobytes(), cell
+    # a second pass reads the stored cells, still unchanged
+    for cell in _cells(rng):
+        assert _read(table, cell).tobytes() == _one_shot(r, cell).tobytes()
+
+
+def test_forms_disagree_from_a_table_cell_on_every_read():
+    bad = MultiOperator(_noncommuting_pair(), tol_comm=1.0)
+    table = DefectTable(bad)
+    for _ in range(2):
+        with pytest.raises(FormsDisagree):
+            table.isosymmetry_defect_matrix(2, 2)
+        with pytest.raises(FormsDisagree):
+            table.isosymmetry_defect(2, 2)
+
+
+def test_forms_gap_is_checked_against_each_reads_tolerance():
+    bad = MultiOperator(_noncommuting_pair(), tol_comm=1.0)
+    table = DefectTable(bad)
+    loose = table.isosymmetry_defect(2, 2, tol=1e6)
+    with pytest.raises(FormsDisagree):
+        table.isosymmetry_defect(2, 2)
+    again = table.isosymmetry_defect(2, 2, tol=1e6)
+    assert again.matrix is loose.matrix and again.norm == loose.norm
+
+
+def _reachable(root):
+    """Objects reachable from ``root`` through instance data.
+
+    Types, modules and functions are not followed, so the walk stays on
+    what the object itself holds.
+    """
+    seen = {id(root)}
+    stack = [root]
+    out = []
+    while stack:
+        obj = stack.pop()
+        out.append(obj)
+        for ref in gc.get_referents(obj):
+            if isinstance(ref, type) or type(ref).__name__ in (
+                    "module", "function", "builtin_function_or_method"):
+                continue
+            if id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    return out
+
+
+def test_one_shot_leaves_no_table_on_the_tuple():
+    r = random_commuting_tuple(2, 4, 5)
+    isosymmetry_defect(r, 4, 4)
+    minimal_orders(r, 4, 4)
+    reached = _reachable(r)
+    assert any(m is r.matrices[0] for m in reached)  # the walk does descend
+    assert not any(isinstance(o, (DefectTable, SpectralTable)) for o in reached)
+
+
+@pytest.mark.parametrize("read", [
+    lambda t: t.symmetry_defect_matrix(2),
+    lambda t: t.isometry_defect_matrix(2),
+    lambda t: t.isosymmetry_defect_matrix(2, 1),
+    lambda t: t.isosymmetry_defect(2, 1).matrix,
+], ids=["S", "M", "L", "L-report"])
+def test_returned_matrices_cannot_alias_the_table(read):
+    table = DefectTable(random_commuting_tuple(2, 3, 9))
+    first = read(table)
+    before = first.tobytes()
+    with pytest.raises(ValueError):
+        first[0, 0] = 123.0
+    with pytest.raises(ValueError):
+        first += 1.0
+    assert read(table).tobytes() == before
+
+
+def test_spectral_table_bases_are_read_only_and_shared():
+    r = reference_pair()
+    table = SpectralTable(r)
+    pairs = table.spectrum()
+    assert table.spectrum() is pairs
+    with pytest.raises(ValueError):
+        pairs[0].basis[0, 0] = 1.0
+    fresh = joint_point_spectrum(r)
+    assert [p.basis.tobytes() for p in pairs] == \
+        [p.basis.tobytes() for p in fresh]
+
+
+def test_spectral_table_keys_spectra_by_tolerance():
+    table = SpectralTable(reference_pair())
+    assert table.spectrum(1e-7) is table.spectrum(1e-7)
+    assert table.spectrum(1e-6) is not table.spectrum(1e-7)
+
+
+def test_table_of_another_tuple_is_rejected():
+    r, other = reference_pair(), reference_pair()
+    with pytest.raises(InvalidParams):
+        minimal_orders(r, 2, 2, table=DefectTable(other))
+    with pytest.raises(InvalidParams):
+        DefectTable.of(r, DefectTable(other))
+    with pytest.raises(InvalidParams):
+        SpectralTable.of(r, SpectralTable(other))
+
+
+def test_negative_orders_rejected_by_the_table():
+    table = DefectTable(reference_pair())
+    with pytest.raises(InvalidParams):
+        table.symmetry_defect_matrix(-1)
+    with pytest.raises(InvalidParams):
+        table.isometry_defect(-1)
+    with pytest.raises(InvalidParams):
+        table.isosymmetry_defect(1, -1)
+
+
+def test_scan_with_shared_table_matches_fresh_scan():
+    r = random_commuting_tuple(2, 4, 1)
+    table = DefectTable(r)
+    table.isosymmetry_defect_matrix(5, 5)  # grow the ingredients first
+    assert minimal_orders(r, 6, 6, table=table) == minimal_orders(r, 6, 6)
+
