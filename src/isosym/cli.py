@@ -5,6 +5,7 @@ Exit codes: 0 success / property holds, 1 property fails, 2 invalid input
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -332,7 +333,14 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first ``main`` call of a process.
+
+    Building it costs far more than parsing one command line, so every
+    later call reuses it; ``parse_args`` returns a fresh namespace each
+    time, so no state passes from one call to the next.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="base tolerance (default: module defaults)")

@@ -58,7 +58,7 @@ class MultiOperator:
     share between threads.
     """
 
-    __slots__ = ("matrices", "d", "dim", "commutation_residual")
+    __slots__ = ("matrices", "d", "dim", "commutation_residual", "_max_norm")
 
     def __init__(self, matrices, tol_comm=TOL_COMM):
         mats = tuple(as_matrix(m) for m in matrices)
@@ -83,12 +83,14 @@ class MultiOperator:
         object.__setattr__(self, "d", len(mats))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "commutation_residual", worst)
+        object.__setattr__(self, "_max_norm", max(norms))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiOperator is immutable")
 
     def max_norm(self):
-        return max(fro_norm(m) for m in self.matrices)
+        """max_j ||R_j||, taken once at construction."""
+        return self._max_norm
 
     def __repr__(self):
         return f"MultiOperator(d={self.d}, dim={self.dim})"

@@ -6,6 +6,8 @@ thin contract layer: shape checks, finiteness checks, residual checks and
 relative rank thresholds.
 """
 
+from math import sqrt
+
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch
@@ -49,8 +51,18 @@ def kron(a, b):
 
 
 def fro_norm(m):
-    """Frobenius norm: sqrt of the sum of squared entry moduli."""
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm: sqrt of the sum of squared entry moduli.
+
+    complex128 input takes the branch ``np.linalg.norm`` itself takes for
+    it (two real dot products over the raveled entries) without its
+    argument dispatch, so the value is bit for bit ``np.linalg.norm``'s.
+    """
+    m = np.asarray(m)
+    if m.dtype != np.complex128:
+        return float(np.linalg.norm(m))
+    x = m.ravel(order="K")
+    re, im = x.real, x.imag
+    return sqrt(re.dot(re) + im.dot(im))
 
 
 def eigenpairs(m, tol_eig=TOL_EIG):

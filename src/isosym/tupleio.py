@@ -1,4 +1,4 @@
-"""Tuple file format: JSON with complex entries as [re, im] pairs.
+"""Tuple file format: JSON with complex entries as finite [re, im] pairs.
 
 Layout:
 
@@ -15,6 +15,7 @@ structurally but fails the commutation invariant does not load.
 """
 
 import json
+import numbers
 
 import numpy as np
 
@@ -31,16 +32,31 @@ def matrix_to_json(mat):
 
 
 def matrix_from_json(rows, dim=None):
+    """One matrix from its nested [re, im] lists.
+
+    Every entry must be exactly two finite real numbers (booleans are not
+    numbers here), else ParseError.
+    """
+    parts = np.array(rows, dtype=object)  # (dim, dim, 2) when well formed
+    if parts.ndim != 3 or parts.shape[2] != 2:
+        raise ParseError("bad matrix entry: every entry must be a pair "
+                         "[re, im] of real numbers")
+    if parts.shape[0] != parts.shape[1]:
+        raise ParseError(f"matrix is not square: shape {parts.shape[:2]}")
+    if dim is not None and parts.shape[:2] != (dim, dim):
+        raise ParseError(f"matrix shape {parts.shape[:2]} does not match "
+                         f"dim {dim}")
+    for kind in set(map(type, parts.flat)):
+        if not issubclass(kind, numbers.Real) or issubclass(kind, bool):
+            raise ParseError(f"bad matrix entry: {kind.__name__} is not a "
+                             "real number")
     try:
-        mat = np.array([[complex(c[0], c[1]) for c in row] for row in rows],
-                       dtype=np.complex128)
-    except (TypeError, ValueError, IndexError) as exc:
+        pairs = parts.astype(np.float64)
+    except OverflowError as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParseError(f"matrix is not square: shape {mat.shape}")
-    if dim is not None and mat.shape != (dim, dim):
-        raise ParseError(f"matrix shape {mat.shape} does not match dim {dim}")
-    return mat
+    if not np.isfinite(pairs).all():
+        raise ParseError("matrix entries must be finite (no NaN or Infinity)")
+    return pairs.view(np.complex128)[..., 0]
 
 
 def tuple_to_dict(op, metadata=None):

@@ -250,3 +250,77 @@ def test_out_file(tmp_path, reference_file, capsys):
     assert code == 0
     report = json.loads(dest.read_text())
     assert report["command"] == "check"
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and end without a cached parser."""
+    from isosym.cli import _build_parser
+    _build_parser.cache_clear()
+    yield _build_parser
+    _build_parser.cache_clear()
+
+
+def test_parser_is_built_once_per_process(capsys, reference_file, fresh_parser,
+                                          monkeypatch):
+    import argparse
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):  # called once per parser built
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    for i in range(20):
+        argv = ["check", reference_file, "--m", "1", "--n", str(1 + i % 3)]
+        assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert built == ["isosym"]
+
+
+def test_repeated_main_calls_match_fresh_calls(capsys, tmp_path, reference_file,
+                                               fresh_parser):
+    from isosym.construct import random_commuting_tuple
+    generic = str(tmp_path / "random.json")
+    write_tuple(generic, random_commuting_tuple(2, 4, 31))
+    calls = [["check", reference_file, "--m", "1", "--n", "1", "--tol", "1e-3"],
+             ["check", reference_file, "--m", "1", "--n", "1"],
+             ["check", reference_file, "--m", "1"],  # argparse: --n missing
+             ["construct", "example22", "--out", str(tmp_path / "c.json")],
+             ["defect", reference_file, "--kind", "S", "--l", "2"],
+             ["check", reference_file, "--m", "0", "--n", "1"],  # InvalidParams
+             ["check", generic, "--m", "1", "--n", "1"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    in_one_process = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        fresh_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_one_process == fresh
+    codes = [code for code, _, _ in fresh]
+    assert codes == [0, 0, ("SystemExit", 2), 0, 0, 2, 1]
+    assert json.loads(fresh[0][1])["tolerances"]["tol"] == 1e-3
+    assert json.loads(fresh[1][1])["tolerances"]["tol"] == 1e-8
+
+
+@pytest.mark.parametrize("entry", ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]",
+                                   "[1e999, 0]", "[1%s, 0]" % ("0" * 400),
+                                   "[1, 0, 7]", "[1]", "[true, 0]",
+                                   "[\"1\", 0]", "{\"re\": 1, \"im\": 0}"],
+                         ids=["nan", "inf", "-inf", "float-overflow",
+                              "int-overflow", "three-items", "one-item", "bool",
+                              "string", "object"])
+def test_bad_tuple_entry_exit_2(capsys, tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text('{"d": 1, "dim": 1, "matrices": [[[%s]]]}' % entry)
+    assert main(["check", str(path), "--m", "1", "--n", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")

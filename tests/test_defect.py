@@ -45,6 +45,14 @@ class TestMultiOperator:
     def test_exactly_commuting_residual_zero(self):
         assert reference_pair().commutation_residual == 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_max_norm_is_largest_component_norm(self, d):
+        op = random_commuting_tuple(d, 4, 40 + d)
+        op = MultiOperator([(j + 1) * m for j, m in enumerate(op.matrices)])
+        assert op.max_norm() == max(fro_norm(m) for m in op.matrices)
+        with pytest.raises(AttributeError):
+            op._max_norm = 0.0
+
 
 def test_op_sum_reference():
     expect = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=complex)

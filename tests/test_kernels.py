@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isosym.defect import _expansion_terms, _graded_weights
 from oracles import degree_indices, gamma_power
 
 
@@ -47,3 +48,80 @@ def test_weighted_sandwich_sum(kernel, with_mid):
         term = lefts[i] @ (mid if with_mid else np.eye(n)) @ rights[i]
         expect += weights[i] * term
     assert np.linalg.norm(out - expect) <= 1e-11 * (1 + np.linalg.norm(expect))
+
+
+# Bit-identity against the direct formulas: the kernels reorganise the
+# work (shared gamma-product prefixes, one dot for the reduction) but must
+# perform the same floating-point operations.
+
+def _direct_gamma_products(ladders, gammas):
+    """Every row multiplied out left to right, no sharing."""
+    out = ladders[0][gammas[:, 0]]
+    for j in range(1, ladders.shape[0]):
+        out = out @ ladders[j][gammas[:, j]]
+    return np.ascontiguousarray(out)
+
+
+def _ladders(rng, d, order, dim):
+    mats = (rng.standard_normal((d, dim, dim))
+            + 1j * rng.standard_normal((d, dim, dim))) / max(1, dim)
+    out = np.empty((d, order + 1, dim, dim), dtype=np.complex128)
+    out[:, 0] = np.eye(dim)
+    for p in range(1, order + 1):
+        out[:, p] = out[:, p - 1] @ mats
+    return out
+
+
+@pytest.mark.parametrize("order", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gamma_products_bit_identical_to_direct_loop(kernel, d, order):
+    rng = np.random.default_rng([d, order])
+    gammas, _ = _graded_weights(order, d)
+    for dim in (1, 2, 5, 32):
+        ladders = _ladders(rng, d, order, dim)
+        for start in sorted({0, 1, len(gammas) // 2, len(gammas) - 1}):
+            out = kernel.gamma_products(ladders, gammas[start:])
+            expect = _direct_gamma_products(ladders, gammas[start:])
+            assert out.shape == expect.shape
+            assert out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gamma_products_of_expansion_terms_bit_identical(kernel, d):
+    """Alphas and gammas of the expansion are not in degree order."""
+    rng = np.random.default_rng(d)
+    m = 4
+    ladders = _ladders(rng, d, m, 6)
+    for alphas, gammas, _ in _expansion_terms(m, d):
+        for stack in (alphas, gammas):
+            out = kernel.gamma_products(ladders, stack)
+            assert out.tobytes() == _direct_gamma_products(ladders,
+                                                           stack).tobytes()
+
+
+def test_gamma_products_rejects_exponent_beyond_the_ladder(kernel):
+    ladders = _ladders(np.random.default_rng(3), 3, 2, 2)
+    with pytest.raises(IndexError):
+        kernel.gamma_products(ladders, np.array([[0, 3, 0]]))
+    with pytest.raises(IndexError):  # a column short
+        kernel.gamma_products(ladders, np.array([[0, 1], [1, 0], [1, 1]]))
+
+
+@pytest.mark.parametrize("with_mid", [False, True])
+@pytest.mark.parametrize("terms,dim", [(1, 1), (3, 2), (7, 4), (28, 8),
+                                       (84, 16), (210, 3), (12, 64)])
+def test_weighted_sandwich_sum_bit_identical_to_tensordot(kernel, terms, dim,
+                                                          with_mid):
+    rng = np.random.default_rng([terms, dim])
+    lefts = rng.standard_normal((terms, dim, dim)) \
+        + 1j * rng.standard_normal((terms, dim, dim))
+    rights = rng.standard_normal((terms, dim, dim)) \
+        + 1j * rng.standard_normal((terms, dim, dim))
+    weights = rng.standard_normal(terms)
+    mid = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+           if with_mid else None)
+    prods = lefts @ rights if mid is None else (lefts @ mid) @ rights
+    expect = np.tensordot(weights, prods, axes=1)
+    out = kernel.weighted_sandwich_sum(lefts, mid, rights, weights)
+    assert out.shape == expect.shape
+    assert out.tobytes() == expect.tobytes()

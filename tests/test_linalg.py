@@ -75,6 +75,31 @@ def test_fro_norm_values():
     assert fro_norm(np.diag([1.0, 0.0, 0.0])) == 1.0
 
 
+def _fro_norm_inputs():
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    wide = _random(64, 12) * np.exp(rng.uniform(-5, 5, (64, 64)))
+    return {"complex": z, "complex-transposed": z.T,
+            "complex-strided": z[::2, 1::2],
+            "complex-fortran": np.asfortranarray(z),
+            "complex-stack": rng.standard_normal((3, 4, 4)) + 0j,
+            "complex-empty": np.zeros((0, 0), dtype=np.complex128),
+            "complex-wide-range": wide, "complex-wide-range-strided": wide[::3],
+            "complex-huge": z * 1e160, "complex-tiny": z * 1e-170,
+            "complex64": z.astype(np.complex64), "float": z.real,
+            "float-strided": z.real[:, ::3],
+            "int": np.arange(-8, 8).reshape(4, 4), "list": [[1, 2j], [3, 4]]}
+
+
+@pytest.mark.parametrize("kind", sorted(_fro_norm_inputs()))
+def test_fro_norm_bit_equal_to_numpy(kind):
+    x = _fro_norm_inputs()[kind]
+    with np.errstate(over="ignore"):  # "complex-huge" overflows to inf in both
+        value, expect = fro_norm(x), float(np.linalg.norm(x))
+    assert type(value) is float
+    assert repr(value) == repr(expect)
+
+
 @given(st.integers(0, 10 ** 6), st.integers(2, 8))
 @settings(max_examples=25)
 def test_fro_norm_unitary_invariance(seed, dim):

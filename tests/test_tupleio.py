@@ -61,6 +61,38 @@ def test_rejects_bad_entries():
         tuple_from_dict(data)
 
 
+@pytest.mark.parametrize("entry", [[float("nan"), 0.0], [0.0, float("inf")],
+                                   [float("-inf"), 1.0], [1, 0, 7], [1], [],
+                                   [True, 0], [0, False], ["1", 0], [None, 0],
+                                   {"re": 1, "im": 0}, 1.0, [10 ** 400, 0]],
+                         ids=["nan", "inf", "-inf", "three-items", "one-item",
+                              "empty", "bool-re", "bool-im", "string", "null",
+                              "object", "scalar", "int-overflow"])
+def test_rejects_entry_outside_the_schema(entry):
+    data = {"d": 1, "dim": 2, "matrices": [[[[1, 0], [0, 0]], [[0, 0], entry]]]}
+    with pytest.raises(ParseError):
+        tuple_from_dict(data)
+
+
+def test_nan_and_infinity_in_a_file_fail_to_parse(tmp_path):
+    for token in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"d": 1, "dim": 1, "matrices": [[[[%s, 0]]]]}' % token)
+        with pytest.raises(ParseError):
+            read_tuple(path)
+
+
+def test_accepts_ints_and_floats(schemas):
+    data = {"d": 1, "dim": 2, "matrices": [[[[1, 0], [0.5, -2]],
+                                            [[0, 0], [1, 0.0]]]]}
+    jsonschema.validate(data, schemas["tuple"])
+    op, _ = tuple_from_dict(data)
+    assert op.matrices[0].tolist() == [[1, 0.5 - 2j], [0, 1]]
+    data["matrices"][0][1][1] = [np.int64(1), np.float64(-0.0)]  # from numpy
+    op, _ = tuple_from_dict(data)
+    assert op.matrices[0].tolist() == [[1, 0.5 - 2j], [0, 1]]
+
+
 def test_noncommuting_file_fails_to_load():
     bad = {"d": 2, "dim": 2,
            "matrices": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
