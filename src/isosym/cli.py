@@ -18,15 +18,14 @@ from .construct import (JordanAugmentSpec, ScaledTupleSpec, jordan_augment,
                         nilpotent_tuple, random_commuting_tuple,
                         reference_pair, scaled_tuple, tensor_sum)
 from .defect import TOL_COMM, TOL_ZERO, DefectTable, isometry_defect, \
-    isosymmetry_defect, symmetry_defect
+    isosymmetry_defect, nilpotency_residual, symmetry_defect
 from .errors import (BetaNotNormalized, CommutationViolated,
                      ConvergenceFailure, CrossCommutationViolated, DMismatch,
                      FormsDisagree, HypothesisUnmet, InvalidParams,
                      InvariantViolation, InvarianceViolation, ParseError,
                      TooLarge)
 from .harness import SUITE_NAMES, SuiteConfig, dump_counterexample, run_suite
-from .linalg import TOL_RANK, fro_norm
-from .multiindex import multi_indices
+from .linalg import TOL_RANK
 from .spectra import (TOL_SPECTRA, SpectralTable, check_orthogonality,
                       check_zero_coordinate_exclusion, classify_spectrum)
 from .tupleio import matrix_to_json, read_tuple, write_tuple
@@ -208,11 +207,6 @@ def _parse_complexes(raw):
     return tuple(complex(part.replace(" ", "")) for part in raw.split(","))
 
 
-def _first_matrix(path):
-    op, _ = read_tuple(path)
-    return op
-
-
 def _clamped_predictions(base, q, bounds=3):
     """Theorem arithmetic from the base's minimal vanishing orders.
 
@@ -223,21 +217,6 @@ def _clamped_predictions(base, q, bounds=3):
     preds = sorted({(max(m, 1) + 2 * q - 2, max(n, 1) + 2 * q - 1)
                     for m, n in found})
     return [list(p) for p in preds] or None
-
-
-def _nilpotency_order(op, tol=1e-12):
-    for q in range(1, op.dim + 1):
-        worst = 0.0
-        for alpha in multi_indices(op.d, q):
-            prod = None
-            for a, mat in zip(alpha, op.matrices):
-                for _ in range(a):
-                    prod = mat if prod is None else prod @ mat
-            if prod is not None:
-                worst = max(worst, fro_norm(prod))
-        if worst <= tol:
-            return q
-    return None
 
 
 def _cmd_construct(args):
@@ -252,7 +231,7 @@ def _cmd_construct(args):
     elif kind == "scaled":
         if not args.base or not args.beta:
             raise InvalidParams("scaled requires --base and --beta")
-        base_op = _first_matrix(args.base)
+        base_op, _ = read_tuple(args.base)
         if base_op.d != 1:
             raise InvalidParams("--base must hold a single matrix (d=1)")
         beta = _parse_floats(args.beta)
@@ -278,7 +257,9 @@ def _cmd_construct(args):
         left, _ = read_tuple(args.left)
         right, _ = read_tuple(args.right)
         op = tensor_sum(left, right)
-        q = _nilpotency_order(right)
+        # the smallest q with every product of q components (numerically) 0
+        q = next((k for k in range(1, right.dim + 1)
+                  if nilpotency_residual(right, k) <= 1e-12), None)
         predicted = _clamped_predictions(left, q) if q else None
         params = {"left": args.left, "right": args.right}
     elif kind == "nilpotent":

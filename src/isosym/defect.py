@@ -282,33 +282,37 @@ class DefectTable:
                 self._gamma_products("R", l), weights))
         return self._m[l]
 
-    def _sym_outer(self, m, n):
-        """L_{m,n}: S-style alternating sum around M_m."""
-        mid = self.isometry_defect_matrix(m)
-        ks = np.arange(n + 1)
-        return kernels.active.weighted_sandwich_sum(
-            self._powers("T*", n)[ks], mid, self._powers("T", n)[n - ks],
-            _alternating_weights(n))
+    def forms(self, m, n):
+        """L_{m,n} through both of its forms, as read-only (sym, iso) arrays.
 
-    def _iso_outer(self, m, n):
-        """L_{m,n}: M-style weighted sum around S_n."""
-        mid = self.symmetry_defect_matrix(n)
+        ``sym`` is the S-style alternating sum around M_m, ``iso`` the
+        M-style weighted sum around S_n; they agree on commuting input.
+        Each call evaluates both and checks nothing, and the table keeps
+        neither: ``isosymmetry_defect_matrix`` is the checked, stored read.
+        """
+        _check_orders(m=m, n=n)
+        # Small ingredients (ladders, S_n) are built before the large
+        # gamma-product stacks, and nothing else is held while M_m builds
+        # them, so their temporaries reuse each other's freed memory: the
+        # peak stays that of one form.
+        s_n = self.symmetry_defect_matrix(n)
+        m_m = self.isometry_defect_matrix(m)
+        ks = np.arange(n + 1)
+        sym = kernels.active.weighted_sandwich_sum(
+            self._powers("T*", n)[ks], m_m, self._powers("T", n)[n - ks],
+            _alternating_weights(n))
         _, weights = _graded_weights(m, self.r.d)
-        return kernels.active.weighted_sandwich_sum(
-            self._gamma_products("R*", m), mid,
+        iso = kernels.active.weighted_sandwich_sum(
+            self._gamma_products("R*", m), s_n,
             self._gamma_products("R", m), weights)
+        return _frozen(sym), _frozen(iso)
 
     def _checked_cell(self, m, n, tol):
         """L_{m,n} and its zero tolerance, after the two-form check."""
-        _check_orders(m=m, n=n)
         cell = self._cells.get((m, n))
         if cell is None:
-            # Small ingredients (ladders, S_n) are built before the large
-            # gamma-product stacks, so the stacks' temporaries reuse each
-            # other's freed memory: the peak stays that of one form.
-            self.symmetry_defect_matrix(n)
-            a = self._sym_outer(m, n)
-            cell = (_frozen(a), fro_norm(a - self._iso_outer(m, n)))
+            sym, iso = self.forms(m, n)
+            cell = (sym, fro_norm(sym - iso))
             self._cells[(m, n)] = cell
         matrix, gap = cell
         allowed = zero_tolerance(self.r, m, n, tol)
@@ -350,16 +354,6 @@ def symmetry_defect_matrix(r, l):
 def isometry_defect_matrix(r, l):
     """M_l(r) as a raw (read-only) matrix."""
     return DefectTable(r).isometry_defect_matrix(l)
-
-
-def _lambda_sym_outer(r, m, n):
-    """L_{m,n}(r): S-style alternating sum around M_m."""
-    return DefectTable(r)._sym_outer(m, n)
-
-
-def _lambda_iso_outer(r, m, n):
-    """L_{m,n}(r): M-style weighted sum around S_n."""
-    return DefectTable(r)._iso_outer(m, n)
 
 
 def isosymmetry_defect_matrix(r, m, n, tol=None):
@@ -417,6 +411,19 @@ def cross_commutation_residual(r, q):
                 resid = fro_norm(rj @ qc - qc @ rj)
                 worst = max(worst, resid / (nr * nq))
     return worst
+
+
+def nilpotency_residual(r, k):
+    """max ||R^alpha|| over |alpha| = k; r is k-nilpotent iff this is 0."""
+    _check_orders(k=k)
+    ladders = _ladder_stack(r.matrices, k)
+    alphas = np.array(multi_indices(r.d, k), dtype=np.intp).reshape(-1, r.d)
+    # CLI `construct tensor` asks for k up to dim, where there can be 10^4
+    # and more products: batches of 2^20 entries keep memory near 50 MB
+    batch = max(1, 2 ** 20 // r.dim ** 2)
+    return max(fro_norm(p) for start in range(0, len(alphas), batch)
+               for p in kernels.active.gamma_products(
+                   ladders, alphas[start:start + batch]))
 
 
 @lru_cache(maxsize=128)

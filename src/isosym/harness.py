@@ -6,10 +6,11 @@ a direct defect against an expansion, or a construction's promise against
 the defect verdict.  Failures become counterexample payloads that can be
 dumped to JSON and replayed to the same residual.
 
-Identity suites report the normalized residual ||lhs - rhs|| / scale with
-the scale factor of the defect zero tests; verdict suites report 0.0 on a
-clean pass and the worst violation magnitude otherwise.  A trial passes
-iff its residual is <= the configured tolerance.
+Identity suites report the normalized residual ||lhs - rhs|| divided by
+the defect zero-test scale at tol = 1, ``zero_tolerance(r, m, n, 1.0)``;
+verdict suites report 0.0 on a clean pass and the worst violation
+magnitude otherwise.  A trial passes iff its residual is <= the
+configured tolerance.
 """
 
 import json
@@ -24,22 +25,17 @@ from .construct import (JordanAugmentSpec, ScaledTupleSpec, identity_tuple,
                         jordan_augment_parts, nilpotent_tuple, reference_pair,
                         random_commuting_tuple, scaled_tuple,
                         tensor_sum_parts)
-from .defect import (DefectTable, MultiOperator, _lambda_iso_outer,
-                     _lambda_sym_outer, cross_commutation_residual,
+from .defect import (DefectTable, MultiOperator, cross_commutation_residual,
                      isosymmetry_defect, isosymmetry_defect_matrix,
-                     perturbation_expansion, raise_isometry_order,
-                     raise_symmetry_order)
+                     nilpotency_residual, perturbation_expansion,
+                     raise_isometry_order, raise_symmetry_order,
+                     zero_tolerance)
 from .errors import CommutationViolated, HypothesisUnmet, InvalidParams, \
     IsosymError
 from .linalg import fro_norm
-from .multiindex import multi_indices
 from .spectra import (SpectralTable, check_orthogonality,
                       check_zero_coordinate_exclusion, classify_spectrum)
 from .tupleio import tuple_from_dict, tuple_to_dict
-
-SUITE_NAMES = ("recurrence", "expansion", "perturbation", "ascent",
-               "independence", "spectral", "forms", "scaled", "jordan",
-               "tensor")
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -100,8 +96,9 @@ def _child_seed(rng):
     return int(rng.integers(0, 2 ** 63))
 
 
-def _scale(r, m, n):
-    return (1.0 + r.max_norm()) ** (2 * (m + n)) * r.dim
+def _normalized(diff, r, m, n):
+    """||diff|| over the zero-test scale, at tol = 1, of an (m, n) defect of r."""
+    return fro_norm(diff) / zero_tolerance(r, m, n, 1.0)
 
 
 def _dims(cfg, rng, low=2):
@@ -126,7 +123,10 @@ def _diag_hermitian_tuple(d, dim, rng):
                           for j in range(d)])
 
 
-def _conjugate(r, rng):
+def _maybe_conjugated(r, rng):
+    """r, or with probability 1/2 r conjugated by a random unitary."""
+    if not rng.integers(2):
+        return r
     dim = r.dim
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     u, _ = np.linalg.qr(g)
@@ -149,6 +149,29 @@ def _positive_beta(d, rng):
     return tuple(b / np.linalg.norm(b))
 
 
+#: the structured families; all but the last vanish at (1, 1)
+_KINDS = ("reference", "diag_unitary", "diag_hermitian", "scaled_jordan")
+
+
+def _structured(kind, d, dim, rng):
+    """(tuple, vanishing orders, joint spectrum or None) of one family.
+
+    The spectrum, when given, lists each joint eigenvalue once per
+    multiplicity as d [re, im] pairs.
+    """
+    if kind == "reference":
+        return reference_pair(), (1, 1), [[[0.0, 0.0], [1.0, 0.0]]] * 2
+    if kind == "scaled_jordan":
+        base = _unimodular_jordan(rng)
+        r = scaled_tuple(ScaledTupleSpec(base=base, beta=_positive_beta(d, rng)))
+        return r, (3, 1), None
+    diag = (_diag_unitary_tuple if kind == "diag_unitary"
+            else _diag_hermitian_tuple)(d, dim, rng)
+    points = np.array([np.diag(m) for m in diag.matrices]).T
+    mu = [[[z.real, z.imag] for z in point] for point in points]
+    return _maybe_conjugated(diag, rng), (1, 1), mu
+
+
 def _isosym_instance(cfg, rng, small_orders=False):
     """A tuple verified isosymmetric at known orders.
 
@@ -156,26 +179,33 @@ def _isosym_instance(cfg, rng, small_orders=False):
     perturbation grid needs them); otherwise the pool also contains the
     (3, 1) scaled Jordan family.
     """
-    kinds = ["reference", "diag_unitary", "diag_hermitian"]
-    if not small_orders:
-        kinds.append("scaled_jordan")
+    kinds = _KINDS[:3] if small_orders else _KINDS
     kind = kinds[int(rng.integers(len(kinds)))]
     d, dim = _dims(cfg, rng)
-    if kind == "reference":
-        return reference_pair(), (1, 1), kind
-    if kind == "diag_unitary":
-        r = _diag_unitary_tuple(d, dim, rng)
-        if rng.integers(2):
-            r = _conjugate(r, rng)
-        return r, (1, 1), kind
-    if kind == "diag_hermitian":
-        r = _diag_hermitian_tuple(d, dim, rng)
-        if rng.integers(2):
-            r = _conjugate(r, rng)
-        return r, (1, 1), kind
-    base = _unimodular_jordan(rng)
-    r = scaled_tuple(ScaledTupleSpec(base=base, beta=_positive_beta(d, rng)))
-    return r, (3, 1), kind
+    r, orders, _ = _structured(kind, d, dim, rng)
+    return r, orders, kind
+
+
+def _jordan_mu(d, rng):
+    """Superdiagonal weights of a Jordan augmentation, one per component."""
+    return tuple(complex(rng.uniform(0.3, 1.5) *
+                         np.exp(2j * np.pi * rng.uniform())) for _ in range(d))
+
+
+def _nilpotent_factor(d, q, rng):
+    """A q-nilpotent d-tuple of dim q or q + 1, the right factor of a tensor sum."""
+    dim_n = int(rng.integers(q, q + 2))
+    return nilpotent_tuple(d, dim_n, q, _child_seed(rng))
+
+
+def _shifted_residual(left, right, m, n, q):
+    """The theorem's conclusion for (m,n)-isosymmetric left, q-nilpotent right.
+
+    Normalized norm of L_{m+2q-2, n+2q-1}(left + right), zero when it holds.
+    """
+    total = MultiOperator([a + b for a, b in zip(left.matrices, right.matrices)])
+    tm, tn = m + 2 * q - 2, n + 2 * q - 1
+    return _normalized(isosymmetry_defect_matrix(total, tm, tn), total, tm, tn)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +222,8 @@ def _gen_forms(cfg, idx, rng):
 def _eval_forms(tuples, params, tol):
     r = tuples["r"]
     m, n = params["m"], params["n"]
-    a = _lambda_sym_outer(r, m, n)
-    b = _lambda_iso_outer(r, m, n)
-    return fro_norm(a - b) / _scale(r, m, n)
+    sym, iso = DefectTable(r).forms(m, n)
+    return _normalized(sym - iso, r, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +241,10 @@ def _eval_recurrence(tuples, params, tol):
     r = tuples["r"]
     m, n = params["m"], params["n"]
     table = DefectTable(r)
-    up_m = fro_norm(raise_isometry_order(r, m, n, table)
-                    - table.isosymmetry_defect_matrix(m + 1, n)) / _scale(r, m + 1, n)
-    up_n = fro_norm(raise_symmetry_order(r, m, n, table)
-                    - table.isosymmetry_defect_matrix(m, n + 1)) / _scale(r, m, n + 1)
+    up_m = _normalized(raise_isometry_order(r, m, n, table)
+                       - table.isosymmetry_defect_matrix(m + 1, n), r, m + 1, n)
+    up_n = _normalized(raise_symmetry_order(r, m, n, table)
+                       - table.isosymmetry_defect_matrix(m, n + 1), r, m, n + 1)
     return max(up_m, up_n)
 
 
@@ -242,7 +271,7 @@ def _eval_expansion(tuples, params, tol):
     total = MultiOperator([a + b for a, b in zip(r.matrices, q.matrices)])
     lhs = isosymmetry_defect_matrix(total, m, n)
     rhs = perturbation_expansion(r, q, m, n)
-    return fro_norm(lhs - rhs) / _scale(total, m, n)
+    return _normalized(lhs - rhs, total, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -256,32 +285,14 @@ def _gen_perturbation(cfg, idx, rng):
     m, n = _PERTURBATION_GRID[idx % 4]
     q = 1 + (idx // 4) % 3
     if idx % 2:
-        mu = []
-        for _ in range(base.d):
-            mu.append(complex(rng.uniform(0.3, 1.5) *
-                              np.exp(2j * np.pi * rng.uniform())))
-        left, right = jordan_augment_parts(
-            JordanAugmentSpec(base_tuple=base, mu=tuple(mu), q=q))
+        left, right = jordan_augment_parts(JordanAugmentSpec(
+            base_tuple=base, mu=_jordan_mu(base.d, rng), q=q))
         mode = "jordan"
     else:
-        dim_n = max(q, int(rng.integers(q, q + 2)))
-        nil = nilpotent_tuple(base.d, dim_n, q, _child_seed(rng))
-        left, right = tensor_sum_parts(base, nil)
+        left, right = tensor_sum_parts(base, _nilpotent_factor(base.d, q, rng))
         mode = "tensor"
     params = {"m": m, "n": n, "q": q, "mode": mode, "base_kind": kind}
     return {"r": left, "q": right}, params
-
-
-def _nilpotency_violation(q_tuple, order):
-    """Largest norm among the products Q^alpha with |alpha| = order."""
-    worst = 0.0
-    for alpha in multi_indices(q_tuple.d, order):
-        prod = np.eye(q_tuple.dim, dtype=np.complex128)
-        for a, mat in zip(alpha, q_tuple.matrices):
-            for _ in range(a):
-                prod = prod @ mat
-        worst = max(worst, fro_norm(prod))
-    return worst
 
 
 def _eval_perturbation(tuples, params, tol):
@@ -289,13 +300,11 @@ def _eval_perturbation(tuples, params, tol):
     m, n, order = params["m"], params["n"], params["q"]
     if not isosymmetry_defect(r, m, n, tol).is_zero:
         return 1.0
-    if _nilpotency_violation(q, order) > tol:
+    if nilpotency_residual(q, order) > tol:
         return 1.0
     if cross_commutation_residual(r, q) > tol:
         return 1.0
-    total = MultiOperator([a + b for a, b in zip(r.matrices, q.matrices)])
-    tm, tn = m + 2 * order - 2, n + 2 * order - 1
-    return fro_norm(isosymmetry_defect_matrix(total, tm, tn)) / _scale(total, tm, tn)
+    return _shifted_residual(r, q, m, n, order)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +343,8 @@ def _eval_ascent(tuples, params, tol):
             for j in range(w + 1):
                 if i == 0 and j == 0:
                     continue
-                rep = table.isosymmetry_defect(m0 + i, n0 + j, tol)
-                worst = max(worst, rep.norm / _scale(r, m0 + i, n0 + j))
+                cell = table.isosymmetry_defect_matrix(m0 + i, n0 + j, tol)
+                worst = max(worst, _normalized(cell, r, m0 + i, n0 + j))
     return worst
 
 
@@ -385,34 +394,8 @@ def _eval_independence(tuples, params, tol):
 # spectral
 
 def _gen_spectral(cfg, idx, rng):
-    pick = idx % 4
     d, dim = _dims(cfg, rng)
-    expected = None
-    if pick == 0:
-        r, (m, n) = reference_pair(), (1, 1)
-        expected = [[[0.0, 0.0], [1.0, 0.0]]] * 2  # one point, multiplicity 2
-    elif pick == 1:
-        z = np.exp(2j * np.pi * rng.uniform(size=(d, dim)))
-        z = z / np.linalg.norm(z, axis=0, keepdims=True)
-        r = MultiOperator([np.diag(z[j]) for j in range(d)])
-        expected = [[[z[j, i].real, z[j, i].imag] for j in range(d)]
-                    for i in range(dim)]
-        if rng.integers(2):
-            r = _conjugate(r, rng)
-        m, n = 1, 1
-    elif pick == 2:
-        vals = rng.uniform(-2.0, 2.0, size=(d, dim))
-        r = MultiOperator([np.diag(vals[j].astype(np.complex128))
-                           for j in range(d)])
-        expected = [[[vals[j, i], 0.0] for j in range(d)] for i in range(dim)]
-        if rng.integers(2):
-            r = _conjugate(r, rng)
-        m, n = 1, 1
-    else:
-        base = _unimodular_jordan(rng)
-        r = scaled_tuple(ScaledTupleSpec(base=base,
-                                         beta=_positive_beta(d, rng)))
-        m, n = 3, 1
+    r, (m, n), expected = _structured(_KINDS[idx % 4], d, dim, rng)
     return {"r": r}, {"m": m, "n": n, "expected_mu": expected}
 
 
@@ -477,7 +460,7 @@ def _eval_scaled(tuples, params, tol):
     factor = sum(params["beta"]) ** n
     lhs = isosymmetry_defect_matrix(r, m, n)
     rhs = factor * isosymmetry_defect_matrix(base, m, n)
-    return fro_norm(lhs - rhs) / _scale(r, m, n)
+    return _normalized(lhs - rhs, r, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +469,8 @@ def _eval_scaled(tuples, params, tol):
 def _gen_jordan(cfg, idx, rng):
     base, (m, n), kind = _isosym_instance(cfg, rng)
     q = int(rng.integers(1, 4))
-    mu = []
-    for _ in range(base.d):
-        mu.append(complex(rng.uniform(0.3, 1.5) *
-                          np.exp(2j * np.pi * rng.uniform())))
-    left, right = jordan_augment_parts(
-        JordanAugmentSpec(base_tuple=base, mu=tuple(mu), q=q))
+    left, right = jordan_augment_parts(JordanAugmentSpec(
+        base_tuple=base, mu=_jordan_mu(base.d, rng), q=q))
     return ({"diag": left, "nil": right},
             {"m": m, "n": n, "q": q, "base_kind": kind})
 
@@ -503,22 +482,18 @@ def _eval_jordan(tuples, params, tol):
     # BLAS rounding, so police at near-rounding level instead of == 0
     if cross_commutation_residual(left, right) > _EXACTNESS:
         return 1.0
-    if _nilpotency_violation(right, q) > \
+    if nilpotency_residual(right, q) > \
             _EXACTNESS * (1.0 + right.max_norm()) ** q:
         return 1.0
     if not isosymmetry_defect(left, m, n, tol).is_zero:
         return 1.0
-    total = MultiOperator([a + b for a, b in zip(left.matrices, right.matrices)])
-    tm, tn = m + 2 * q - 2, n + 2 * q - 1
-    return fro_norm(isosymmetry_defect_matrix(total, tm, tn)) / _scale(total, tm, tn)
+    return _shifted_residual(left, right, m, n, q)
 
 
 def _gen_tensor(cfg, idx, rng):
     base, (m, n), kind = _isosym_instance(cfg, rng)
     q = int(rng.integers(1, 4))
-    dim_n = max(q, int(rng.integers(q, q + 2)))
-    nil = nilpotent_tuple(base.d, dim_n, q, _child_seed(rng))
-    return ({"left": base, "right": nil},
+    return ({"left": base, "right": _nilpotent_factor(base.d, q, rng)},
             {"m": m, "n": n, "q": q, "base_kind": kind})
 
 
@@ -534,31 +509,29 @@ def _eval_tensor(tuples, params, tol):
     lifted = isosymmetry_defect_matrix(left, m, n)
     inherited = np.kron(isosymmetry_defect_matrix(base, m, n),
                         np.eye(nil.dim, dtype=np.complex128))
-    if fro_norm(lifted - inherited) / _scale(left, m, n) > tol:
+    if _normalized(lifted - inherited, left, m, n) > tol:
         return 1.0
-    total = MultiOperator([a + b for a, b in zip(left.matrices, right.matrices)])
-    tm, tn = m + 2 * q - 2, n + 2 * q - 1
-    return fro_norm(isosymmetry_defect_matrix(total, tm, tn)) / _scale(total, tm, tn)
+    return _shifted_residual(left, right, m, n, q)
 
 
 # ---------------------------------------------------------------------------
 # driver
 
-_GENERATORS = {
-    "forms": _gen_forms, "recurrence": _gen_recurrence,
-    "expansion": _gen_expansion, "perturbation": _gen_perturbation,
-    "ascent": _gen_ascent, "independence": _gen_independence,
-    "spectral": _gen_spectral, "scaled": _gen_scaled,
-    "jordan": _gen_jordan, "tensor": _gen_tensor,
+#: suite name -> (generate, evaluate)
+_SUITES = {
+    "recurrence": (_gen_recurrence, _eval_recurrence),
+    "expansion": (_gen_expansion, _eval_expansion),
+    "perturbation": (_gen_perturbation, _eval_perturbation),
+    "ascent": (_gen_ascent, _eval_ascent),
+    "independence": (_gen_independence, _eval_independence),
+    "spectral": (_gen_spectral, _eval_spectral),
+    "forms": (_gen_forms, _eval_forms),
+    "scaled": (_gen_scaled, _eval_scaled),
+    "jordan": (_gen_jordan, _eval_jordan),
+    "tensor": (_gen_tensor, _eval_tensor),
 }
 
-_EVALUATORS = {
-    "forms": _eval_forms, "recurrence": _eval_recurrence,
-    "expansion": _eval_expansion, "perturbation": _eval_perturbation,
-    "ascent": _eval_ascent, "independence": _eval_independence,
-    "spectral": _eval_spectral, "scaled": _eval_scaled,
-    "jordan": _eval_jordan, "tensor": _eval_tensor,
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _shrink(tuples, params, evaluate, tol):
@@ -589,9 +562,7 @@ def _shrink(tuples, params, evaluate, tol):
 
 def run_suite(cfg):
     """Run one suite; failures are data (counterexamples), not exceptions."""
-    gen = _GENERATORS[cfg.suite]
-    evaluate = _EVALUATORS[cfg.suite]
-
+    gen, evaluate = _SUITES[cfg.suite]
     passed = 0
     worst = 0.0
     counterexamples = []
@@ -641,4 +612,4 @@ def replay_counterexample(source):
     tuples = {k: tuple_from_dict(v)[0] for k, v in payload["tuples"].items()}
     params = dict(payload["params"])
     tol = params.pop("tol", SuiteConfig(suite=payload["suite"]).tol)
-    return _EVALUATORS[payload["suite"]](tuples, params, tol)
+    return _SUITES[payload["suite"]][1](tuples, params, tol)

@@ -99,18 +99,11 @@ def verify_multinomial_recurrence(n, d):
             for alpha in multi_indices(d, a):
                 for gamma in multi_indices(d, g):
                     lhs = trinomial_coeff(total, alpha, gamma, k)
-                    rhs = _trinomial_or_zero(n, alpha, gamma, k - 1)
+                    rhs = trinomial_coeff(n, alpha, gamma, k - 1)
                     for e in units:
-                        rhs += _trinomial_or_zero(n, _sub(alpha, e), gamma, k)
-                        rhs += _trinomial_or_zero(n, alpha, _sub(gamma, e), k)
+                        rhs += trinomial_coeff(n, _sub(alpha, e), gamma, k)
+                        rhs += trinomial_coeff(n, alpha, _sub(gamma, e), k)
                     if lhs != rhs:
                         return False
     return True
 
-
-def _trinomial_or_zero(m, alpha, gamma, k):
-    if any(a < 0 for a in alpha) or any(g < 0 for g in gamma) or k < 0:
-        return 0
-    if degree(alpha) + degree(gamma) + k != m:
-        return 0
-    return trinomial_coeff(m, alpha, gamma, k)

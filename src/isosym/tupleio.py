@@ -67,6 +67,19 @@ def tuple_to_dict(op, metadata=None):
     return out
 
 
+def _count(name, value):
+    """``value`` as an int if the schema takes it as a count, else ParseError.
+
+    The schema's integers are integral numbers, including floats such as
+    2.0 but not booleans, and a count must be at least 1.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ParseError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def tuple_from_dict(data, tol_comm=TOL_COMM):
     """Parse a tuple dict; returns (MultiOperator, metadata).
 
@@ -79,11 +92,10 @@ def tuple_from_dict(data, tol_comm=TOL_COMM):
     if unknown:
         raise ParseError(f"unknown keys in tuple file: {sorted(unknown)}")
     try:
-        d = int(data["d"])
-        dim = int(data["dim"])
-        raw = data["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
+        d, dim, raw = data["d"], data["dim"], data["matrices"]
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    d, dim = _count("d", d), _count("dim", dim)
     if not isinstance(raw, list) or len(raw) != d:
         raise ParseError(f"expected {d} matrices, got "
                          f"{len(raw) if isinstance(raw, list) else type(raw)}")

@@ -324,3 +324,59 @@ def test_bad_tuple_entry_exit_2(capsys, tmp_path, entry):
     path.write_text('{"d": 1, "dim": 1, "matrices": [[[%s]]]}' % entry)
     assert main(["check", str(path), "--m", "1", "--n", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("counts", ['"d": true, "dim": 2.9', '"d": 1, "dim": "2"',
+                                    '"d": 1.5, "dim": 2', '"d": 1, "dim": 0'],
+                         ids=["bool-and-fraction", "string", "fraction", "zero"])
+def test_bad_count_exit_2(capsys, tmp_path, counts):
+    path = tmp_path / "bad.json"
+    path.write_text('{%s, "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}'
+                    % counts)
+    assert main(["check", str(path), "--m", "1", "--n", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _shifted(q):
+    """The reference pair's staircase, clamped to >= 1 and shifted by q."""
+    return [[2 * q - 1, 2 * q], [2 * q - 1, 2 * q + 2], [2 * q, 2 * q]]
+
+
+@pytest.mark.parametrize("order, dim", [(1, 2), (2, 2), (2, 3), (3, 3)])
+def test_construct_tensor_predicted_orders(capsys, tmp_path, reference_file,
+                                           order, dim):
+    nil = str(tmp_path / "nil.json")
+    assert main(["construct", "nilpotent", "--d", "2", "--dim", str(dim),
+                 "--order", str(order), "--seed", "5", "--out", nil]) == 0
+    capsys.readouterr()
+    out = tmp_path / "tensor.json"
+    code, report = _run(capsys, ["construct", "tensor", "--left", reference_file,
+                                 "--right", nil, "--out", str(out)])
+    assert code == 0
+    assert report["results"]["predicted_orders"] == _shifted(order)
+    _, meta = read_tuple(out)
+    assert meta["construction"]["predicted_orders"] == _shifted(order)
+
+
+def test_construct_tensor_with_a_non_nilpotent_right_predicts_nothing(
+        capsys, tmp_path, reference_file):
+    from isosym.construct import random_commuting_tuple
+    right = tmp_path / "right.json"
+    write_tuple(right, random_commuting_tuple(2, 2, 3))
+    code, report = _run(capsys, ["construct", "tensor", "--left", reference_file,
+                                 "--right", str(right),
+                                 "--out", str(tmp_path / "t.json")])
+    assert code == 0
+    assert report["results"]["predicted_orders"] is None
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_construct_jordan_predicted_orders(capsys, tmp_path, reference_file, q):
+    out = tmp_path / "jordan.json"
+    code, report = _run(capsys, ["construct", "jordan", "--base", reference_file,
+                                 "--mu", "1,0.5j", "--q", str(q),
+                                 "--out", str(out)])
+    assert code == 0
+    assert report["results"]["predicted_orders"] == _shifted(q)
+    _, meta = read_tuple(out)
+    assert meta["construction"]["predicted_orders"] == _shifted(q)

@@ -3,17 +3,19 @@ import pytest
 
 from isosym.defect import (MultiOperator, isometry_defect,
                            isometry_defect_matrix, isosymmetry_defect,
-                           isosymmetry_defect_matrix, op_sum,
-                           perturbation_expansion, raise_isometry_order,
+                           isosymmetry_defect_matrix, nilpotency_residual,
+                           op_sum, perturbation_expansion, raise_isometry_order,
                            raise_symmetry_order, symmetry_defect,
                            symmetry_defect_matrix, zero_tolerance)
-from isosym.construct import (identity_tuple, nilpotent_tuple, reference_pair,
-                              random_commuting_tuple, tensor_sum_parts)
+from isosym.construct import (JordanAugmentSpec, identity_tuple,
+                              jordan_augment_parts, nilpotent_tuple,
+                              reference_pair, random_commuting_tuple,
+                              tensor_sum_parts)
 from isosym.errors import (CommutationViolated, CrossCommutationViolated,
                            DimensionMismatch, FormsDisagree, InvalidParams)
 from isosym.linalg import adjoint, fro_norm
 
-from oracles import naive_lambda, naive_m, naive_s
+from oracles import degree_indices, gamma_power, naive_lambda, naive_m, naive_s
 
 
 def _noncommuting_pair():
@@ -276,3 +278,56 @@ class TestPerturbationExpansion:
         q = MultiOperator([np.diag([1.0, 2.0])])
         with pytest.raises(CrossCommutationViolated):
             perturbation_expansion(r, q, 1, 1)
+
+
+class TestNilpotencyResidual:
+    # products of at most 4 factors of dim <= 6 round to ~1e-15 relative,
+    # and the oracle multiplies in another order
+    RTOL = 1e-12
+
+    @staticmethod
+    def _naive(r, k):
+        return max(np.linalg.norm(gamma_power(r.matrices, alpha))
+                   for alpha in degree_indices(r.d, k))
+
+    def _check(self, r, q):
+        """r is exactly q-nilpotent: zero at q, the oracle's value below."""
+        assert nilpotency_residual(r, q) == 0.0
+        assert self._naive(r, q) == 0.0
+        for k in range(q):
+            got = nilpotency_residual(r, k)
+            assert got > 0.0
+            assert got == pytest.approx(self._naive(r, k), rel=self.RTOL)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_nilpotent_tuple(self, d, q):
+        for extra in (0, 1):
+            self._check(nilpotent_tuple(d, q + extra, q, seed=10 * q + d), q)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_jordan_nil_part(self, q):
+        base = random_commuting_tuple(3, 2, 71)
+        _, nil = jordan_augment_parts(JordanAugmentSpec(
+            base_tuple=base, mu=(1.0, 0.5j, -0.3 + 0.2j), q=q))
+        self._check(nil, q)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tuple_matches_oracle(self, seed):
+        rng = np.random.default_rng([73, seed])
+        r = random_commuting_tuple(int(rng.integers(1, 5)),
+                                   int(rng.integers(1, 7)), seed)
+        for k in range(4):
+            assert nilpotency_residual(r, k) == pytest.approx(
+                self._naive(r, k), rel=self.RTOL)
+
+    def test_products_beyond_the_first_batch_count(self):
+        # at dim 64 a batch holds 256 products and degree 22 at d = 3 has
+        # 276; the largest, R_1^22, is listed last
+        r = MultiOperator([np.diag([2.0] + [1.0] * 63), np.eye(64), np.eye(64)])
+        assert nilpotency_residual(r, 22) == pytest.approx(
+            np.sqrt(4.0 ** 22 + 63), rel=1e-15)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(InvalidParams):
+            nilpotency_residual(reference_pair(), -1)

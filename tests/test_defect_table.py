@@ -7,8 +7,9 @@ from isosym.classify import minimal_orders
 from isosym.construct import random_commuting_tuple, reference_pair
 from isosym.defect import (DefectTable, MultiOperator, isometry_defect_matrix,
                            isosymmetry_defect, isosymmetry_defect_matrix,
-                           symmetry_defect_matrix)
+                           symmetry_defect_matrix, zero_tolerance)
 from isosym.errors import FormsDisagree, InvalidParams
+from isosym.linalg import fro_norm
 from isosym.spectra import SpectralTable, joint_point_spectrum
 
 from test_defect import _noncommuting_pair
@@ -54,6 +55,20 @@ def test_shared_table_matches_one_shot_bit_for_bit(seed):
         assert _read(table, cell).tobytes() == _one_shot(r, cell).tobytes()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_forms_first_form_is_the_checked_cell(seed):
+    rng = np.random.default_rng([2025, seed])
+    d = int(rng.integers(1, 4))
+    dim = int(rng.integers(1, 9))
+    r = random_commuting_tuple(d, dim, int(rng.integers(0, 2 ** 31)))
+    table = DefectTable(r)
+    for m in range(4):
+        for n in range(4):
+            sym, iso = table.forms(m, n)
+            assert sym.tobytes() == isosymmetry_defect_matrix(r, m, n).tobytes()
+            assert fro_norm(sym - iso) <= zero_tolerance(r, m, n)
+
+
 def test_forms_disagree_from_a_table_cell_on_every_read():
     bad = MultiOperator(_noncommuting_pair(), tol_comm=1.0)
     table = DefectTable(bad)
@@ -62,6 +77,8 @@ def test_forms_disagree_from_a_table_cell_on_every_read():
             table.isosymmetry_defect_matrix(2, 2)
         with pytest.raises(FormsDisagree):
             table.isosymmetry_defect(2, 2)
+        sym, iso = table.forms(2, 2)  # the raw forms are not checked
+        assert fro_norm(sym - iso) > zero_tolerance(bad, 2, 2)
 
 
 def test_forms_gap_is_checked_against_each_reads_tolerance():
@@ -110,7 +127,9 @@ def test_one_shot_leaves_no_table_on_the_tuple():
     lambda t: t.isometry_defect_matrix(2),
     lambda t: t.isosymmetry_defect_matrix(2, 1),
     lambda t: t.isosymmetry_defect(2, 1).matrix,
-], ids=["S", "M", "L", "L-report"])
+    lambda t: t.forms(2, 1)[0],
+    lambda t: t.forms(2, 1)[1],
+], ids=["S", "M", "L", "L-report", "forms-sym", "forms-iso"])
 def test_returned_matrices_cannot_alias_the_table(read):
     table = DefectTable(random_commuting_tuple(2, 3, 9))
     first = read(table)
@@ -158,6 +177,8 @@ def test_negative_orders_rejected_by_the_table():
         table.isometry_defect(-1)
     with pytest.raises(InvalidParams):
         table.isosymmetry_defect(1, -1)
+    with pytest.raises(InvalidParams):
+        table.forms(-1, 0)
 
 
 def test_scan_with_shared_table_matches_fresh_scan():

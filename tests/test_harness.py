@@ -3,9 +3,14 @@ import json
 import jsonschema
 import pytest
 
-from isosym.errors import InvalidParams
-from isosym.harness import (SUITE_NAMES, SuiteConfig, dump_counterexample,
-                            replay_counterexample, run_suite)
+from isosym.construct import random_commuting_tuple, tensor_sum, \
+    tensor_sum_parts
+from isosym.defect import isosymmetry_defect_matrix, zero_tolerance
+from isosym.errors import InvalidParams, IsosymError
+from isosym.harness import (SUITE_NAMES, SuiteConfig, _shifted_residual,
+                            dump_counterexample, replay_counterexample,
+                            run_suite)
+from isosym.linalg import fro_norm
 
 
 SMALL = dict(trials=12, seed=42)
@@ -18,7 +23,7 @@ def test_every_suite_passes_small(suite):
     assert report.counterexamples == []
 
 
-@pytest.mark.parametrize("suite", ["forms", "recurrence", "perturbation"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_determinism(suite):
     a = run_suite(SuiteConfig(suite=suite, trials=8, seed=5)).to_dict()
     b = run_suite(SuiteConfig(suite=suite, trials=8, seed=5)).to_dict()
@@ -29,6 +34,18 @@ def test_different_seeds_change_residuals():
     a = run_suite(SuiteConfig(suite="forms", trials=8, seed=1))
     b = run_suite(SuiteConfig(suite="forms", trials=8, seed=2))
     assert a.worst_residual != b.worst_residual
+
+
+@pytest.mark.parametrize("m, n, q, shifted", [(1, 1, 1, (1, 2)),
+                                              (1, 1, 2, (3, 4)),
+                                              (2, 1, 2, (4, 4))])
+def test_conclusion_reads_the_theorems_shifted_orders(m, n, q, shifted):
+    # generic factors: the defect differs from one order to the next
+    p, r = random_commuting_tuple(2, 2, 1), random_commuting_tuple(2, 2, 2)
+    total = tensor_sum(p, r)
+    expect = fro_norm(isosymmetry_defect_matrix(total, *shifted)) \
+        / zero_tolerance(total, *shifted, 1.0)
+    assert _shifted_residual(*tensor_sum_parts(p, r), m, n, q) == expect
 
 
 def test_unknown_suite_rejected():
@@ -69,6 +86,18 @@ class TestCounterexamples:
         reloaded = json.loads(open(path).read())
         assert replay_counterexample(reloaded) == ce["residual"]
         assert replay_counterexample(path) == ce["residual"]
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_replay_reproduces_every_counterexample(self, suite):
+        report = run_suite(SuiteConfig(suite=suite, trials=6, seed=8, tol=-1.0))
+        assert len(report.counterexamples) == 6
+        for ce in report.counterexamples:
+            payload = json.loads(json.dumps(ce))  # as dumped to a file
+            try:
+                replayed = replay_counterexample(payload)
+            except IsosymError:
+                replayed = float("inf")  # what run_suite records for a raise
+            assert replayed == ce["residual"]
 
     def test_schema_with_counterexamples(self, schemas):
         from referencing import Registry, Resource

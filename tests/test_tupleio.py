@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isosym.construct import random_commuting_tuple, reference_pair
+from isosym.defect import MultiOperator
 from isosym.errors import CommutationViolated, ParseError
 from isosym.tupleio import (read_tuple, tuple_from_dict, tuple_to_dict,
                             write_tuple)
@@ -72,6 +73,38 @@ def test_rejects_entry_outside_the_schema(entry):
     data = {"d": 1, "dim": 2, "matrices": [[[[1, 0], [0, 0]], [[0, 0], entry]]]}
     with pytest.raises(ParseError):
         tuple_from_dict(data)
+
+
+def _coerced(value):
+    """What int() made of a count before counts were checked, at least 1."""
+    try:
+        return max(1, int(value))
+    except (TypeError, ValueError, OverflowError):
+        return 1
+
+
+@pytest.mark.parametrize("field", ["d", "dim"])
+@pytest.mark.parametrize("value", [1, 2, 2.0, 1e1, True, False, "2", 2.9, 1.5,
+                                   0, -1, 0.0, -2.0, None, [2], {"n": 2},
+                                   float("nan"), float("inf")],
+                         ids=["1", "2", "2.0", "1e1", "true", "false", "string",
+                              "2.9", "1.5", "0", "-1", "0.0", "-2.0", "null",
+                              "list", "object", "nan", "inf"])
+def test_counts_load_iff_the_schema_accepts_them(field, value, schemas):
+    valid = jsonschema.Draft202012Validator(schemas["tuple"]).is_valid(
+        {"d": 1, "dim": 1, "matrices": [[[[1, 0]]]], field: value})
+    # the matrices have the shape the value names (or once named, through
+    # int()), so only the value's type or range can make the file fail
+    size = _coerced(value)
+    d, dim = (size, 2) if field == "d" else (1, size)
+    data = tuple_to_dict(MultiOperator([np.eye(dim)] * d))
+    data[field] = value
+    if valid:
+        op, _ = tuple_from_dict(data)
+        assert (op.d, op.dim) == (d, dim)
+    else:
+        with pytest.raises(ParseError):
+            tuple_from_dict(data)
 
 
 def test_nan_and_infinity_in_a_file_fail_to_parse(tmp_path):
