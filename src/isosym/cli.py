@@ -11,14 +11,16 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .classify import is_isosymmetric, is_m_isometric, is_n_symmetric, \
     minimal_orders
 from .construct import (JordanAugmentSpec, ScaledTupleSpec, jordan_augment,
                         nilpotent_tuple, random_commuting_tuple,
                         reference_pair, scaled_tuple, tensor_sum)
-from .defect import TOL_COMM, TOL_ZERO, DefectTable, isometry_defect, \
-    isosymmetry_defect, nilpotency_residual, symmetry_defect
+from .defect import TOL_COMM, TOL_ZERO, DefectTable, MultiOperator, \
+    isometry_defect, isosymmetry_defect, nilpotency_residual, symmetry_defect
 from .errors import (BetaNotNormalized, CommutationViolated,
                      ConvergenceFailure, CrossCommutationViolated, DMismatch,
                      FormsDisagree, HypothesisUnmet, InvalidParams,
@@ -219,6 +221,29 @@ def _clamped_predictions(base, q, bounds=3):
     return [list(p) for p in preds] or None
 
 
+def _nilpotency_order(r):
+    """The smallest q with every product of q components numerically 0.
+
+    Scale-free: each component is divided by its spectral norm, and the
+    products of order q count as 0 once the largest is below 1e-12 times
+    the largest of order q - 1 (the identity for q = 1).  That is well
+    above the rounding one more multiplication leaves on a zero product,
+    and below the ratio 1/condition number that any invertible component
+    keeps up, so a tuple with a component of condition number under 1e12
+    is never called nilpotent.  None if no q <= dim qualifies.
+    """
+    # r passed its commutation check at its own scale on reading
+    unit = MultiOperator([m / (np.linalg.norm(m, 2) or 1.0)
+                          for m in r.matrices], tol_comm=np.inf)
+    previous = np.sqrt(r.dim)
+    for k in range(1, r.dim + 1):
+        residual = nilpotency_residual(unit, k)
+        if residual <= 1e-12 * previous:
+            return k
+        previous = residual
+    return None
+
+
 def _cmd_construct(args):
     if not args.out:
         raise InvalidParams("construct requires --out")
@@ -257,9 +282,7 @@ def _cmd_construct(args):
         left, _ = read_tuple(args.left)
         right, _ = read_tuple(args.right)
         op = tensor_sum(left, right)
-        # the smallest q with every product of q components (numerically) 0
-        q = next((k for k in range(1, right.dim + 1)
-                  if nilpotency_residual(right, k) <= 1e-12), None)
+        q = _nilpotency_order(right)
         predicted = _clamped_predictions(left, q) if q else None
         params = {"left": args.left, "right": args.right}
     elif kind == "nilpotent":

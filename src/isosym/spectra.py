@@ -6,6 +6,13 @@ of the shifted operator, compress the remaining components onto it (the
 eigenspace is invariant because the tuple commutes) and recurse.  In
 finite dimension this is the whole approximate point spectrum as well.
 
+Each level makes one eigendecomposition of its first component.  A simple
+eigenvalue whose gap, divided by the condition number of the eigenvector
+matrix, provably clears the null-space SVD's rank threshold is certified:
+its eigenvector is the eigenspace, the other coordinates are Rayleigh
+quotients, and no SVD runs.  Clusters of several eigenvalues and the
+simple eigenvalues the certificate declines take the SVD null space.
+
 A caller that runs several spectral checks on one tuple passes each the
 same SpectralTable, which computes the joint spectrum once per tolerance
 argument and the isosymmetry verdict once per (m, n).
@@ -86,29 +93,45 @@ class ZeroCoordinateReport:
     consistent: bool = True
 
 
-def _clusters(values, radius):
-    """Partition eigenvalues into connected groups of pairwise-near values."""
-    k = len(values)
-    parent = list(range(k))
+def _clusters(dist, radius):
+    """Connected groups of the graph joining values at distance <= radius.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    ``dist`` is the matrix of pairwise distances.  Groups come in order of
+    their smallest index, each listing its indices in increasing order.
+    """
+    k = len(dist)
+    near = dist <= radius
+    label = np.arange(k)
+    while True:  # every value takes the smallest label among its neighbours
+        lower = np.where(near, label, k).min(axis=1)
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= radius:
-                pi, pj = find(i), find(j)
-            else:
-                continue
-            if pi != pj:
-                parent[pi] = pj
-    groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+
+def _certified(a, vals, vecs, dist):
+    """Mask of the eigenvalues whose shift provably has a 1-D null space.
+
+    With V = vecs, a + E = V diag(vals) V^-1 holds exactly for some
+    ||E||_2 <= delta = ||aV - V diag(vals)||_F / sigma_min(V), so
+    sigma_{n-1}(a - vals_i I) >= gap_i / kappa(V) - delta, gap_i being the
+    distance to the nearest other eigenvalue (Golub & Van Loan, Matrix
+    Computations, 7.2, and Weyl's inequality).  Eigenvalue i is certified
+    when that bound clears an upper bound on _null_basis's threshold for a
+    singleton cluster: the SVD would then keep exactly one null vector.
+    """
+    n = len(vals)
+    s = np.linalg.svd(vecs, compute_uv=False)
+    if not s[-1] > np.finfo(float).eps * s[0]:
+        return np.zeros(n, dtype=bool)  # kappa(V) >= 1/eps: no gap clears it
+    delta = fro_norm(a @ vecs - vecs * vals) / s[-1]
+    gap = np.where(np.eye(n, dtype=bool), np.inf, dist).min(axis=1)
+    norm = fro_norm(a)
+    floor = np.maximum(TOL_RANK * (norm + np.abs(vals)),
+                       64.0 * np.finfo(float).eps * (1.0 + norm))
+    return gap * (s[-1] / s[0]) - delta > floor
 
 
 def _null_basis(shifted, cluster_radius, ambient_scale):
@@ -123,31 +146,48 @@ def _null_basis(shifted, cluster_radius, ambient_scale):
     return np.ascontiguousarray(vh[keep:].conj().T)
 
 
+def _compress(ops, limits, w):
+    """Each op restricted to the invariant subspace spanned by w's columns.
+
+    ``limits`` holds, per op, the largest invariance residual accepted.
+    """
+    out = []
+    for op, limit in zip(ops, limits):
+        proj = op @ w
+        resid = fro_norm(proj - w @ (w.conj().T @ proj))
+        if resid > limit:
+            raise InvarianceViolation(
+                f"eigenspace not invariant (residual {resid:.3e}); "
+                "the tuple may not commute")
+        out.append(w.conj().T @ proj)
+    return out
+
+
 def _recurse(ops, carrier, mu_prefix, out, tol):
-    if not ops:
-        out.append((mu_prefix, carrier))
+    if not ops or ops[0].shape[0] == 1:
+        # a line: every coordinate left is the 1x1 entry (Rayleigh quotient)
+        out.append((mu_prefix + tuple(complex(op[0, 0]) for op in ops),
+                    carrier))
         return
     a = ops[0]
     try:
-        vals = np.linalg.eigvals(a)
+        vals, vecs = np.linalg.eig(a)
+        dist = np.abs(vals[:, None] - vals)
+        certified = _certified(a, vals, vecs, dist)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     scale = 1.0 + fro_norm(a)
-    for group in _clusters(list(vals), CLUSTER_TOL * scale):
+    limits = [10.0 * tol * (1.0 + fro_norm(op)) for op in ops[1:]]
+    for group in _clusters(dist, CLUSTER_TOL * scale):
         members = vals[group]
         lam = complex(np.mean(members))
-        radius = float(np.max(np.abs(members - lam)))
-        w = _null_basis(a - lam * np.eye(a.shape[0]), radius, scale)
-        rest = []
-        for op in ops[1:]:
-            proj = op @ w
-            resid = fro_norm(proj - w @ (w.conj().T @ proj))
-            if resid > 10.0 * tol * (1.0 + fro_norm(op)):
-                raise InvarianceViolation(
-                    f"eigenspace not invariant (residual {resid:.3e}); "
-                    "the tuple may not commute")
-            rest.append(w.conj().T @ proj)
-        _recurse(rest, carrier @ w, mu_prefix + (lam,), out, tol)
+        if len(group) == 1 and certified[group[0]]:
+            w = vecs[:, group] / fro_norm(vecs[:, group])  # the eigenspace
+        else:
+            radius = float(np.max(np.abs(members - lam)))
+            w = _null_basis(a - lam * np.eye(a.shape[0]), radius, scale)
+        _recurse(_compress(ops[1:], limits, w), carrier @ w,
+                 mu_prefix + (lam,), out, tol)
 
 
 def joint_point_spectrum(r, tol=TOL_SPECTRA):

@@ -80,3 +80,57 @@ def random_tuple_mats(d, dim, seed, degree=2):
         mats.append(sum(c * np.linalg.matrix_power(t, p)
                         for p, c in enumerate(coeffs)))
     return mats
+
+
+# Constants of isosym.spectra and isosym.linalg, restated here so the
+# spectrum oracle below shares no code with the package.
+CLUSTER_TOL = 1e-7
+TOL_RANK = 1e-9
+
+
+def _svd_null_basis(shifted, radius, scale):
+    _, s, vh = np.linalg.svd(shifted)
+    thresh = max(TOL_RANK * s[0],
+                 4.0 * radius + 64.0 * np.finfo(float).eps * scale)
+    keep = min(int(np.sum(s > thresh)), shifted.shape[0] - 1)
+    return np.ascontiguousarray(vh[keep:].conj().T)
+
+
+def _svd_recurse(ops, carrier, prefix, out):
+    if not ops:
+        out.append((prefix, carrier))
+        return
+    a = ops[0]
+    vals = np.linalg.eigvals(a)
+    scale = 1.0 + np.linalg.norm(a)
+    radius = CLUSTER_TOL * scale
+    groups = []  # connected components of "within radius", by first index
+    for i in range(len(vals)):
+        linked = [g for g in groups
+                  if any(abs(vals[i] - vals[j]) <= radius for j in g)]
+        merged = sorted([i] + [j for g in linked for j in g])
+        groups = [g for g in groups if g not in linked] + [merged]
+    groups.sort(key=min)
+    for group in groups:
+        members = vals[group]
+        lam = complex(np.mean(members))
+        w = _svd_null_basis(a - lam * np.eye(a.shape[0]),
+                            float(np.max(np.abs(members - lam))), scale)
+        _svd_recurse([w.conj().T @ (op @ w) for op in ops[1:]], carrier @ w,
+                     prefix + (lam,), out)
+
+
+def svd_joint_spectrum(mats):
+    """Joint eigenvalues with eigenspace bases, one SVD per cluster.
+
+    The reference for ``joint_point_spectrum``: every eigenvalue cluster
+    of the first component, simple eigenvalues included, gets a full SVD
+    of its shifted matrix, and the other components are compressed onto
+    the null space and recursed on.  Returns (mu, basis) pairs sorted by
+    (re, im) per coordinate.
+    """
+    out = []
+    _svd_recurse(list(mats), np.eye(mats[0].shape[0], dtype=np.complex128),
+                 (), out)
+    out.sort(key=lambda pair: tuple((z.real, z.imag) for z in pair[0]))
+    return out

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from isosym.cli import main
-from isosym.construct import reference_pair
+from isosym.construct import nilpotent_tuple, reference_pair
+from isosym.defect import MultiOperator
 from isosym.tupleio import read_tuple, write_tuple
 
 
@@ -368,6 +369,56 @@ def test_construct_tensor_with_a_non_nilpotent_right_predicts_nothing(
                                  "--out", str(tmp_path / "t.json")])
     assert code == 0
     assert report["results"]["predicted_orders"] is None
+
+
+def _unit(dim, i, j):
+    e = np.zeros((dim, dim))
+    e[i, j] = 1.0
+    return e
+
+
+@pytest.mark.parametrize("right", [
+    # every product of two is 1e-14 I: small, but not nilpotent
+    [1e-7 * np.eye(2)] * 2,
+    # Frobenius norms of products fall far below max_norm^k
+    [np.eye(20)] * 2,
+    [np.eye(32)] * 2,
+    # idempotents of norm 1e10: max_norm^k overflows a float
+    [1e10 * _unit(32, 0, 0)] * 2,
+    # a nilpotent component next to a small invertible one
+    [_unit(3, 0, 1), 1e-8 * np.eye(3)],
+], ids=["small-identity", "identity-20", "identity-32", "large-idempotent",
+        "mixed-scales"])
+def test_construct_tensor_with_a_non_nilpotent_right_predicts_nothing_at_any_scale(
+        capsys, tmp_path, reference_file, right):
+    path = tmp_path / "right.json"
+    write_tuple(path, MultiOperator(right))
+    code, report = _run(capsys, ["construct", "tensor", "--left", reference_file,
+                                 "--right", str(path),
+                                 "--out", str(tmp_path / "t.json")])
+    assert code == 0
+    assert report["results"]["predicted_orders"] is None
+
+
+@pytest.mark.parametrize("right, q", [
+    (lambda: nilpotent_tuple(2, 32, 20, 0), 20),
+    # with unit-norm components, the products of 19 are at most 2.5e-12
+    (lambda: nilpotent_tuple(2, 32, 20, 1), 20),
+    # ... and here the products of 31 at most 7.3e-23
+    (lambda: nilpotent_tuple(2, 32, 32, 0), 32),
+    (lambda: MultiOperator([1e10 * _unit(32, 0, 1)] * 2), 2),
+    (lambda: MultiOperator([np.eye(32, k=1)] * 2), 32),
+], ids=["dim32-order20", "dim32-order20-small-products", "dim32-order32",
+        "large-rank-one", "shift-32"])
+def test_construct_tensor_finds_the_exact_order_of_a_large_nilpotent_right(
+        capsys, tmp_path, reference_file, right, q):
+    path = tmp_path / "right.json"
+    write_tuple(path, right())
+    code, report = _run(capsys, ["construct", "tensor", "--left", reference_file,
+                                 "--right", str(path),
+                                 "--out", str(tmp_path / "t.json")])
+    assert code == 0
+    assert report["results"]["predicted_orders"] == _shifted(q)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])

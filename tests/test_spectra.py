@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from isosym.construct import reference_pair, scaled_tuple, ScaledTupleSpec
+from isosym import harness, spectra
+from isosym.construct import (JordanAugmentSpec, jordan_augment,
+                              nilpotent_tuple, random_commuting_tuple,
+                              reference_pair, scaled_tuple, ScaledTupleSpec,
+                              tensor_sum)
 from isosym.defect import MultiOperator
 from isosym.errors import HypothesisUnmet, InvalidParams, InvarianceViolation
-from isosym.linalg import fro_norm
+from isosym.linalg import TOL_RANK, fro_norm
 from isosym.spectra import (check_orthogonality,
                             check_zero_coordinate_exclusion,
                             classify_spectrum, joint_point_spectrum)
+
+from oracles import svd_joint_spectrum
 
 
 def _diag_tuple(columns):
@@ -86,6 +92,134 @@ class TestJointPointSpectrum:
         big = MultiOperator([np.eye(129)])
         with pytest.raises(InvalidParams):
             joint_point_spectrum(big)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Seeded tuples: random commuting (dim <= 40), the harness families,
+    Jordan augmentations, tensor sums with a nilpotent right factor, and
+    the identity, zero and 1x1 tuples."""
+    rng = np.random.default_rng(2026)
+    corpus = []
+    for _ in range(30):
+        d, dim = int(rng.integers(1, 4)), int(rng.integers(1, 41))
+        corpus.append(random_commuting_tuple(d, dim, int(rng.integers(2 ** 31))))
+    for kind in harness._KINDS * 3:
+        d, dim = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        corpus.append(harness._structured(kind, d, dim, rng)[0])
+    for q in (2, 3, 4):
+        base = harness._structured("diag_unitary", 2, 3, rng)[0]
+        corpus.append(jordan_augment(JordanAugmentSpec(
+            base_tuple=base, mu=(0.7, 1.1j), q=q)))
+        corpus.append(tensor_sum(base, nilpotent_tuple(2, q + 1, q, q)))
+    corpus += [MultiOperator([np.eye(5)] * 2),
+               MultiOperator([np.zeros((4, 4))] * 3),
+               MultiOperator([np.array([[2.0 + 1j]])]),
+               MultiOperator([np.array([[0.5]]), np.array([[-1j]])])]
+    return corpus
+
+
+def _conjugated_jordan_block():
+    """J_3(e^{0.7i}) conjugated by a random unitary: a defective eigenvalue."""
+    block = np.exp(0.7j) * np.eye(3) + np.diag([1.0, 1.0], 1)
+    return _conjugate(MultiOperator([block]), 5)[0]
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+class _Calls:
+    """Records the certificate masks and counts the null-space SVDs."""
+
+    def __init__(self, monkeypatch):
+        self.certified = []   # per level: (matrix, vals, vecs, mask)
+        self.null_bases = 0
+        certify, null_basis = spectra._certified, spectra._null_basis
+
+        def certified(a, vals, vecs, dist):
+            mask = certify(a, vals, vecs, dist)
+            self.certified.append((a, vals, vecs, mask))
+            return mask
+
+        def counted(*args):
+            self.null_bases += 1
+            return null_basis(*args)
+
+        monkeypatch.setattr(spectra, "_certified", certified)
+        monkeypatch.setattr(spectra, "_null_basis", counted)
+
+
+class TestAgainstSvdOracle:
+    """The certified path gives the per-cluster SVD recursion's spectrum."""
+
+    def test_corpus_matches_oracle(self, corpus):
+        for r in corpus:
+            pairs = joint_point_spectrum(r)
+            ref = svd_joint_spectrum(r.matrices)
+            assert len(pairs) == len(ref)
+            left = list(ref)
+            for pair in pairs:
+                gaps = [max(abs(a - b) for a, b in zip(pair.mu, mu))
+                        for mu, _ in left]
+                mu, basis = left.pop(int(np.argmin(gaps)))
+                assert min(gaps) <= 1e-12 * (1.0 + r.max_norm())
+                assert pair.basis.shape == basis.shape
+                assert fro_norm(_projector(pair.basis)
+                                - _projector(basis)) <= 1e-9
+
+    def test_certificate_is_sound(self, monkeypatch, corpus):
+        calls = _Calls(monkeypatch)
+        for r in corpus:
+            joint_point_spectrum(r)
+        eps = np.finfo(float).eps
+        checked = 0
+        for a, vals, vecs, mask in calls.certified:
+            for i in np.flatnonzero(mask):
+                _, s, vh = np.linalg.svd(a - vals[i] * np.eye(len(vals)))
+                thresh = max(TOL_RANK * s[0], 64.0 * eps * (1.0 + fro_norm(a)))
+                assert int(np.sum(s <= thresh)) == 1
+                v = vecs[:, i] / np.linalg.norm(vecs[:, i])
+                assert abs(np.vdot(v, vh[-1].conj())) >= 1.0 - 1e-10
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("make, null_bases", [
+        (_conjugated_jordan_block, 3), (reference_pair, 2)],
+        ids=["conjugated-jordan", "reference"])
+    def test_declined_inputs_take_the_svd_path(self, monkeypatch, make,
+                                               null_bases):
+        r = make()
+        calls = _Calls(monkeypatch)
+        pairs = joint_point_spectrum(r)
+        assert not any(mask.any() for *_, mask in calls.certified)
+        assert calls.null_bases == null_bases
+        ref = svd_joint_spectrum(r.matrices)
+        assert [p.mu for p in pairs] == [mu for mu, _ in ref]
+        for pair, (_, basis) in zip(pairs, ref):
+            assert np.array_equal(pair.basis, basis)
+
+    def test_generic_tuple_needs_no_null_space_svd(self, monkeypatch):
+        r = random_commuting_tuple(2, 16, 4)
+        calls = _Calls(monkeypatch)
+        assert len(joint_point_spectrum(r)) == 16
+        assert calls.null_bases == 0
+
+    def test_certificate_charges_the_eigenpair_residual(self):
+        a = np.diag([1.0, 2.0]).astype(complex)
+        vals = np.diag(a).copy()
+        dist = np.abs(vals[:, None] - vals)
+        assert spectra._certified(a, vals, np.eye(2, dtype=complex), dist).all()
+        # the second column is no eigenvector: its residual must decline both
+        wrong = np.array([[1.0, 0.9], [0.0, 1.0]], dtype=complex)
+        wrong /= np.linalg.norm(wrong, axis=0)
+        assert not spectra._certified(a, vals, wrong, dist).any()
+
+    def test_clusters_are_connected_groups_in_index_order(self):
+        vals = np.array([0.0, 5.0, 0.6, 5.5, 1.2, 9.0])
+        dist = np.abs(vals[:, None] - vals)
+        groups = spectra._clusters(dist, 0.7)
+        assert [list(g) for g in groups] == [[0, 2, 4], [1, 3], [5]]
 
 
 class TestClassifySpectrum:
