@@ -27,7 +27,8 @@ class MinimalOrders:
 
     staircase: list        # [(m, n), ...], no pair dominating another
     search_bounds: tuple   # (m_max, n_max)
-    exhausted: bool        # False when nothing vanished inside the bounds
+    exhausted: bool        # True when every cell of the box was evaluated
+                           # and none vanished: the search ran out of box
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,15 @@ def minimal_orders(r, m_max, n_max, tol=None, table=None):
     cell is found, everything it dominates is zero too (one recurrence step
     maps a vanishing defect to a vanishing defect), so dominated cells are
     pruned rather than evaluated; what remains of the zero set is exactly
-    the minimal antichain.  Cells are read from ``table`` (a DefectTable of
-    r), so a caller that reads more cells afterwards can pass its own.
+    the minimal antichain.  The table builds the M-style sums of the whole
+    box in one pass first, so each cell only combines them.  Cells are
+    read from ``table`` (a DefectTable of r), so a caller that reads more
+    cells afterwards can pass its own.
     """
     if not (0 <= m_max <= 12 and 0 <= n_max <= 12):
         raise InvalidParams("scan bounds are capped at 12")
     table = DefectTable.of(r, table)
+    table.prepare(m_max, n_max)
     found = []
     for total in range(m_max + n_max + 1):
         for m in range(min(m_max, total), -1, -1):
@@ -94,7 +98,7 @@ def minimal_orders(r, m_max, n_max, tol=None, table=None):
                 found.append((m, n))
     found.sort()
     return MinimalOrders(staircase=found, search_bounds=(m_max, n_max),
-                         exhausted=bool(found))
+                         exhausted=not found)
 
 
 def defect_family_rank(r, m, n, direction, tol=None):

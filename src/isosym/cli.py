@@ -421,6 +421,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not 0.0 < args.tol < np.inf:
+            raise InvalidParams(
+                f"--tol must be a finite number > 0, got {args.tol!r}")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,10 +18,24 @@ Zero tests are Frobenius-norm tests against a scaled tolerance: the defect
 of order (m, n) is a polynomial of degree at most 2(m+n) in the tuple
 entries, so the scale is tol * (1 + max_j ||R_j||)^(2(m+n)) * dim.
 
+Every M-style sum, M_m and the "iso_outer" form of L_{m,n}, is a
+combination sum_k (-1)^(m-k) C(m,k) B_k(X) of
+
+    B_k(X) = sum_{|gamma|=k} (k!/gamma!) R*^gamma X R^gamma,
+
+with X = S_0 = I for M_m and X = S_n for L_{m,n}.  B_k is never
+enumerated over gamma: for commuting R_j the multinomial theorem nests it
+over the components, B^(j)_k = sum_{g=0..k} C(k,g) R_j*^g B^(j+1)_(k-g)
+R_j^g, starting from the last component's R_d*^k X R_d^k.  Up to order
+K that is K(K+1) matrix products per component and middle operator X,
+where enumerating gamma takes a chained product per multi-index and side,
+2 C(K+d, d) of them.  The weights C(k,g) are integers, so an integer
+tuple's sums stay exact while its entries do.
+
 Every defect is evaluated by a DefectTable, which builds the ingredients
-of one tuple (power ladders, gamma products, M_k, S_l) once and reuses
-them for every cell it is asked for.  A caller that reads several defects
-of one tuple creates a table, reads from it and drops it; the table is
+of one tuple (power ladders, S_l, the B_k around each S_l, M_k) once and
+reuses them for every cell it is asked for.  A caller that reads several
+defects of one tuple creates a table, reads from it and drops it; the table is
 never stored on the tuple or in this module, so it lives exactly as long
 as its caller keeps it.  The one-shot functions (``isosymmetry_defect``
 and the rest) each build a throwaway table.  Cells are always evaluated
@@ -31,7 +45,6 @@ hands out are read-only because it keeps them for later reads.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
@@ -40,7 +53,7 @@ from .errors import (CrossCommutationViolated, CommutationViolated,
                      DimensionMismatch, DMismatch, FormsDisagree,
                      InvalidParams)
 from .linalg import adjoint, as_matrix, fro_norm
-from .multiindex import binomial, mi_factorial, multi_indices, trinomial_coeff
+from .multiindex import binomial, multi_indices, trinomial_coeff
 
 #: base tolerance of all defect zero tests
 TOL_ZERO = 1e-8
@@ -154,29 +167,71 @@ def _ladder_stack(mats, kmax, head=None):
 
 
 @lru_cache(maxsize=128)
-def _graded_weights(order, d):
-    """Flattened (gamma, weight) terms of the M-style sum of one order.
-
-    Yields every |gamma| <= order with weight
-    (-1)^(order-|gamma|) C(order,|gamma|) |gamma|!/gamma!, ordered by
-    degree, so the gammas of a lower order are a prefix.  Read-only.
-    """
-    gammas, weights = [], []
-    for k in range(order + 1):
-        sign = -1.0 if (order - k) % 2 else 1.0
-        c = binomial(order, k)
-        for g in multi_indices(d, k):
-            gammas.append(g)
-            weights.append(sign * c * factorial(k) / mi_factorial(g))
-    return (_frozen(np.array(gammas, dtype=np.intp).reshape(len(gammas), d)),
-            _frozen(np.array(weights, dtype=np.float64)))
-
-
-@lru_cache(maxsize=128)
 def _alternating_weights(l):
     """(-1)^(l-k) C(l,k) for k = 0..l, the weights of the S-style sum."""
     return _frozen(np.array([(-1.0) ** (l - k) * binomial(l, k)
                              for k in range(l + 1)]))
+
+
+#: entries of complex128 (32 MB) that one nesting pass's product stack may
+#: hold; a pass over more middle operators is split into passes of this size
+_NESTING_ENTRIES = 2 ** 21
+
+
+@lru_cache(maxsize=32)
+def _nesting_plan(order):
+    """The (g, h) pairs, g >= 1, of one nesting level of order ``order``.
+
+    Lists g = 1..order and, for each, h = 0..order-g, so the pairs of one
+    g are a contiguous block landing on degrees g..order.  Returns
+    read-only (g, h, C(g+h, g)) arrays and the (start, stop) of each block.
+    """
+    pairs = [(g, h) for g in range(1, order + 1) for h in range(order - g + 1)]
+    gs = _frozen(np.array([g for g, _ in pairs], dtype=np.intp))
+    hs = _frozen(np.array([h for _, h in pairs], dtype=np.intp))
+    weights = _frozen(np.array([binomial(g + h, g) for g, h in pairs],
+                               dtype=np.float64))
+    stops = np.cumsum(np.arange(order, 0, -1)).tolist()
+    return gs, hs, weights, tuple(zip([0] + stops[:-1], stops))
+
+
+def _binomial_nesting(lad_star, lad, mids, order):
+    """B_0(X)..B_order(X) of each middle X in ``mids``, (len, order+1, n, n).
+
+    B_k(X) = sum_{|gamma|=k} (k!/gamma!) R*^gamma X R^gamma, nested over the
+    components (multinomial theorem): the last component gives
+    B^(d)_k = R_d*^k X R_d^k, and each component j before it
+    B^(j)_k = sum_{g=0..k} C(k,g) R_j*^g B^(j+1)_(k-g) R_j^g.  ``lad_star``
+    and ``lad`` are the (d, >order, n, n) power ladders of R* and R.
+
+    Each B_k adds its terms in the same order, g = 0, 1, ..., k, whatever
+    ``order`` is, so a table grown to a higher order keeps every lower
+    B_k bit for bit.
+    """
+    last = lad.shape[0] - 1
+    out = np.empty((len(mids), order + 1) + mids.shape[1:], dtype=np.complex128)
+    out[:, 0] = mids
+    out[:, 1:] = lad_star[last, 1:order + 1] @ mids[:, None] \
+        @ lad[last, 1:order + 1]
+    if order == 0:
+        return out
+    gs, hs, weights, blocks = _nesting_plan(order)
+    for j in range(last - 1, -1, -1):
+        terms = lad_star[j].take(gs, axis=0) @ out.take(hs, axis=1) \
+            @ lad[j].take(gs, axis=0)
+        terms *= weights[:, None, None]
+        # one slice add per g (np.add.reduceat over the pairs of each
+        # degree is 6x slower at dim 64)
+        for g, (start, stop) in enumerate(blocks, start=1):
+            out[:, g:] += terms[:, start:stop]
+    return out
+
+
+def _combine(weights, stack):
+    """sum_k weights[k] * stack[k] over the first len(weights) matrices."""
+    k = len(weights)
+    flat = stack[:k].reshape(k, -1).view(np.float64)
+    return np.dot(weights, flat).view(np.complex128).reshape(stack.shape[1:])
 
 
 def _check_orders(**orders):
@@ -195,25 +250,28 @@ def _report(kind, orders, matrix, tolerance_used):
 class DefectTable:
     """The defects of one tuple and their shared ingredients, each built once.
 
-    Ingredients are built on first use and grown in place when a higher
-    order needs more: the power ladders of R_j, R_j*, T = sum_j R_j and T*,
-    the gamma-product stacks R*^g and R^g (ordered by degree, so those of
-    order k are a prefix), every M_k and S_l, and every L_{m,n} cell.  A
-    cell is evaluated in both outer forms once; their gap is kept beside
-    it and checked against the caller's tolerance on every read.
+    Ingredients are built on first use and grown when a higher order needs
+    more: the power ladders of R_j, R_j*, T = sum_j R_j and T*, every S_l,
+    the binomial nesting sums B_0..B_k(S_l) around each S_l that an M-style
+    sum was asked of (S_0 = I, so M_m combines those of S_0), every M_k,
+    and every L_{m,n} cell.  A nesting pass builds every middle operator
+    it is asked for that is missing or too short at once;
+    ``prepare(m_max, n_max)`` asks for a whole box.  A cell is evaluated
+    in both outer forms once; their gap is kept beside it and checked
+    against the caller's tolerance on every read.
 
     The caller owns the table: ``r`` does not refer to it, so it is freed
     with the caller's last reference.  Every array it hands out is kept
     for later reads and is therefore read-only.
     """
 
-    __slots__ = ("r", "_total", "_ladders", "_gammas", "_m", "_s", "_cells")
+    __slots__ = ("r", "_total", "_ladders", "_sums", "_m", "_s", "_cells")
 
     def __init__(self, r):
         self.r = r
         self._total = None   # T = sum_j R_j
         self._ladders = {}   # "R", "R*": (d, k+1, n, n); "T", "T*": (k+1, n, n)
-        self._gammas = {}    # "R", "R*": (order, gamma-product stack)
+        self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n)
         self._m = {}         # l -> M_l
         self._s = {}         # l -> S_l
         self._cells = {}     # (m, n) -> (L_{m,n}, gap between its two forms)
@@ -245,22 +303,37 @@ class DefectTable:
         self._ladders[side] = _frozen(out)
         return out
 
-    def _gamma_products(self, side, order):
-        """``side``^gamma for every |gamma| <= order, as _graded_weights lists them."""
-        have_order, have = self._gammas.get(side, (-1, None))
-        gammas, _ = _graded_weights(order, self.r.d)
-        if have_order >= order:
-            return have[:len(gammas)]
-        # both ladders before the first stack (see _checked_cell)
-        self._powers("R*", order)
-        self._powers("R", order)
-        start = 0 if have is None else len(have)
-        out = kernels.active.gamma_products(self._powers(side, order),
-                                            gammas[start:])
-        if have is not None:
-            out = np.concatenate((have, out))
-        self._gammas[side] = (order, _frozen(out))
-        return out
+    def _nested(self, middles, order):
+        """B_0..B_order(S_l) for each l in ``middles``, in that order.
+
+        The missing and the too short ones are built together, in as few
+        nesting passes as _NESTING_ENTRIES allows.
+        """
+        short = [l for l in dict.fromkeys(middles)
+                 if len(self._sums.get(l, ())) <= order]
+        if short:
+            # S_0 = I: the sums of M_m need no ladder of T
+            mids = np.array([self.symmetry_defect_matrix(l) if l
+                             else np.eye(self.r.dim) for l in short],
+                            dtype=np.complex128)
+            lad_star, lad = self._powers("R*", order), self._powers("R", order)
+            per_middle = (order + 1) * (order + 2) // 2 * self.r.dim ** 2
+            batch = max(1, _NESTING_ENTRIES // per_middle)
+            for start in range(0, len(short), batch):
+                sums = _binomial_nesting(lad_star, lad,
+                                         mids[start:start + batch], order)
+                for l, b in zip(short[start:start + batch], sums):
+                    self._sums[l] = _frozen(b)
+        return [self._sums[l] for l in middles]
+
+    def prepare(self, m_max, n_max):
+        """Build the M-style sums of every cell (m <= m_max, n <= n_max).
+
+        One nesting pass then serves the whole box, where reading its cells
+        one by one would run a pass per middle operator S_n.
+        """
+        _check_orders(m_max=m_max, n_max=n_max)
+        self._nested(range(n_max + 1), m_max)
 
     def symmetry_defect_matrix(self, l):
         """S_l as a raw matrix."""
@@ -276,10 +349,8 @@ class DefectTable:
         """M_l as a raw matrix."""
         _check_orders(l=l)
         if l not in self._m:
-            _, weights = _graded_weights(l, self.r.d)
-            self._m[l] = _frozen(kernels.active.weighted_sandwich_sum(
-                self._gamma_products("R*", l), None,
-                self._gamma_products("R", l), weights))
+            sums, = self._nested((0,), l)
+            self._m[l] = _frozen(_combine(_alternating_weights(l), sums))
         return self._m[l]
 
     def forms(self, m, n):
@@ -291,20 +362,13 @@ class DefectTable:
         neither: ``isosymmetry_defect_matrix`` is the checked, stored read.
         """
         _check_orders(m=m, n=n)
-        # Small ingredients (ladders, S_n) are built before the large
-        # gamma-product stacks, and nothing else is held while M_m builds
-        # them, so their temporaries reuse each other's freed memory: the
-        # peak stays that of one form.
-        s_n = self.symmetry_defect_matrix(n)
+        _, around = self._nested((0, n), m)  # one pass for M_m and iso
         m_m = self.isometry_defect_matrix(m)
         ks = np.arange(n + 1)
         sym = kernels.active.weighted_sandwich_sum(
             self._powers("T*", n)[ks], m_m, self._powers("T", n)[n - ks],
             _alternating_weights(n))
-        _, weights = _graded_weights(m, self.r.d)
-        iso = kernels.active.weighted_sandwich_sum(
-            self._gamma_products("R*", m), s_n,
-            self._gamma_products("R", m), weights)
+        iso = _combine(_alternating_weights(m), around)
         return _frozen(sym), _frozen(iso)
 
     def _checked_cell(self, m, n, tol):

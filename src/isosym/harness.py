@@ -66,6 +66,9 @@ class SuiteConfig:
             raise InvalidParams("dim_max must be in 1..64")
         if self.d_max < 1 or self.m_max < 1 or self.n_max < 1:
             raise InvalidParams("bounds must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidParams(
+                f"tol must be a finite number > 0, got {self.tol!r}")
 
 
 @dataclass

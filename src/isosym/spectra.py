@@ -11,7 +11,10 @@ eigenvalue whose gap, divided by the condition number of the eigenvector
 matrix, provably clears the null-space SVD's rank threshold is certified:
 its eigenvector is the eigenspace, the other coordinates are Rayleigh
 quotients, and no SVD runs.  Clusters of several eigenvalues and the
-simple eigenvalues the certificate declines take the SVD null space.
+simple eigenvalues the certificate declines take the SVD null space.  A
+cluster of several eigenvalues that a later component splits gives each
+of its points that coordinate from the point's own basis W, as
+trace(W* R W)/k, instead of the cluster mean.
 
 A caller that runs several spectral checks on one tuple passes each the
 same SpectralTable, which computes the joint spectrum once per tolerance
@@ -163,6 +166,11 @@ def _compress(ops, limits, w):
     return out
 
 
+def _rayleigh(a, w):
+    """trace(w* a w) / k for the k orthonormal columns of w."""
+    return complex(np.trace(w.conj().T @ (a @ w))) / w.shape[1]
+
+
 def _recurse(ops, carrier, mu_prefix, out, tol):
     if not ops or ops[0].shape[0] == 1:
         # a line: every coordinate left is the 1x1 entry (Rayleigh quotient)
@@ -186,8 +194,15 @@ def _recurse(ops, carrier, mu_prefix, out, tol):
         else:
             radius = float(np.max(np.abs(members - lam)))
             w = _null_basis(a - lam * np.eye(a.shape[0]), radius, scale)
+        points = []
         _recurse(_compress(ops[1:], limits, w), carrier @ w,
-                 mu_prefix + (lam,), out, tol)
+                 mu_prefix + (lam,), points, tol)
+        if len(group) > 1 and len(points) > 1:
+            # the cluster split below: the mean is no point's own coordinate
+            i = len(mu_prefix)
+            points = [(mu[:i] + (_rayleigh(a, carrier.conj().T @ basis),)
+                       + mu[i + 1:], basis) for mu, basis in points]
+        out.extend(points)
 
 
 def joint_point_spectrum(r, tol=TOL_SPECTRA):

@@ -2,13 +2,20 @@
 
 Everything here is written with plain numpy loops and matrix_power, with
 multi-index enumeration via itertools -- deliberately sharing no code with
-the package's kernel-backed evaluation paths.
+the package's kernel-backed evaluation paths.  The exception is the gamma
+enumeration at the end: the package's former evaluation of the M-style
+sums, built on the ``kernels`` functions it used, kept as the reference
+for the binomial nesting that replaced it.
 """
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
+
+from isosym import kernels
+from isosym.multiindex import multi_indices
 
 
 def degree_indices(d, k):
@@ -134,3 +141,90 @@ def svd_joint_spectrum(mats):
                  (), out)
     out.sort(key=lambda pair: tuple((z.real, z.imag) for z in pair[0]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# gamma enumeration: every M-style sum as sum_gamma w_gamma R*^gamma X R^gamma
+# over degree-ordered gamma-product stacks, fed to weighted_sandwich_sum
+
+
+@lru_cache(maxsize=128)
+def graded_weights(order, d):
+    """Flattened (gamma, weight) terms of the M-style sum of one order.
+
+    Yields every |gamma| <= order with weight
+    (-1)^(order-|gamma|) C(order,|gamma|) |gamma|!/gamma!, ordered by
+    degree, so the gammas of a lower order are a prefix.  Read-only.
+    """
+    gammas, weights = [], []
+    for k in range(order + 1):
+        sign = -1.0 if (order - k) % 2 else 1.0
+        c = math.comb(order, k)
+        for g in multi_indices(d, k):
+            weights.append(sign * c * math.factorial(k)
+                           / math.prod(math.factorial(x) for x in g))
+            gammas.append(g)
+    gammas = np.array(gammas, dtype=np.intp).reshape(len(gammas), d)
+    weights = np.array(weights, dtype=np.float64)
+    gammas.setflags(write=False)
+    weights.setflags(write=False)
+    return gammas, weights
+
+
+def _chained_ladders(mats, kmax):
+    """(d, kmax+1, n, n) stack of powers M^p = M^(p-1) @ M per component."""
+    n = mats[0].shape[0]
+    out = np.empty((len(mats), kmax + 1, n, n), dtype=np.complex128)
+    for j, mat in enumerate(mats):
+        out[j, 0] = np.eye(n)
+        for p in range(1, kmax + 1):
+            out[j, p] = out[j, p - 1] @ mat
+    return out
+
+
+def gamma_weighted_sum(mats, order, mid=None):
+    """sum_{|gamma|<=order} w_gamma R*^gamma mid R^gamma (mid None: I)."""
+    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+    gammas, weights = graded_weights(order, len(mats))
+    stars = kernels.active.gamma_products(
+        _chained_ladders([m.conj().T for m in mats], order), gammas)
+    plain = kernels.active.gamma_products(_chained_ladders(mats, order), gammas)
+    return kernels.active.weighted_sandwich_sum(stars, mid, plain, weights)
+
+
+def gamma_s(mats, l, mid=None):
+    """sum_k (-1)^(l-k) C(l,k) T*^k mid T^(l-k); S_l when mid is None."""
+    total = np.zeros(mats[0].shape, dtype=np.complex128)
+    for m in mats:
+        total = total + m
+    ladders = _chained_ladders([total.conj().T, total], l)
+    ks = np.arange(l + 1)
+    alt = np.array([(-1.0) ** (l - k) * math.comb(l, k) for k in range(l + 1)])
+    return kernels.active.weighted_sandwich_sum(
+        ladders[0][ks], mid, ladders[1][l - ks], alt)
+
+
+def gamma_forms(mats, m, n):
+    """(sym, iso) of L_{m,n}: S-style around M_m, M-style around S_n."""
+    return (gamma_s(mats, n, gamma_weighted_sum(mats, m)),
+            gamma_weighted_sum(mats, m, gamma_s(mats, n)))
+
+
+def gamma_minimal_orders(mats, m_max, n_max, tolerance):
+    """The minimal-order scan of ``classify.minimal_orders`` on gamma cells.
+
+    ``tolerance(m, n)`` is the zero-test threshold of cell (m, n); a cell
+    is zero when its sym form's Frobenius norm is at most that.
+    """
+    found = []
+    for total in range(m_max + n_max + 1):
+        for m in range(min(m_max, total), -1, -1):
+            n = total - m
+            if n < 0 or n > n_max:
+                continue
+            if any(m >= zm and n >= zn for zm, zn in found):
+                continue
+            sym, _ = gamma_forms(mats, m, n)
+            if np.linalg.norm(sym) <= tolerance(m, n):
+                found.append((m, n))
+    return sorted(found)

@@ -68,7 +68,7 @@ class TestMinimalOrders:
     def test_identity(self):
         found = minimal_orders(identity_tuple(1, 3), 3, 3)
         assert found.staircase == [(0, 1), (1, 0)]
-        assert found.exhausted
+        assert not found.exhausted
 
     def test_reference(self):
         found = minimal_orders(reference_pair(), 4, 4)
@@ -86,7 +86,7 @@ class TestMinimalOrders:
     def test_random_not_isosymmetric(self):
         found = minimal_orders(random_commuting_tuple(2, 5, 11), 3, 3)
         assert found.staircase == []
-        assert not found.exhausted
+        assert found.exhausted
 
     def test_staircase_is_antichain_and_consistent(self):
         r = reference_pair()

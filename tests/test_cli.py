@@ -107,13 +107,27 @@ def test_negative_order_exit_2(capsys, reference_file, args):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("args", [
+    ["check", "FILE", "--m", "1", "--n", "1"],
+    ["minimal", "FILE", "--m-max", "2", "--n-max", "2"],
+    ["verify", "--suite", "forms", "--trials", "1"],
+], ids=["check", "minimal", "verify"])
+def test_unusable_tolerance_exit_2(capsys, reference_file, args, tol):
+    argv = [reference_file if a == "FILE" else a for a in args]
+    assert main(argv + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "tol" in captured.err
+
+
 def test_minimal_staircase(capsys, reference_file, schemas):
     code, report = _run(capsys, ["minimal", reference_file,
                                  "--m-max", "4", "--n-max", "4"])
     assert code == 0
     jsonschema.validate(report, schemas["report"])
     assert report["results"]["staircase"] == [[0, 3], [1, 1], [2, 0]]
-    assert report["results"]["exhausted"]
+    assert not report["results"]["exhausted"]
 
 
 def test_spectrum_with_classification(capsys, reference_file, schemas):
@@ -228,8 +242,10 @@ def test_verify_suite_pass(capsys, tmp_path, schemas, monkeypatch):
 
 def test_verify_failure_writes_counterexamples(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    # both trials of seed 5 leave a rounding-level gap, 6e-19 and 3e-18,
+    # above this tolerance
     code, report = _run(capsys, ["verify", "--suite", "forms", "--trials", "2",
-                                 "--seed", "1", "--tol", "-1"])
+                                 "--seed", "5", "--tol", "1e-30"])
     assert code == 1
     files = list((tmp_path / "counterexamples").glob("forms_trial*.json"))
     assert len(files) == 2

@@ -55,16 +55,32 @@ def test_unknown_suite_rejected():
         SuiteConfig(suite="forms", trials=0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_unusable_tolerance_rejected(tol):
+    with pytest.raises(InvalidParams, match="tol"):
+        SuiteConfig(suite="forms", tol=tol)
+
+
 def test_report_schema(schemas):
     report = run_suite(SuiteConfig(suite="scaled", trials=6, seed=3))
     jsonschema.validate(report.to_dict(), schemas["suite_report"])
 
 
+def _failing_config(suite, trials):
+    """A config whose tolerance no residual meets, not even 0.0.
+
+    SuiteConfig refuses tol <= 0 from its callers, so the negative
+    tolerance is set past that check: every trial fails, which exercises
+    shrinking, serialization and replay on real payloads.
+    """
+    cfg = SuiteConfig(suite=suite, trials=trials, seed=8)
+    object.__setattr__(cfg, "tol", -1.0)
+    return cfg
+
+
 class TestCounterexamples:
     def _failing_report(self):
-        # an impossible tolerance forces every trial to fail, which
-        # exercises shrinking, serialization and replay on real payloads
-        return run_suite(SuiteConfig(suite="forms", trials=3, seed=8, tol=-1.0))
+        return run_suite(_failing_config("forms", 3))
 
     def test_failures_become_counterexamples(self):
         report = self._failing_report()
@@ -89,7 +105,7 @@ class TestCounterexamples:
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_replay_reproduces_every_counterexample(self, suite):
-        report = run_suite(SuiteConfig(suite=suite, trials=6, seed=8, tol=-1.0))
+        report = run_suite(_failing_config(suite, 6))
         assert len(report.counterexamples) == 6
         for ce in report.counterexamples:
             payload = json.loads(json.dumps(ce))  # as dumped to a file

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from isosym.defect import _expansion_terms, _graded_weights
-from oracles import degree_indices, gamma_power
+from isosym.defect import _expansion_terms
+from oracles import degree_indices, gamma_power, graded_weights
 
 
 def _stack_setup(seed, d=2, kmax=3, dim=4):
@@ -76,7 +76,7 @@ def _ladders(rng, d, order, dim):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_gamma_products_bit_identical_to_direct_loop(kernel, d, order):
     rng = np.random.default_rng([d, order])
-    gammas, _ = _graded_weights(order, d)
+    gammas, _ = graded_weights(order, d)
     for dim in (1, 2, 5, 32):
         ladders = _ladders(rng, d, order, dim)
         for start in sorted({0, 1, len(gammas) // 2, len(gammas) - 1}):

@@ -1,0 +1,166 @@
+"""The binomial nesting of the M-style sums against the gamma enumeration.
+
+``oracles.gamma_*`` evaluate every M-style sum the way the package did
+before the nesting: degree-ordered R*^gamma / R^gamma stacks weighted by
+(-1)^(m-|gamma|) C(m,|gamma|) |gamma|!/gamma! and fed to
+weighted_sandwich_sum.  The nesting must agree with it within the
+rounding of the terms summed, give the same exact zeros, and find the
+same staircases.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from isosym import defect
+from isosym.classify import minimal_orders
+from isosym.construct import (JordanAugmentSpec, ScaledTupleSpec,
+                              jordan_augment, nilpotent_tuple,
+                              random_commuting_tuple, reference_pair,
+                              scaled_tuple, tensor_sum)
+from isosym.defect import DefectTable, MultiOperator, zero_tolerance
+from isosym.linalg import fro_norm
+
+from oracles import gamma_forms, gamma_minimal_orders, gamma_s, \
+    gamma_weighted_sum
+
+EPS = np.finfo(float).eps
+MAX_ORDER = 6
+
+
+def _corpus(seed, count):
+    """Seeded tuples: random (d 1-4, dim 1-16, a quarter scaled by 3),
+    Jordan augmentations and tensor sums with a nilpotent right factor."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        d = int(rng.integers(1, 5))
+        child = int(rng.integers(2 ** 31))
+        if i % 6 == 4:
+            base = random_commuting_tuple(d, int(rng.integers(1, 6)), child)
+            q = int(rng.integers(1, 4))
+            mu = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+            out.append(jordan_augment(JordanAugmentSpec(base_tuple=base,
+                                                        mu=mu, q=q)))
+        elif i % 6 == 5:
+            base = random_commuting_tuple(d, int(rng.integers(1, 5)), child)
+            q = int(rng.integers(1, 4))
+            nil = nilpotent_tuple(d, q, q, child + 1)
+            out.append(tensor_sum(base, nil))
+        else:
+            r = random_commuting_tuple(d, int(rng.integers(1, 17)), child)
+            if i % 4 == 3:
+                r = MultiOperator([3.0 * m for m in r.matrices])
+            out.append(r)
+    return out
+
+
+def _bound(r, m, n):
+    """64 eps dim B, B the size of the terms the (m, n) sums add up."""
+    spread = sum(fro_norm(a) ** 2 for a in r.matrices)
+    total = fro_norm(sum(r.matrices))
+    b = sum(math.comb(m, k) * spread ** k for k in range(m + 1)) \
+        * (2.0 * total) ** n
+    return 64.0 * EPS * r.dim * b
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_sum_agrees_with_the_gamma_enumeration(seed):
+    rng = np.random.default_rng([9, seed])
+    for r in _corpus([7, seed], 12):
+        table = DefectTable(r)
+        for m in range(MAX_ORDER + 1):
+            got = table.isometry_defect_matrix(m)
+            expect = gamma_weighted_sum(r.matrices, m)
+            assert fro_norm(got - expect) <= _bound(r, m, 0), (r, m)
+        for _ in range(4):
+            m, n = (int(x) for x in rng.integers(0, MAX_ORDER + 1, size=2))
+            sym, iso = table.forms(m, n)
+            want_sym, want_iso = gamma_forms(r.matrices, m, n)
+            assert fro_norm(sym - want_sym) <= _bound(r, m, n), (r, m, n)
+            assert fro_norm(iso - want_iso) <= _bound(r, m, n), (r, m, n)
+
+
+def test_reference_pair_keeps_its_exact_values():
+    r = reference_pair()
+    table = DefectTable(r)
+    for m in range(5):
+        assert np.array_equal(table.isometry_defect_matrix(m),
+                              gamma_weighted_sum(r.matrices, m))
+        for n in range(5):
+            sym, iso = table.forms(m, n)
+            want_sym, want_iso = gamma_forms(r.matrices, m, n)
+            assert np.array_equal(sym, want_sym), (m, n)
+            assert np.array_equal(iso, want_iso), (m, n)
+    assert defect.isosymmetry_defect(r, 1, 1).norm == 0.0
+    assert defect.isometry_defect(r, 1).norm == fro_norm(
+        gamma_weighted_sum(r.matrices, 1)) > 0.0
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_nilpotent_symmetry_defect_stays_exactly_zero(q):
+    nil = nilpotent_tuple(2, 6, q, 40 + q)
+    got = DefectTable(nil).symmetry_defect_matrix(2 * q)
+    assert np.array_equal(got, gamma_s(nil.matrices, 2 * q))
+    assert fro_norm(got) == 0.0
+
+
+def _structured(rng):
+    yield reference_pair()
+    for d in (1, 2, 3):
+        z = np.exp(2j * np.pi * rng.uniform(size=(d, 4)))
+        z = z / np.linalg.norm(z, axis=0, keepdims=True)
+        yield MultiOperator([np.diag(z[j]) for j in range(d)])
+        v = rng.uniform(-2.0, 2.0, size=(d, 4)).astype(np.complex128)
+        yield MultiOperator([np.diag(v[j]) for j in range(d)])
+    lam = np.exp(0.9j)
+    base = np.array([[lam, 1.0], [0.0, lam]])
+    yield scaled_tuple(ScaledTupleSpec(base=base, beta=(0.6, 0.8)))
+    yield jordan_augment(JordanAugmentSpec(base_tuple=reference_pair(),
+                                           mu=(1.0, 0.5), q=2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_staircases_equal_the_gamma_enumerations(seed):
+    rng = np.random.default_rng([11, seed])
+    tuples = list(_structured(rng))
+    for _ in range(8):
+        d = int(rng.integers(1, 4))
+        r = random_commuting_tuple(d, int(rng.integers(2, 9)),
+                                   int(rng.integers(2 ** 31)))
+        if rng.integers(4) == 0:
+            r = MultiOperator([3.0 * m for m in r.matrices])
+        tuples.append(r)
+    for r in tuples:
+        got = minimal_orders(r, MAX_ORDER, MAX_ORDER).staircase
+        expect = gamma_minimal_orders(
+            r.matrices, MAX_ORDER, MAX_ORDER,
+            lambda m, n, r=r: zero_tolerance(r, m, n))
+        assert got == expect, r
+
+
+def test_table_reads_never_take_the_recurrence(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table read took the recurrence")
+
+    monkeypatch.setattr(defect, "raise_isometry_order", refuse)
+    monkeypatch.setattr(defect, "raise_symmetry_order", refuse)
+    r = random_commuting_tuple(3, 5, 17)
+    table = DefectTable(r)
+    minimal_orders(r, 4, 4, table=table)
+    for m in range(5):
+        table.isometry_defect(m)
+        for n in range(5):
+            table.isosymmetry_defect(m, n)
+            table.forms(m, n)
+
+
+def test_growing_a_sum_keeps_its_lower_orders_bit_for_bit():
+    r = random_commuting_tuple(3, 6, 23)
+    low, grown = DefectTable(r), DefectTable(r)
+    grown.prepare(MAX_ORDER, 3)
+    for m in range(MAX_ORDER + 1):
+        for n in range(4):
+            assert grown.isosymmetry_defect_matrix(m, n).tobytes() == \
+                low.isosymmetry_defect_matrix(m, n).tobytes()
