@@ -22,8 +22,7 @@ from .defect import (DefectReport, DefectTable, MultiOperator, isometry_defect,
                      symmetry_defect, zero_tolerance)
 from .harness import (SuiteConfig, SuiteReport, dump_counterexample,
                       replay_counterexample, run_suite)
-from .linalg import (adjoint, eigenpairs, fro_norm, kron, matmul,
-                     matrix_rank, null_space)
+from .linalg import adjoint, fro_norm, kron, matrix_rank
 from .multiindex import (binomial, multi_indices, multinomial_weight,
                          trinomial_coeff, verify_multinomial_recurrence)
 from .spectra import (JointEigenpair, SpectralClassification, SpectralTable,
@@ -39,12 +38,12 @@ __all__ = [
     "SuiteConfig",
     "SuiteReport", "adjoint", "binomial", "check_orthogonality",
     "check_zero_coordinate_exclusion", "classify_spectrum",
-    "defect_family_rank", "dump_counterexample", "eigenpairs", "fro_norm",
+    "defect_family_rank", "dump_counterexample", "fro_norm",
     "identity_tuple", "is_isosymmetric", "is_m_isometric", "is_n_symmetric",
     "isometry_defect", "isosymmetry_defect", "joint_point_spectrum",
-    "jordan_augment", "jordan_augment_parts", "kron", "matmul",
+    "jordan_augment", "jordan_augment_parts", "kron",
     "matrix_rank", "minimal_orders", "multi_indices", "multinomial_weight",
-    "nilpotent_tuple", "null_space", "op_sum", "perturbation_expansion",
+    "nilpotent_tuple", "op_sum", "perturbation_expansion",
     "raise_isometry_order", "raise_symmetry_order",
     "random_commuting_tuple", "read_tuple", "reference_pair",
     "replay_counterexample", "run_suite", "scaled_tuple", "symmetry_defect",

@@ -53,7 +53,7 @@ from .errors import (CrossCommutationViolated, CommutationViolated,
                      DimensionMismatch, DMismatch, FormsDisagree,
                      InvalidParams)
 from .linalg import adjoint, as_matrix, fro_norm
-from .multiindex import binomial, multi_indices, trinomial_coeff
+from .multiindex import binomial, multi_indices, multinomial_weight
 
 #: base tolerance of all defect zero tests
 TOL_ZERO = 1e-8
@@ -122,8 +122,14 @@ class DefectReport:
 
 
 def zero_tolerance(r, m, n, tol=None):
-    """Scaled zero-test tolerance for an order-(m, n) defect of r."""
+    """Scaled zero-test tolerance for an order-(m, n) defect of r.
+
+    ``tol`` (default TOL_ZERO) must be a finite number > 0: a negative one
+    fails every forms check, and NaN or infinity decides nothing.
+    """
     base = TOL_ZERO if tol is None else tol
+    if not 0.0 < base < np.inf:
+        raise InvalidParams(f"tol must be a finite number > 0, got {base!r}")
     return base * (1.0 + r.max_norm()) ** (2 * (m + n)) * r.dim
 
 
@@ -492,24 +498,19 @@ def nilpotency_residual(r, k):
 
 @lru_cache(maxsize=128)
 def _expansion_terms(m, d):
-    """Per k = 0..m, the read-only (alphas, gammas, coeffs) of the expansion.
+    """Per k = 0..m, the read-only (indices, coeffs) of the expansion.
 
-    Lists every pair |alpha| + |gamma| = m - k with its coefficient
-    m!/(alpha! gamma! k!).
+    Each row of ``indices`` is one pair |alpha| + |gamma| = m - k written
+    as a multi-index (alpha, gamma) over 2d components; its coefficient is
+    C(m,k) (m-k)!/(alpha! gamma!) = m!/(alpha! gamma! k!).
     """
     terms = []
     for k in range(m + 1):
-        pairs = []
-        coeffs = []
-        for a in range(m - k + 1):
-            for alpha in multi_indices(d, a):
-                for gamma in multi_indices(d, m - k - a):
-                    pairs.append((alpha, gamma))
-                    coeffs.append(float(trinomial_coeff(m, alpha, gamma, k)))
-        alphas = np.array([p[0] for p in pairs], dtype=np.intp).reshape(len(pairs), d)
-        gammas = np.array([p[1] for p in pairs], dtype=np.intp).reshape(len(pairs), d)
-        terms.append((_frozen(alphas), _frozen(gammas),
-                      _frozen(np.array(coeffs))))
+        rows = multi_indices(2 * d, m - k)
+        indices = np.array(rows, dtype=np.intp).reshape(len(rows), 2 * d)
+        coeffs = np.array([binomial(m, k) * multinomial_weight(row)
+                           for row in rows], dtype=np.float64)
+        terms.append((_frozen(indices), _frozen(coeffs)))
     return tuple(terms)
 
 
@@ -520,7 +521,7 @@ def perturbation_expansion(r, q, m, n, tol_comm=TOL_COMM):
     Evaluates
 
         sum_{j=0..n} sum_{|a|+|g|+k=m} C(n,j) m!/(a! g! k!)
-            (R+Q)*^a Q*^g  L_{k,n-j}(R) S_j(Q)  R^g Q^a
+            (R+Q)*^a Q*^g  L_{k,n-j}(R) S_j(Q)  Q^a R^g
 
     which equals L_{m,n}(r + q) within tolerance.
     """
@@ -535,27 +536,24 @@ def perturbation_expansion(r, q, m, n, tol_comm=TOL_COMM):
             f"cross-commutation residual {resid:.3e} exceeds {tol_comm:.3e}")
 
     table_r, table_q = DefectTable(r), DefectTable(q)
-    lad_star_rq = _ladder_stack(
-        [adjoint(a + b) for a, b in zip(r.matrices, q.matrices)], m)
-    lad_star_q = table_q._powers("R*", m)
-    lad_r = table_r._powers("R", m)
-    lad_q = table_q._powers("R", m)
+    # the 2d ladders an (a, g) row indexes: (R+Q)*, Q* on the left and
+    # Q, R on the right
+    lad_star = np.concatenate((
+        _ladder_stack([adjoint(a + b) for a, b in zip(r.matrices, q.matrices)],
+                      m),
+        table_q._powers("R*", m)))
+    lad = np.concatenate((table_q._powers("R", m), table_r._powers("R", m)))
 
     lam_r = [[table_r.isosymmetry_defect_matrix(k, l) for l in range(n + 1)]
              for k in range(m + 1)]
     s_q = [table_q.symmetry_defect_matrix(j) for j in range(n + 1)]
 
     out = np.zeros((r.dim, r.dim), dtype=np.complex128)
-    for k, (alphas, gammas, coeffs) in enumerate(_expansion_terms(m, r.d)):
-        lefts = kernels.active.pairwise_matmul(
-            kernels.active.gamma_products(lad_star_rq, alphas),
-            kernels.active.gamma_products(lad_star_q, gammas))
-        rights = kernels.active.pairwise_matmul(
-            kernels.active.gamma_products(lad_r, gammas),
-            kernels.active.gamma_products(lad_q, alphas))
+    for k, (indices, coeffs) in enumerate(_expansion_terms(m, r.d)):
+        lefts = kernels.active.gamma_products(lad_star, indices)
+        rights = kernels.active.gamma_products(lad, indices)
         for j in range(n + 1):
             mid = lam_r[k][n - j] @ s_q[j]
             out = out + kernels.active.weighted_sandwich_sum(
                 lefts, mid, rights, binomial(n, j) * coeffs)
     return out
-

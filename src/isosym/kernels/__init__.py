@@ -1,4 +1,4 @@
-"""The hot product-accumulation loops of the defect evaluations.
+"""The chained products and weighted sandwich sums of the defect evaluations.
 
 ``pyref`` (pure numpy) is the one implementation.  Modules call
 ``kernels.active.<fn>`` rather than importing the functions, so a caller

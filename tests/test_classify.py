@@ -106,6 +106,11 @@ class TestMinimalOrders:
         with pytest.raises(InvalidParams):
             minimal_orders(identity_tuple(1, 2), 13, 3)
 
+    def test_infinite_tolerance_rejected(self):
+        # would call every cell zero: the staircase [(0, 0)]
+        with pytest.raises(InvalidParams):
+            minimal_orders(reference_pair(), 2, 2, tol=float("inf"))
+
 
 class TestFamilyRank:
     def test_strict_3_isometry_isometry_family(self):

@@ -145,6 +145,10 @@ class TestIsometryDefect:
         with pytest.raises(InvalidParams):
             isometry_defect(reference_pair(), -2)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(InvalidParams):
+            isometry_defect(reference_pair(), 1, tol=float("nan"))
+
 
 @pytest.mark.usefixtures("kernel")
 class TestIsosymmetryDefect:
@@ -195,6 +199,11 @@ class TestIsosymmetryDefect:
     def test_negative_order_rejected(self, m, n):
         with pytest.raises(InvalidParams):
             isosymmetry_defect(reference_pair(), m, n)
+
+    def test_negative_tolerance_rejected(self):
+        # not a FormsDisagree: no gap is within a negative tolerance
+        with pytest.raises(InvalidParams):
+            isosymmetry_defect(reference_pair(), 1, 1, tol=-1)
 
     def test_forms_disagree_on_corrupted_input(self):
         bad = MultiOperator(_noncommuting_pair(), tol_comm=1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isosym.defect import _expansion_terms
+from isosym.multiindex import multi_indices, trinomial_coeff
 from oracles import degree_indices, gamma_power, graded_weights
 
 
@@ -24,15 +25,6 @@ def test_gamma_products_against_oracle(kernel):
         assert np.linalg.norm(row - expect) <= 1e-12 * (1 + np.linalg.norm(expect))
 
 
-def test_pairwise_matmul(kernel):
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    b = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    out = kernel.pairwise_matmul(a, b)
-    for i in range(5):
-        assert np.allclose(out[i], a[i] @ b[i])
-
-
 @pytest.mark.parametrize("with_mid", [False, True])
 def test_weighted_sandwich_sum(kernel, with_mid):
     rng = np.random.default_rng(2)
@@ -50,9 +42,9 @@ def test_weighted_sandwich_sum(kernel, with_mid):
     assert np.linalg.norm(out - expect) <= 1e-11 * (1 + np.linalg.norm(expect))
 
 
-# Bit-identity against the direct formulas: the kernels reorganise the
-# work (shared gamma-product prefixes, one dot for the reduction) but must
-# perform the same floating-point operations.
+# Bit-identity against the direct formulas: the kernels may reorganise the
+# work (one dot for the reduction) but must perform the same floating-point
+# operations.
 
 def _direct_gamma_products(ladders, gammas):
     """Every row multiplied out left to right, no sharing."""
@@ -88,15 +80,31 @@ def test_gamma_products_bit_identical_to_direct_loop(kernel, d, order):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_gamma_products_of_expansion_terms_bit_identical(kernel, d):
-    """Alphas and gammas of the expansion are not in degree order."""
+    """Expansion rows run over 2d components and are not in degree order."""
     rng = np.random.default_rng(d)
     m = 4
-    ladders = _ladders(rng, d, m, 6)
-    for alphas, gammas, _ in _expansion_terms(m, d):
-        for stack in (alphas, gammas):
-            out = kernel.gamma_products(ladders, stack)
-            assert out.tobytes() == _direct_gamma_products(ladders,
-                                                           stack).tobytes()
+    ladders = _ladders(rng, 2 * d, m, 6)
+    for indices, _ in _expansion_terms(m, d):
+        out = kernel.gamma_products(ladders, indices)
+        assert out.tobytes() == _direct_gamma_products(ladders,
+                                                       indices).tobytes()
+
+
+@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_expansion_terms_are_every_pair_with_its_trinomial_coeff(d, m):
+    terms = _expansion_terms(m, d)
+    assert len(terms) == m + 1
+    for k, (indices, coeffs) in enumerate(terms):
+        assert indices.shape == (len(coeffs), 2 * d)
+        assert not indices.flags.writeable and not coeffs.flags.writeable
+        pairs = [(tuple(row[:d]), tuple(row[d:])) for row in indices.tolist()]
+        assert sorted(pairs) == sorted(
+            (alpha, gamma) for a in range(m - k + 1)
+            for alpha in multi_indices(d, a)
+            for gamma in multi_indices(d, m - k - a))
+        for (alpha, gamma), coeff in zip(pairs, coeffs):
+            assert coeff == trinomial_coeff(m, alpha, gamma, k)
 
 
 def test_gamma_products_rejects_exponent_beyond_the_ladder(kernel):

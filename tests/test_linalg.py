@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isosym.errors import DimensionMismatch
-from isosym.linalg import (adjoint, as_matrix, eigenpairs, fro_norm, kron,
-                           matmul, matrix_rank, null_space)
+from isosym.linalg import adjoint, as_matrix, fro_norm, kron, matrix_rank
 
 
 def _random(dim, seed, rect=None):
@@ -32,23 +31,6 @@ def test_adjoint_examples():
 def test_adjoint_involution_bit_exact(seed, rows, cols):
     m = _random(rows, seed, rect=cols)
     assert np.array_equal(adjoint(adjoint(m)), m)
-
-
-def test_matmul_identity_and_nilpotent():
-    m = _random(2, 3)
-    assert np.allclose(matmul(np.eye(2), m), m)
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(matmul(n, n), np.zeros((2, 2)))
-
-
-def test_matmul_reference_gram():
-    r1 = _reference_r1()
-    assert np.array_equal(matmul(adjoint(r1), r1), np.diag([1.0, 0.0, 0.0]))
-
-
-def test_matmul_shape_check():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.eye(2), np.eye(3))
 
 
 def test_kron_shape_and_scalar():
@@ -108,45 +90,6 @@ def test_fro_norm_unitary_invariance(seed, dim):
     u, _ = np.linalg.qr(g)
     m = _random(dim, seed + 1)
     assert abs(fro_norm(u @ m) - fro_norm(m)) <= 1e-12 * (1 + fro_norm(m))
-
-
-def test_eigenpairs_diagonal():
-    pairs = eigenpairs(np.diag([1.0, 2.0, 3.0]))
-    assert sorted(round(p[0].real) for p in pairs) == [1, 2, 3]
-
-
-def test_eigenpairs_jordan_block_multiplicity():
-    pairs = eigenpairs(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert len(pairs) == 2
-    assert all(abs(lam - 1.0) < 1e-6 for lam, _ in pairs)
-    # geometric multiplicity 1: the two vectors are essentially parallel
-    v0, v1 = pairs[0][1], pairs[1][1]
-    assert abs(abs(np.vdot(v0, v1)) - 1.0) < 1e-6
-
-
-def test_eigenpairs_nilpotent():
-    pairs = eigenpairs(_reference_r1())
-    assert all(abs(lam) < 1e-7 for lam, _ in pairs)
-    assert len(pairs) == 3
-
-
-def test_eigenpairs_residual_contract():
-    m = _random(16, 5)
-    scale = 1e-9 * (1 + fro_norm(m))
-    for lam, v in eigenpairs(m):
-        assert np.linalg.norm(m @ v - lam * v) <= scale
-
-
-def test_null_space_cases():
-    assert len(null_space(np.zeros((4, 4)))) == 4
-    assert null_space(np.eye(4)) == []
-    basis = null_space(_reference_r1())
-    assert len(basis) == 2
-    # spans e2, e3: every basis vector has zero first coordinate
-    for v in basis:
-        assert abs(v[0]) < 1e-12
-    gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
-    assert np.linalg.norm(gram - np.eye(2)) < 1e-10
 
 
 def test_matrix_rank_cases():
