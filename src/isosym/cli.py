@@ -16,11 +16,12 @@ import numpy as np
 from . import __version__
 from .classify import is_isosymmetric, is_m_isometric, is_n_symmetric, \
     minimal_orders
-from .construct import (JordanAugmentSpec, ScaledTupleSpec, jordan_augment,
-                        nilpotent_tuple, random_commuting_tuple,
-                        reference_pair, scaled_tuple, tensor_sum)
-from .defect import TOL_COMM, TOL_ZERO, DefectTable, MultiOperator, \
-    isometry_defect, isosymmetry_defect, nilpotency_residual, symmetry_defect
+from .construct import (BETA_TOL, JordanAugmentSpec, ScaledTupleSpec,
+                        jordan_augment, nilpotent_tuple,
+                        random_commuting_tuple, reference_pair, scaled_tuple,
+                        tensor_sum)
+from .defect import TOL_COMM, DefectTable, MultiOperator, isometry_defect, \
+    isosymmetry_defect, nilpotency_residual, symmetry_defect, zero_test_base
 from .errors import (BetaNotNormalized, CommutationViolated,
                      ConvergenceFailure, CrossCommutationViolated, DMismatch,
                      FormsDisagree, HypothesisUnmet, InvalidParams,
@@ -29,7 +30,8 @@ from .errors import (BetaNotNormalized, CommutationViolated,
 from .harness import SUITE_NAMES, SuiteConfig, dump_counterexample, run_suite
 from .linalg import TOL_RANK
 from .spectra import (TOL_SPECTRA, SpectralTable, check_orthogonality,
-                      check_zero_coordinate_exclusion, classify_spectrum)
+                      check_zero_coordinate_exclusion, classify_spectrum,
+                      spectral_tolerance)
 from .tupleio import matrix_to_json, read_tuple, write_tuple
 
 EXIT_OK = 0
@@ -59,15 +61,15 @@ def _digest(path):
     return sha.hexdigest()
 
 
-def _envelope(command, args, results, file_path=None, op=None, extra_args=None):
+def _envelope(command, results, file_path=None, op=None, extra_args=None,
+              tol=None, tol_spectra=TOL_SPECTRA):
     inputs = {"file": file_path,
               "sha256": _digest(file_path) if file_path else None,
               "d": op.d if op is not None else None,
               "dim": op.dim if op is not None else None,
               "args": extra_args or {}}
-    tolerances = {"tol": args.tol if args.tol is not None else TOL_ZERO,
-                  "tol_comm": TOL_COMM, "tol_rank": TOL_RANK,
-                  "tol_spectra": TOL_SPECTRA}
+    tolerances = {"tol": zero_test_base(tol), "tol_comm": TOL_COMM,
+                  "tol_rank": TOL_RANK, "tol_spectra": tol_spectra}
     return {"command": command, "tool_version": __version__,
             "inputs": inputs, "tolerances": tolerances, "results": results}
 
@@ -119,8 +121,8 @@ def _cmd_check(args):
                "isometric": _verdict_json(iso),
                "symmetric": _verdict_json(sym),
                "isosymmetric": _verdict_json(isosym)}
-    _emit(_envelope("check", args, results, args.file, op,
-                    {"m": args.m, "n": args.n}), args)
+    _emit(_envelope("check", results, args.file, op,
+                    {"m": args.m, "n": args.n}, args.tol), args)
     return EXIT_OK if isosym.holds else EXIT_PROPERTY_FAILS
 
 
@@ -139,9 +141,9 @@ def _cmd_defect(args):
                "norm": report.norm, "tolerance": report.tolerance_used,
                "is_zero": report.is_zero,
                "matrix": matrix_to_json(report.matrix)}
-    _emit(_envelope("defect", args, results, args.file, op,
-                    {"kind": args.kind, "l": args.l, "m": args.m, "n": args.n}),
-          args)
+    _emit(_envelope("defect", results, args.file, op,
+                    {"kind": args.kind, "l": args.l, "m": args.m, "n": args.n},
+                    args.tol), args)
     return EXIT_OK
 
 
@@ -151,8 +153,8 @@ def _cmd_minimal(args):
     results = {"staircase": [list(p) for p in found.staircase],
                "search_bounds": list(found.search_bounds),
                "exhausted": found.exhausted}
-    _emit(_envelope("minimal", args, results, args.file, op,
-                    {"m_max": args.m_max, "n_max": args.n_max}), args)
+    _emit(_envelope("minimal", results, args.file, op,
+                    {"m_max": args.m_max, "n_max": args.n_max}, args.tol), args)
     return EXIT_OK
 
 
@@ -160,7 +162,7 @@ def _cmd_spectrum(args):
     op, _ = read_tuple(args.file)
     if (args.m is None) != (args.n is None):
         raise InvalidParams("give both --m and --n, or neither")
-    tol = max(args.tol if args.tol is not None else TOL_SPECTRA, TOL_SPECTRA)
+    tol = spectral_tolerance(args.tol)
     table = SpectralTable(op)
     pairs = table.spectrum(tol)
     results = {"eigenpairs": [
@@ -169,7 +171,7 @@ def _cmd_spectrum(args):
          "residual": p.residual} for p in pairs]}
     exit_code = EXIT_OK
     if args.m is not None:
-        verdict = table.isosymmetric(args.m, args.n)
+        verdict = table.isosymmetric(args.m, args.n)  # default zero test
         results["isosymmetric"] = _verdict_json(verdict)
         if verdict.holds:
             results["classifications"] = [
@@ -196,8 +198,8 @@ def _cmd_spectrum(args):
                      "consistent": e.consistent} for e in zc.entries]}
         else:
             exit_code = EXIT_PROPERTY_FAILS
-    _emit(_envelope("spectrum", args, results, args.file, op,
-                    {"m": args.m, "n": args.n}), args)
+    _emit(_envelope("spectrum", results, args.file, op,
+                    {"m": args.m, "n": args.n}, tol_spectra=tol), args)
     return exit_code
 
 
@@ -209,13 +211,13 @@ def _parse_complexes(raw):
     return tuple(complex(part.replace(" ", "")) for part in raw.split(","))
 
 
-def _clamped_predictions(base, q, bounds=3):
+def _clamped_predictions(base, q):
     """Theorem arithmetic from the base's minimal vanishing orders.
 
     Each minimal pair is clamped up to (>=1, >=1) first (raising orders
     preserves vanishing), then shifted by the nilpotent order.
     """
-    found = minimal_orders(base, bounds, bounds).staircase
+    found = minimal_orders(base, 3, 3).staircase
     preds = sorted({(max(m, 1) + 2 * q - 2, max(n, 1) + 2 * q - 1)
                     for m, n in found})
     return [list(p) for p in preds] or None
@@ -263,7 +265,7 @@ def _cmd_construct(args):
         op = scaled_tuple(ScaledTupleSpec(base=base_op.matrices[0], beta=beta))
         predicted = [list(p) for p in
                      minimal_orders(base_op, 3, 3).staircase] or None
-        if abs(sum(beta)) <= 1e-12:
+        if abs(sum(beta)) <= BETA_TOL:
             predicted = sorted({tuple(p) for p in (predicted or [])} | {(0, 1)})
             predicted = [list(p) for p in predicted]
         params = {"beta": list(beta)}
@@ -303,23 +305,20 @@ def _cmd_construct(args):
                                      predicted_orders=predicted)}
     if args.name:
         metadata["name"] = args.name
-    if args.seed is not None and kind in ("nilpotent", "random"):
+    if kind in ("nilpotent", "random"):
         metadata["seed"] = args.seed
     write_tuple(args.out, op, metadata)
     results = {"kind": kind, "out": args.out, "d": op.d, "dim": op.dim,
                "predicted_orders": predicted}
     out_path, args.out = args.out, None  # report goes to stdout
-    _emit(_envelope("construct", args, results, None, op,
-                    {"kind": kind}), args)
+    _emit(_envelope("construct", results, None, op, {"kind": kind}), args)
     args.out = out_path
     return EXIT_OK
 
 
 def _cmd_verify(args):
     cfg = SuiteConfig(suite=args.suite, trials=args.trials, seed=args.seed,
-                      d_max=args.d_max, dim_max=args.dim_max,
-                      m_max=args.m_max, n_max=args.n_max,
-                      tol=args.tol if args.tol is not None else TOL_ZERO)
+                      tol=zero_test_base(args.tol))
     report = run_suite(cfg)
     payload = report.to_dict()
     _emit(payload, args)
@@ -345,12 +344,12 @@ def _build_parser():
     later call reuses it; ``parse_args`` returns a fresh namespace each
     time, so no state passes from one call to the next.
     """
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write output here")
+    output.add_argument("--format", choices=("json", "text"), default="json")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--tol", type=float, default=None,
-                        help="base tolerance (default: module defaults)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="write output here")
-    common.add_argument("--format", choices=("json", "text"), default="json")
+                        help="zero-test base; in spectrum, spectral tolerance")
 
     parser = argparse.ArgumentParser(
         prog="isosym",
@@ -388,7 +387,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[output],
                        help="build a tuple file from a named family")
     p.add_argument("kind", choices=("scaled", "jordan", "tensor",
                                     "nilpotent", "random", "example22"))
@@ -402,16 +401,14 @@ def _build_parser():
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--name", default=None)
+    p.add_argument("--seed", type=int, default=0, help="nilpotent, random")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a randomized verification suite")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--d-max", type=int, default=3, dest="d_max")
-    p.add_argument("--dim-max", type=int, default=8, dest="dim_max")
-    p.add_argument("--m-max", type=int, default=3, dest="m_max")
-    p.add_argument("--n-max", type=int, default=3, dest="n_max")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--counterexample-dir", default="counterexamples")
     p.set_defaults(func=_cmd_verify)
     return parser
@@ -421,9 +418,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and not 0.0 < args.tol < np.inf:
-            raise InvalidParams(
-                f"--tol must be a finite number > 0, got {args.tol!r}")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

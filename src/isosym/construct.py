@@ -14,7 +14,7 @@ from .defect import MultiOperator
 from .errors import BetaNotNormalized, DMismatch, InvalidParams
 from .linalg import as_matrix, fro_norm, kron
 
-#: allowed deviation of sum(beta_j^2) from 1
+#: rounding allowance on |sum(beta_j^2) - 1| and on a vanishing sum(beta_j)
 BETA_TOL = 1e-12
 
 
@@ -149,7 +149,7 @@ def nilpotent_tuple(d, dim, order, seed):
     return MultiOperator(mats)
 
 
-def random_commuting_tuple(d, dim, seed, conjugate=True):
+def random_commuting_tuple(d, dim, seed):
     """Random commuting tuple: polynomials in one fixed random matrix.
 
     Commutation is exact up to rounding without any simultaneous
@@ -169,7 +169,7 @@ def random_commuting_tuple(d, dim, seed, conjugate=True):
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         m = sum(c * p for c, p in zip(coeffs, powers))
         mats.append(m / max(1.0, fro_norm(m)))
-    if conjugate and dim > 1:
+    if dim > 1:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         u, _ = np.linalg.qr(g)
         mats = [u @ m @ u.conj().T for m in mats]

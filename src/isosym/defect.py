@@ -52,7 +52,7 @@ from . import kernels
 from .errors import (CrossCommutationViolated, CommutationViolated,
                      DimensionMismatch, DMismatch, FormsDisagree,
                      InvalidParams)
-from .linalg import adjoint, as_matrix, fro_norm
+from .linalg import adjoint, as_matrix, checked_tolerance, fro_norm
 from .multiindex import binomial, multi_indices, multinomial_weight
 
 #: base tolerance of all defect zero tests
@@ -121,16 +121,14 @@ class DefectReport:
     is_zero: bool
 
 
-def zero_tolerance(r, m, n, tol=None):
-    """Scaled zero-test tolerance for an order-(m, n) defect of r.
+def zero_test_base(tol=None):
+    """The base of the defect zero tests: TOL_ZERO, or ``tol`` once usable."""
+    return TOL_ZERO if tol is None else checked_tolerance(tol)
 
-    ``tol`` (default TOL_ZERO) must be a finite number > 0: a negative one
-    fails every forms check, and NaN or infinity decides nothing.
-    """
-    base = TOL_ZERO if tol is None else tol
-    if not 0.0 < base < np.inf:
-        raise InvalidParams(f"tol must be a finite number > 0, got {base!r}")
-    return base * (1.0 + r.max_norm()) ** (2 * (m + n)) * r.dim
+
+def zero_tolerance(r, m, n, tol=None):
+    """Scaled zero-test tolerance for an order-(m, n) defect of r."""
+    return zero_test_base(tol) * (1.0 + r.max_norm()) ** (2 * (m + n)) * r.dim
 
 
 def op_sum(r):
@@ -514,10 +512,10 @@ def _expansion_terms(m, d):
     return tuple(terms)
 
 
-def perturbation_expansion(r, q, m, n, tol_comm=TOL_COMM):
+def perturbation_expansion(r, q, m, n):
     """Expansion of L_{m,n}(r + q) in defects of r and q separately.
 
-    Requires [R_j, Q_i] = [R_j, Q_i*] = 0 (within tol_comm, relative).
+    Requires [R_j, Q_i] = [R_j, Q_i*] = 0 (within TOL_COMM, relative).
     Evaluates
 
         sum_{j=0..n} sum_{|a|+|g|+k=m} C(n,j) m!/(a! g! k!)
@@ -531,9 +529,9 @@ def perturbation_expansion(r, q, m, n, tol_comm=TOL_COMM):
     if r.dim != q.dim:
         raise DimensionMismatch("tuples must act on the same space")
     resid = cross_commutation_residual(r, q)
-    if resid > tol_comm:
+    if resid > TOL_COMM:
         raise CrossCommutationViolated(
-            f"cross-commutation residual {resid:.3e} exceeds {tol_comm:.3e}")
+            f"cross-commutation residual {resid:.3e} exceeds {TOL_COMM:.3e}")
 
     table_r, table_q = DefectTable(r), DefectTable(q)
     # the 2d ladders an (a, g) row indexes: (R+Q)*, Q* on the left and

@@ -25,16 +25,17 @@ from .construct import (JordanAugmentSpec, ScaledTupleSpec, identity_tuple,
                         jordan_augment_parts, nilpotent_tuple, reference_pair,
                         random_commuting_tuple, scaled_tuple,
                         tensor_sum_parts)
-from .defect import (DefectTable, MultiOperator, cross_commutation_residual,
-                     isosymmetry_defect, isosymmetry_defect_matrix,
-                     nilpotency_residual, perturbation_expansion,
-                     raise_isometry_order, raise_symmetry_order,
-                     zero_tolerance)
+from .defect import (TOL_ZERO, DefectTable, MultiOperator,
+                     cross_commutation_residual, isosymmetry_defect,
+                     isosymmetry_defect_matrix, nilpotency_residual,
+                     perturbation_expansion, raise_isometry_order,
+                     raise_symmetry_order, zero_tolerance)
 from .errors import CommutationViolated, HypothesisUnmet, InvalidParams, \
     IsosymError
-from .linalg import fro_norm
-from .spectra import (SpectralTable, check_orthogonality,
-                      check_zero_coordinate_exclusion, classify_spectrum)
+from .linalg import checked_tolerance, fro_norm
+from .spectra import (TOL_ORTHOGONALITY, SpectralTable, check_orthogonality,
+                      check_zero_coordinate_exclusion, classify_spectrum,
+                      spectral_tolerance)
 from .tupleio import tuple_from_dict, tuple_to_dict
 
 _SEED_MASK = (1 << 64) - 1
@@ -42,6 +43,9 @@ _SEED_MASK = (1 << 64) - 1
 #: bound for "exact by construction" checks; the constructions introduce no
 #: residual of their own but measuring them goes through rounded products
 _EXACTNESS = 1e-13
+
+#: bounds of every suite's draws: tuple components d, dimension, orders m, n
+D_MAX, DIM_MAX, M_MAX, N_MAX = 3, 8, 3, 3
 
 
 @dataclass(frozen=True)
@@ -51,24 +55,14 @@ class SuiteConfig:
     suite: str
     trials: int = 200
     seed: int = 0
-    d_max: int = 3
-    dim_max: int = 8
-    m_max: int = 3
-    n_max: int = 3
-    tol: float = 1e-8
+    tol: float = TOL_ZERO
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
             raise InvalidParams(f"unknown suite {self.suite!r}")
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
-        if not (1 <= self.dim_max <= 64):
-            raise InvalidParams("dim_max must be in 1..64")
-        if self.d_max < 1 or self.m_max < 1 or self.n_max < 1:
-            raise InvalidParams("bounds must be positive")
-        if not 0.0 < self.tol < np.inf:
-            raise InvalidParams(
-                f"tol must be a finite number > 0, got {self.tol!r}")
+        checked_tolerance(self.tol)
 
 
 @dataclass
@@ -104,10 +98,8 @@ def _normalized(diff, r, m, n):
     return fro_norm(diff) / zero_tolerance(r, m, n, 1.0)
 
 
-def _dims(cfg, rng, low=2):
-    d = int(rng.integers(1, cfg.d_max + 1))
-    dim = int(rng.integers(low, cfg.dim_max + 1))
-    return d, dim
+def _dims(rng):
+    return int(rng.integers(1, D_MAX + 1)), int(rng.integers(2, DIM_MAX + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +167,7 @@ def _structured(kind, d, dim, rng):
     return _maybe_conjugated(diag, rng), (1, 1), mu
 
 
-def _isosym_instance(cfg, rng, small_orders=False):
+def _isosym_instance(rng, small_orders=False):
     """A tuple verified isosymmetric at known orders.
 
     With ``small_orders`` only families vanishing at (1, 1) are drawn (the
@@ -184,7 +176,7 @@ def _isosym_instance(cfg, rng, small_orders=False):
     """
     kinds = _KINDS[:3] if small_orders else _KINDS
     kind = kinds[int(rng.integers(len(kinds)))]
-    d, dim = _dims(cfg, rng)
+    d, dim = _dims(rng)
     r, orders, _ = _structured(kind, d, dim, rng)
     return r, orders, kind
 
@@ -214,11 +206,11 @@ def _shifted_residual(left, right, m, n, q):
 # ---------------------------------------------------------------------------
 # forms
 
-def _gen_forms(cfg, idx, rng):
-    d, dim = _dims(cfg, rng)
+def _gen_forms(idx, rng):
+    d, dim = _dims(rng)
     r = random_commuting_tuple(d, dim, _child_seed(rng))
-    params = {"m": int(rng.integers(0, cfg.m_max + 1)),
-              "n": int(rng.integers(0, cfg.n_max + 1))}
+    params = {"m": int(rng.integers(0, M_MAX + 1)),
+              "n": int(rng.integers(0, N_MAX + 1))}
     return {"r": r}, params
 
 
@@ -232,11 +224,11 @@ def _eval_forms(tuples, params, tol):
 # ---------------------------------------------------------------------------
 # recurrence
 
-def _gen_recurrence(cfg, idx, rng):
-    d, dim = _dims(cfg, rng)
+def _gen_recurrence(idx, rng):
+    d, dim = _dims(rng)
     r = random_commuting_tuple(d, dim, _child_seed(rng))
-    params = {"m": int(rng.integers(0, cfg.m_max)),
-              "n": int(rng.integers(0, cfg.n_max))}
+    params = {"m": int(rng.integers(0, M_MAX)),
+              "n": int(rng.integers(0, N_MAX))}
     return {"r": r}, params
 
 
@@ -254,16 +246,16 @@ def _eval_recurrence(tuples, params, tol):
 # ---------------------------------------------------------------------------
 # expansion
 
-def _gen_expansion(cfg, idx, rng):
-    d = int(rng.integers(1, cfg.d_max + 1))
+def _gen_expansion(idx, rng):
+    d = int(rng.integers(1, D_MAX + 1))
     q = int(rng.integers(1, 4))
     dim_n = q + int(rng.integers(0, 2)) if q > 1 else int(rng.integers(1, 3))
     dim_p = int(rng.integers(2, 4))
     p = random_commuting_tuple(d, dim_p, _child_seed(rng))
     nil = nilpotent_tuple(d, max(dim_n, q), q, _child_seed(rng))
     left, right = tensor_sum_parts(p, nil)
-    params = {"m": int(rng.integers(1, cfg.m_max + 1)),
-              "n": int(rng.integers(1, cfg.n_max + 1)),
+    params = {"m": int(rng.integers(1, M_MAX + 1)),
+              "n": int(rng.integers(1, N_MAX + 1)),
               "q": q}
     return {"r": left, "q": right}, params
 
@@ -283,8 +275,8 @@ def _eval_expansion(tuples, params, tol):
 _PERTURBATION_GRID = ((1, 1), (2, 1), (1, 2), (2, 2))
 
 
-def _gen_perturbation(cfg, idx, rng):
-    base, _, kind = _isosym_instance(cfg, rng, small_orders=True)
+def _gen_perturbation(idx, rng):
+    base, _, kind = _isosym_instance(rng, small_orders=True)
     m, n = _PERTURBATION_GRID[idx % 4]
     q = 1 + (idx // 4) % 3
     if idx % 2:
@@ -313,24 +305,24 @@ def _eval_perturbation(tuples, params, tol):
 # ---------------------------------------------------------------------------
 # ascent
 
-def _gen_ascent(cfg, idx, rng):
+def _gen_ascent(idx, rng):
     pick = idx % 6
     if pick == 0:
-        r, _, _ = _isosym_instance(cfg, rng)
+        r, _, _ = _isosym_instance(rng)
     elif pick == 1:
         r = reference_pair()
     elif pick == 2:
-        d, dim = _dims(cfg, rng)
+        d, dim = _dims(rng)
         r = identity_tuple(d, dim)
     elif pick == 3:
-        d, dim = _dims(cfg, rng)
+        d, dim = _dims(rng)
         q = int(rng.integers(1, min(3, dim) + 1))
         r = nilpotent_tuple(d, dim, q, _child_seed(rng))
     elif pick == 4:
-        d, dim = _dims(cfg, rng)
+        d, dim = _dims(rng)
         r = MultiOperator([np.zeros((dim, dim), dtype=np.complex128)] * d)
     else:
-        d, dim = _dims(cfg, rng)
+        d, dim = _dims(rng)
         r = random_commuting_tuple(d, dim, _child_seed(rng))
     return {"r": r}, {"window": 2, "bounds": 4}
 
@@ -354,12 +346,12 @@ def _eval_ascent(tuples, params, tol):
 # ---------------------------------------------------------------------------
 # independence
 
-def _gen_independence(cfg, idx, rng):
-    d = int(rng.integers(1, cfg.d_max + 1))
+def _gen_independence(idx, rng):
+    d = int(rng.integers(1, D_MAX + 1))
     beta = _positive_beta(d, rng)
     if idx % 2 == 0:
         base = _unimodular_jordan(rng, away_from_real=True)
-        extra = int(rng.integers(0, max(1, cfg.dim_max - 1)))
+        extra = int(rng.integers(0, DIM_MAX - 1))
         if extra:
             phases = np.exp(2j * np.pi * rng.uniform(size=extra))
             base = _block_diag(base, np.diag(phases))
@@ -367,7 +359,7 @@ def _gen_independence(cfg, idx, rng):
     else:
         lam = float(rng.uniform(1.2, 2.5)) * (1 if rng.integers(2) else -1)
         base = np.array([[lam, 1.0], [0.0, lam]], dtype=np.complex128)
-        extra = int(rng.integers(0, max(1, cfg.dim_max - 1)))
+        extra = int(rng.integers(0, DIM_MAX - 1))
         if extra:
             base = _block_diag(base, np.diag(
                 rng.uniform(-2, 2, size=extra).astype(np.complex128)))
@@ -396,8 +388,8 @@ def _eval_independence(tuples, params, tol):
 # ---------------------------------------------------------------------------
 # spectral
 
-def _gen_spectral(cfg, idx, rng):
-    d, dim = _dims(cfg, rng)
+def _gen_spectral(idx, rng):
+    d, dim = _dims(rng)
     r, (m, n), expected = _structured(_KINDS[idx % 4], d, dim, rng)
     return {"r": r}, {"m": m, "n": n, "expected_mu": expected}
 
@@ -405,8 +397,8 @@ def _gen_spectral(cfg, idx, rng):
 def _eval_spectral(tuples, params, tol):
     r = tuples["r"]
     m, n = params["m"], params["n"]
-    tol_cls = max(tol, 1e-7)
-    tol_orth = max(tol, 1e-8)
+    tol_cls = spectral_tolerance(tol)
+    tol_orth = max(tol, TOL_ORTHOGONALITY)
     table = SpectralTable(r)
     worst = 0.0
     for c in classify_spectrum(r, m, n, tol_cls, table):
@@ -442,16 +434,15 @@ def _eval_spectral(tuples, params, tol):
 # ---------------------------------------------------------------------------
 # scaled
 
-def _gen_scaled(cfg, idx, rng):
-    d = int(rng.integers(1, cfg.d_max + 1))
-    dim = int(rng.integers(2, cfg.dim_max + 1))
+def _gen_scaled(idx, rng):
+    d, dim = _dims(rng)
     base = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     base = base / max(1.0, fro_norm(base))
     beta = rng.standard_normal(d)
     beta = beta / np.linalg.norm(beta)
     r = scaled_tuple(ScaledTupleSpec(base=base, beta=tuple(beta)))
-    params = {"m": int(rng.integers(0, cfg.m_max + 1)),
-              "n": int(rng.integers(0, cfg.n_max + 1)),
+    params = {"m": int(rng.integers(0, M_MAX + 1)),
+              "n": int(rng.integers(0, N_MAX + 1)),
               "beta": [float(b) for b in beta]}
     return {"scaled": r, "base": MultiOperator([base])}, params
 
@@ -469,8 +460,8 @@ def _eval_scaled(tuples, params, tol):
 # ---------------------------------------------------------------------------
 # jordan / tensor corollaries
 
-def _gen_jordan(cfg, idx, rng):
-    base, (m, n), kind = _isosym_instance(cfg, rng)
+def _gen_jordan(idx, rng):
+    base, (m, n), kind = _isosym_instance(rng)
     q = int(rng.integers(1, 4))
     left, right = jordan_augment_parts(JordanAugmentSpec(
         base_tuple=base, mu=_jordan_mu(base.d, rng), q=q))
@@ -493,8 +484,8 @@ def _eval_jordan(tuples, params, tol):
     return _shifted_residual(left, right, m, n, q)
 
 
-def _gen_tensor(cfg, idx, rng):
-    base, (m, n), kind = _isosym_instance(cfg, rng)
+def _gen_tensor(idx, rng):
+    base, (m, n), kind = _isosym_instance(rng)
     q = int(rng.integers(1, 4))
     return ({"left": base, "right": _nilpotent_factor(base.d, q, rng)},
             {"m": m, "n": n, "q": q, "base_kind": kind})
@@ -570,7 +561,7 @@ def run_suite(cfg):
     worst = 0.0
     counterexamples = []
     for idx in range(cfg.trials):
-        tuples, params = gen(cfg, idx, _trial_rng(cfg, idx))
+        tuples, params = gen(idx, _trial_rng(cfg, idx))
         try:
             residual = evaluate(tuples, params, cfg.tol)
         except IsosymError:
@@ -614,5 +605,5 @@ def replay_counterexample(source):
         payload = source
     tuples = {k: tuple_from_dict(v)[0] for k, v in payload["tuples"].items()}
     params = dict(payload["params"])
-    tol = params.pop("tol", SuiteConfig(suite=payload["suite"]).tol)
+    tol = params.pop("tol", TOL_ZERO)
     return _SUITES[payload["suite"]][1](tuples, params, tol)

@@ -1,18 +1,26 @@
 """Dense complex matrix primitives shared by every other module.
 
 Matrices are plain numpy arrays of complex128.  Everything here is a thin
-contract layer over numpy: shape and finiteness checks, the Frobenius norm
-and a relative rank threshold.
+contract layer over numpy: shape and finiteness checks, the Frobenius norm,
+a relative rank threshold and the one test of whether a tolerance is usable.
 """
 
 from math import sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParams
 
 #: default relative threshold for rank / null-space decisions
 TOL_RANK = 1e-9
+
+
+def checked_tolerance(tol):
+    """``tol`` if it is a finite number > 0, else InvalidParams: a tolerance
+    <= 0 fails every test it is put to, and NaN or infinity decides nothing."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidParams(f"tol must be a finite number > 0, got {tol!r}")
+    return tol
 
 
 def as_matrix(entries):
@@ -51,11 +59,11 @@ def fro_norm(m):
     return sqrt(re.dot(re) + im.dot(im))
 
 
-def matrix_rank(mats, tol_rank=TOL_RANK):
+def matrix_rank(mats):
     """Numerical rank of a family of equal-shape matrices.
 
     Each matrix is vectorized into a row; the rank of the stack is the
-    number of singular values above tol_rank * sigma_max.
+    number of singular values above TOL_RANK * sigma_max.
     """
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     if not mats:
@@ -67,4 +75,4 @@ def matrix_rank(mats, tol_rank=TOL_RANK):
     s = np.linalg.svd(stack, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol_rank * s[0]))
+    return int(np.sum(s > TOL_RANK * s[0]))

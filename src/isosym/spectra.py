@@ -29,10 +29,12 @@ from .classify import is_isosymmetric
 from .defect import op_sum
 from .errors import ConvergenceFailure, HypothesisUnmet, InvalidParams, \
     InvarianceViolation
-from .linalg import TOL_RANK, adjoint, fro_norm
+from .linalg import TOL_RANK, adjoint, checked_tolerance, fro_norm
 
-#: default tolerance of the spectral checks (residuals and gap tests)
+#: default tolerance, and floor, of the joint spectrum and the spectral checks
 TOL_SPECTRA = 1e-7
+#: default tolerance of the orthogonality gates and Gram test
+TOL_ORTHOGONALITY = 1e-8
 #: relative width used to merge near-degenerate eigenvalues
 CLUSTER_TOL = 1e-7
 #: cap on the dimension of a joint-spectrum computation
@@ -94,6 +96,12 @@ class ZeroCoordinateReport:
 
     entries: list = field(default_factory=list)
     consistent: bool = True
+
+
+def spectral_tolerance(tol=None):
+    """``tol`` once checked usable, floored at TOL_SPECTRA (the default)."""
+    return max(TOL_SPECTRA if tol is None else checked_tolerance(tol),
+               TOL_SPECTRA)
 
 
 def _clusters(dist, radius):
@@ -212,6 +220,7 @@ def joint_point_spectrum(r, tol=TOL_SPECTRA):
     extraction.  Results are sorted by (re, im) per coordinate; every
     returned pair satisfies residual <= tol * (1 + max_j ||R_j||).
     """
+    checked_tolerance(tol)
     if r.dim > MAX_JOINT_DIM:
         raise InvalidParams(f"dimension {r.dim} exceeds {MAX_JOINT_DIM}")
     raw = []
@@ -291,6 +300,7 @@ def classify_spectrum(r, m, n, tol=TOL_SPECTRA, table=None):
     coordinate sum; non-compliance is reported, not raised.  ``table``:
     a SpectralTable of r shared with other checks.
     """
+    checked_tolerance(tol)
     table = SpectralTable.of(r, table)
     table.require_isosymmetric(m, n)
     out = []
@@ -304,17 +314,19 @@ def classify_spectrum(r, m, n, tol=TOL_SPECTRA, table=None):
     return out
 
 
-def check_orthogonality(r, m, n, tol=1e-8, table=None):
+def check_orthogonality(r, m, n, tol=TOL_ORTHOGONALITY, table=None):
     """Pairwise Gram test between joint eigenspaces.
 
     A pair (mu, mu') must be orthogonal whenever both gate quantities are
     nonzero: sum_j mu_j conj(mu'_j) != 1 and sum_j (mu_j - conj(mu'_j)) != 0,
-    each tested against tol.  Pairs failing a gate carry no constraint.
-    ``table``: a SpectralTable of r shared with other checks.
+    each tested against tol on the spectrum at spectral_tolerance(tol).
+    Pairs failing a gate carry no constraint.  ``table``: a SpectralTable
+    of r shared with other checks.
     """
+    checked_tolerance(tol)
     table = SpectralTable.of(r, table)
     table.require_isosymmetric(m, n)
-    pairs = table.spectrum(max(tol, TOL_SPECTRA))
+    pairs = table.spectrum(spectral_tolerance(tol))
     out = []
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
@@ -337,6 +349,7 @@ def check_zero_coordinate_exclusion(r, m, n, tol=TOL_SPECTRA, table=None):
 
     ``table``: a SpectralTable of r shared with other checks.
     """
+    checked_tolerance(tol)
     table = SpectralTable.of(r, table)
     table.require_isosymmetric(m, n)
     adj_sum = adjoint(op_sum(r))

@@ -19,7 +19,7 @@ import numbers
 
 import numpy as np
 
-from .defect import TOL_COMM, MultiOperator
+from .defect import MultiOperator
 from .errors import ParseError
 
 FORMAT_KEYS = {"d", "dim", "matrices", "metadata"}
@@ -31,8 +31,8 @@ def matrix_to_json(mat):
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def matrix_from_json(rows, dim=None):
-    """One matrix from its nested [re, im] lists.
+def matrix_from_json(rows, dim):
+    """One dim x dim matrix from its nested [re, im] lists.
 
     Every entry must be exactly two finite real numbers (booleans are not
     numbers here), else ParseError.
@@ -41,9 +41,7 @@ def matrix_from_json(rows, dim=None):
     if parts.ndim != 3 or parts.shape[2] != 2:
         raise ParseError("bad matrix entry: every entry must be a pair "
                          "[re, im] of real numbers")
-    if parts.shape[0] != parts.shape[1]:
-        raise ParseError(f"matrix is not square: shape {parts.shape[:2]}")
-    if dim is not None and parts.shape[:2] != (dim, dim):
+    if parts.shape[:2] != (dim, dim):
         raise ParseError(f"matrix shape {parts.shape[:2]} does not match "
                          f"dim {dim}")
     for kind in set(map(type, parts.flat)):
@@ -80,7 +78,7 @@ def _count(name, value):
     return int(value)
 
 
-def tuple_from_dict(data, tol_comm=TOL_COMM):
+def tuple_from_dict(data):
     """Parse a tuple dict; returns (MultiOperator, metadata).
 
     Raises ParseError for structural problems and CommutationViolated when
@@ -103,7 +101,7 @@ def tuple_from_dict(data, tol_comm=TOL_COMM):
     metadata = data.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ParseError("metadata must be an object")
-    return MultiOperator(mats, tol_comm=tol_comm), metadata
+    return MultiOperator(mats), metadata
 
 
 def write_tuple(path, op, metadata=None):
@@ -112,7 +110,7 @@ def write_tuple(path, op, metadata=None):
         fh.write("\n")
 
 
-def read_tuple(path, tol_comm=TOL_COMM):
+def read_tuple(path):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -120,4 +118,4 @@ def read_tuple(path, tol_comm=TOL_COMM):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return tuple_from_dict(data, tol_comm=tol_comm)
+    return tuple_from_dict(data)

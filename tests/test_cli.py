@@ -6,7 +6,7 @@ import pytest
 
 from isosym.cli import main
 from isosym.construct import nilpotent_tuple, reference_pair
-from isosym.defect import MultiOperator
+from isosym.defect import MultiOperator, zero_tolerance
 from isosym.tupleio import read_tuple, write_tuple
 
 
@@ -119,6 +119,46 @@ def test_unusable_tolerance_exit_2(capsys, reference_file, args, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "tol" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "forms", "--d-max", "2"],
+    ["verify", "--suite", "forms", "--dim-max", "4"],
+    ["verify", "--suite", "forms", "--m-max", "2"],
+    ["verify", "--suite", "forms", "--n-max", "2"],
+    ["check", "FILE", "--m", "1", "--n", "1", "--seed", "1"],
+    ["defect", "FILE", "--kind", "S", "--l", "1", "--seed", "1"],
+    ["minimal", "FILE", "--seed", "1"],
+    ["spectrum", "FILE", "--seed", "1"],
+    ["construct", "example22", "--out", "OUT", "--tol", "5"],
+], ids=["verify-d-max", "verify-dim-max", "verify-m-max", "verify-n-max",
+        "check-seed", "defect-seed", "minimal-seed", "spectrum-seed",
+        "construct-tol"])
+def test_removed_flag_exit_2(capsys, tmp_path, reference_file, argv):
+    out = tmp_path / "out.json"
+    argv = [reference_file if a == "FILE" else str(out) if a == "OUT" else a
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol, tol_spectra", [(None, 1e-7), ("1e-9", 1e-7),
+                                              ("1e-3", 1e-3)])
+def test_spectrum_reports_the_tolerances_it_used(capsys, reference_file,
+                                                 tol, tol_spectra):
+    argv = ["spectrum", reference_file, "--m", "1", "--n", "1"]
+    code, report = _run(capsys, argv + (["--tol", tol] if tol else []))
+    assert code == 0
+    # --tol sets the spectral tolerance; the hypothesis keeps the default
+    # zero-test base, 1e-8
+    assert report["tolerances"]["tol"] == 1e-8
+    assert report["tolerances"]["tol_spectra"] == tol_spectra
+    verdict = report["results"]["isosymmetric"]
+    assert verdict["holds"]
+    assert verdict["tolerance"] == zero_tolerance(reference_pair(), 1, 1, 1e-8)
 
 
 def test_minimal_staircase(capsys, reference_file, schemas):

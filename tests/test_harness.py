@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import jsonschema
 import pytest
@@ -7,7 +8,8 @@ from isosym.construct import random_commuting_tuple, tensor_sum, \
     tensor_sum_parts
 from isosym.defect import isosymmetry_defect_matrix, zero_tolerance
 from isosym.errors import InvalidParams, IsosymError
-from isosym.harness import (SUITE_NAMES, SuiteConfig, _shifted_residual,
+from isosym.harness import (_SUITES, SUITE_NAMES, SuiteConfig,
+                            _shifted_residual, _trial_rng,
                             dump_counterexample, replay_counterexample,
                             run_suite)
 from isosym.linalg import fro_norm
@@ -123,3 +125,101 @@ class TestCounterexamples:
         validator = jsonschema.Draft202012Validator(
             schemas["suite_report"], registry=registry)
         validator.validate(report.to_dict())
+
+
+def test_config_holds_only_the_settings_callers_set():
+    assert [f.name for f in fields(SuiteConfig)] == \
+        ["suite", "trials", "seed", "tol"]
+
+
+#: per suite, the integers trials 0-19 draw at seed 2026: (d, dim) of each
+#: tuple in the order the suite names them, then each integer parameter
+_DRAWS_2026 = {
+    "recurrence": [(3, 3, 1, 1), (2, 5, 0, 2), (1, 2, 2, 0), (2, 6, 1, 0),
+                   (1, 8, 0, 2), (1, 2, 0, 1), (1, 4, 0, 0), (2, 8, 0, 2),
+                   (2, 4, 2, 1), (2, 7, 2, 0), (3, 2, 2, 0), (2, 2, 0, 2),
+                   (3, 5, 0, 1), (2, 5, 1, 1), (2, 3, 2, 2), (2, 5, 0, 0),
+                   (2, 7, 0, 0), (2, 8, 1, 1), (3, 4, 2, 0), (3, 3, 0, 1)],
+    "expansion": [(3, 3, 3, 3, 2, 2, 1), (2, 6, 2, 6, 1, 3, 2),
+                  (1, 2, 1, 2, 2, 1, 1), (2, 4, 2, 4, 2, 2, 2),
+                  (1, 8, 1, 8, 2, 2, 3), (1, 2, 1, 2, 2, 1, 1),
+                  (1, 6, 1, 6, 3, 2, 1), (2, 6, 2, 6, 3, 1, 3),
+                  (2, 6, 2, 6, 2, 3, 2), (2, 9, 2, 9, 3, 2, 3),
+                  (3, 4, 3, 4, 2, 3, 1), (2, 4, 2, 4, 1, 2, 1),
+                  (3, 6, 3, 6, 1, 1, 2), (2, 6, 2, 6, 3, 2, 2),
+                  (2, 3, 2, 3, 3, 1, 1), (2, 4, 2, 4, 1, 3, 2),
+                  (2, 6, 2, 6, 2, 2, 3), (2, 9, 2, 9, 3, 3, 3),
+                  (3, 9, 3, 9, 3, 2, 2), (3, 3, 3, 3, 1, 1, 1)],
+    "perturbation": [(1, 2, 1, 2, 1, 1, 1), (2, 4, 2, 4, 2, 1, 1),
+                     (2, 3, 2, 3, 1, 2, 1), (2, 2, 2, 2, 2, 2, 1),
+                     (2, 6, 2, 6, 1, 1, 2), (2, 6, 2, 6, 2, 1, 2),
+                     (2, 9, 2, 9, 1, 2, 2), (3, 6, 3, 6, 2, 2, 2),
+                     (2, 9, 2, 9, 1, 1, 3), (3, 6, 3, 6, 2, 1, 3),
+                     (1, 24, 1, 24, 1, 2, 3), (1, 24, 1, 24, 2, 2, 3),
+                     (2, 2, 2, 2, 1, 1, 1), (2, 4, 2, 4, 2, 1, 1),
+                     (1, 8, 1, 8, 1, 2, 1), (2, 3, 2, 3, 2, 2, 1),
+                     (3, 4, 3, 4, 1, 1, 2), (3, 8, 3, 8, 2, 1, 2),
+                     (2, 15, 2, 15, 1, 2, 2), (1, 4, 1, 4, 2, 2, 2)],
+    "ascent": [(1, 2, 2, 4), (2, 3, 2, 4), (1, 2, 2, 4), (2, 6, 2, 4),
+               (1, 8, 2, 4), (1, 2, 2, 4), (2, 3, 2, 4), (2, 3, 2, 4),
+               (2, 4, 2, 4), (2, 7, 2, 4), (3, 2, 2, 4), (2, 2, 2, 4),
+               (2, 2, 2, 4), (2, 3, 2, 4), (2, 3, 2, 4), (2, 5, 2, 4),
+               (2, 7, 2, 4), (2, 8, 2, 4), (2, 2, 2, 4), (2, 3, 2, 4)],
+    "independence": [(3, 7, 3, 2), (2, 3, 2, 3), (1, 6, 3, 2), (2, 5, 2, 3),
+                     (1, 3, 3, 2), (1, 3, 2, 3), (1, 3, 3, 2), (2, 8, 2, 3),
+                     (2, 5, 3, 2), (2, 8, 2, 3), (3, 2, 3, 2), (2, 4, 2, 3),
+                     (3, 5, 3, 2), (2, 8, 2, 3), (2, 8, 3, 2), (2, 3, 2, 3),
+                     (2, 4, 3, 2), (2, 8, 2, 3), (3, 2, 3, 2), (3, 5, 2, 3)],
+    "spectral": [(2, 3, 1, 1), (2, 5, 1, 1), (1, 2, 1, 1), (2, 2, 3, 1),
+                 (2, 3, 1, 1), (1, 2, 1, 1), (1, 4, 1, 1), (2, 2, 3, 1),
+                 (2, 3, 1, 1), (2, 7, 1, 1), (3, 2, 1, 1), (2, 2, 3, 1),
+                 (2, 3, 1, 1), (2, 5, 1, 1), (2, 3, 1, 1), (2, 2, 3, 1),
+                 (2, 3, 1, 1), (2, 8, 1, 1), (3, 4, 1, 1), (3, 2, 3, 1)],
+    "forms": [(3, 3, 1, 1), (2, 5, 0, 2), (1, 2, 3, 0), (2, 6, 2, 0),
+              (1, 8, 0, 3), (1, 2, 0, 1), (1, 4, 1, 1), (2, 8, 0, 3),
+              (2, 4, 3, 1), (2, 7, 2, 0), (3, 2, 3, 0), (2, 2, 0, 2),
+              (3, 5, 0, 2), (2, 5, 1, 1), (2, 3, 3, 3), (2, 5, 0, 0),
+              (2, 7, 0, 0), (2, 8, 2, 2), (3, 4, 3, 0), (3, 3, 0, 1)],
+    "scaled": [(3, 3, 1, 3, 1, 2), (2, 5, 1, 5, 2, 2), (1, 2, 1, 2, 2, 3),
+               (2, 6, 1, 6, 3, 1), (1, 8, 1, 8, 2, 2), (1, 2, 1, 2, 2, 0),
+               (1, 4, 1, 4, 2, 2), (2, 8, 1, 8, 3, 1), (2, 4, 1, 4, 1, 3),
+               (2, 7, 1, 7, 3, 0), (3, 2, 1, 2, 2, 0), (2, 2, 1, 2, 2, 0),
+               (3, 5, 1, 5, 3, 0), (2, 5, 1, 5, 1, 2), (2, 3, 1, 3, 0, 0),
+               (2, 5, 1, 5, 3, 0), (2, 7, 1, 7, 3, 3), (2, 8, 1, 8, 1, 3),
+               (3, 4, 1, 4, 3, 0), (3, 3, 1, 3, 3, 1)],
+    "jordan": [(1, 4, 1, 4, 3, 1, 2), (2, 12, 2, 12, 1, 1, 3),
+               (1, 10, 1, 10, 1, 1, 2), (2, 6, 2, 6, 1, 1, 3),
+               (2, 3, 2, 3, 1, 1, 1), (2, 3, 2, 3, 1, 1, 1),
+               (2, 6, 2, 6, 1, 1, 2), (3, 9, 3, 9, 1, 1, 3),
+               (2, 3, 2, 3, 1, 1, 1), (3, 6, 3, 6, 1, 1, 3),
+               (1, 2, 1, 2, 3, 1, 1), (1, 24, 1, 24, 1, 1, 3),
+               (2, 6, 2, 6, 3, 1, 3), (2, 8, 2, 8, 1, 1, 2),
+               (1, 12, 1, 12, 1, 1, 3), (2, 6, 2, 6, 1, 1, 2),
+               (3, 4, 3, 4, 1, 1, 2), (3, 12, 3, 12, 1, 1, 3),
+               (2, 4, 2, 4, 3, 1, 2), (1, 4, 1, 4, 3, 1, 2)],
+    "tensor": [(1, 2, 1, 3, 3, 1, 2), (2, 4, 2, 3, 1, 1, 3),
+               (1, 5, 1, 2, 1, 1, 2), (2, 2, 2, 3, 1, 1, 3),
+               (2, 3, 2, 1, 1, 1, 1), (2, 3, 2, 1, 1, 1, 1),
+               (2, 3, 2, 2, 1, 1, 2), (3, 3, 3, 3, 1, 1, 3),
+               (2, 3, 2, 1, 1, 1, 1), (3, 2, 3, 3, 1, 1, 3),
+               (1, 2, 1, 1, 3, 1, 1), (1, 8, 1, 3, 1, 1, 3),
+               (2, 2, 2, 4, 3, 1, 3), (2, 4, 2, 3, 1, 1, 2),
+               (1, 4, 1, 4, 1, 1, 3), (2, 3, 2, 2, 1, 1, 2),
+               (3, 2, 3, 2, 1, 1, 2), (3, 4, 3, 4, 1, 1, 3),
+               (2, 2, 2, 2, 3, 1, 2), (1, 2, 1, 3, 3, 1, 2)],
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_draws_are_pinned(suite):
+    # the suites draw within fixed bounds; moving one moves these integers
+    cfg = SuiteConfig(suite=suite, seed=2026)
+    gen = _SUITES[suite][0]
+    drawn = []
+    for idx in range(20):
+        tuples, params = gen(idx, _trial_rng(cfg, idx))
+        row = [n for r in tuples.values() for n in (r.d, r.dim)]
+        row += [v for v in params.values()
+                if isinstance(v, int) and not isinstance(v, bool)]
+        drawn.append(tuple(row))
+    assert drawn == _DRAWS_2026[suite]

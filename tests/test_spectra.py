@@ -11,7 +11,8 @@ from isosym.errors import HypothesisUnmet, InvalidParams, InvarianceViolation
 from isosym.linalg import TOL_RANK, fro_norm
 from isosym.spectra import (check_orthogonality,
                             check_zero_coordinate_exclusion,
-                            classify_spectrum, joint_point_spectrum)
+                            classify_spectrum, joint_point_spectrum,
+                            spectral_tolerance)
 
 from oracles import svd_joint_spectrum
 
@@ -295,6 +296,28 @@ class TestZeroCoordinate:
         r = scaled_tuple(ScaledTupleSpec(base=np.eye(2), beta=(0.6, 0.8)))
         report = check_zero_coordinate_exclusion(r, 1, 1)
         assert report.consistent
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("check", [
+    lambda tol: joint_point_spectrum(random_commuting_tuple(2, 4, 1), tol),
+    lambda tol: classify_spectrum(reference_pair(), 1, 1, tol),
+    lambda tol: check_orthogonality(reference_pair(), 1, 1, tol),
+    lambda tol: check_zero_coordinate_exclusion(reference_pair(), 1, 1, tol),
+    spectral_tolerance,
+], ids=["joint_point_spectrum", "classify", "orthogonality",
+        "zero_coordinate", "spectral_tolerance"])
+def test_unusable_tolerance_rejected(check, tol):
+    # unchecked, nan skips every residual check, -1 and 0 fail commuting
+    # input as non-invariant, and inf calls every point compliant
+    with pytest.raises(InvalidParams, match="tol"):
+        check(tol)
+
+
+@pytest.mark.parametrize("tol, floored", [(None, 1e-7), (1e-9, 1e-7),
+                                          (1e-7, 1e-7), (1e-3, 1e-3)])
+def test_spectral_tolerance_is_floored(tol, floored):
+    assert spectral_tolerance(tol) == floored
 
 
 def test_split_cluster_points_keep_their_own_first_coordinate():
