@@ -25,18 +25,17 @@ from .harness import (SuiteConfig, SuiteReport, dump_counterexample,
 from .linalg import adjoint, fro_norm, kron, matrix_rank
 from .multiindex import (binomial, multi_indices, multinomial_weight,
                          trinomial_coeff, verify_multinomial_recurrence)
-from .spectra import (JointEigenpair, SpectralClassification, SpectralTable,
+from .spectra import (JointEigenpair, SpectralChecks, SpectralClassification,
                       check_orthogonality, check_zero_coordinate_exclusion,
-                      classify_spectrum, joint_point_spectrum)
+                      classify_spectrum, joint_point_spectrum, spectral_checks)
 from .tupleio import read_tuple, tuple_from_dict, tuple_to_dict, write_tuple
 
 __all__ = [
     "ClassVerdict", "DefectReport", "DefectTable", "FamilyRank",
     "JointEigenpair",
     "JordanAugmentSpec", "MinimalOrders", "MultiOperator",
-    "ScaledTupleSpec", "SpectralClassification", "SpectralTable",
-    "SuiteConfig",
-    "SuiteReport", "adjoint", "binomial", "check_orthogonality",
+    "ScaledTupleSpec", "SpectralChecks", "SpectralClassification",
+    "SuiteConfig", "SuiteReport", "adjoint", "binomial", "check_orthogonality",
     "check_zero_coordinate_exclusion", "classify_spectrum",
     "defect_family_rank", "dump_counterexample", "fro_norm",
     "identity_tuple", "is_isosymmetric", "is_m_isometric", "is_n_symmetric",
@@ -46,8 +45,8 @@ __all__ = [
     "nilpotent_tuple", "op_sum", "perturbation_expansion",
     "raise_isometry_order", "raise_symmetry_order",
     "random_commuting_tuple", "read_tuple", "reference_pair",
-    "replay_counterexample", "run_suite", "scaled_tuple", "symmetry_defect",
-    "tensor_sum", "tensor_sum_parts", "trinomial_coeff", "tuple_from_dict",
+    "replay_counterexample", "run_suite", "scaled_tuple", "spectral_checks",
+    "symmetry_defect", "tensor_sum", "tensor_sum_parts", "trinomial_coeff", "tuple_from_dict",
     "tuple_to_dict", "verify_multinomial_recurrence", "write_tuple",
     "zero_tolerance",
 ]

@@ -1,10 +1,12 @@
 """Command line surface: isosym check|defect|minimal|spectrum|construct|verify.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 invalid input
-(parse or commutation failure, bad parameters), 3 numerical failure.
+(parse or commutation failure, bad parameters, an output that cannot be
+written), 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -29,8 +31,7 @@ from .errors import (BetaNotNormalized, CommutationViolated,
                      TooLarge)
 from .harness import SUITE_NAMES, SuiteConfig, dump_counterexample, run_suite
 from .linalg import TOL_RANK
-from .spectra import (TOL_SPECTRA, SpectralTable, check_orthogonality,
-                      check_zero_coordinate_exclusion, classify_spectrum,
+from .spectra import (TOL_SPECTRA, joint_point_spectrum, spectral_checks,
                       spectral_tolerance)
 from .tupleio import matrix_to_json, read_tuple, write_tuple
 
@@ -44,14 +45,17 @@ _INPUT_ERRORS = (ParseError, CommutationViolated, CrossCommutationViolated,
                  TooLarge, InvariantViolation)
 
 
-def _complex_json(z):
-    return [float(z.real), float(z.imag)]
-
-
-def _verdict_json(v):
-    return {"property": v.property, "orders": list(v.orders),
-            "holds": bool(v.holds), "defect_norm": float(v.defect_norm),
-            "tolerance": float(v.tolerance)}
+def _json(value):
+    """A report value as JSON: a dataclass by its fields, in order, a
+    complex number as [re, im], a tuple or list as a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    return value
 
 
 def _digest(path):
@@ -62,7 +66,7 @@ def _digest(path):
 
 
 def _envelope(command, results, file_path=None, op=None, extra_args=None,
-              tol=None, tol_spectra=TOL_SPECTRA):
+              tol=None, tol_spectra=TOL_SPECTRA, tol_orthogonality=None):
     inputs = {"file": file_path,
               "sha256": _digest(file_path) if file_path else None,
               "d": op.d if op is not None else None,
@@ -70,6 +74,8 @@ def _envelope(command, results, file_path=None, op=None, extra_args=None,
               "args": extra_args or {}}
     tolerances = {"tol": zero_test_base(tol), "tol_comm": TOL_COMM,
                   "tol_rank": TOL_RANK, "tol_spectra": tol_spectra}
+    if tol_orthogonality is not None:
+        tolerances["tol_orthogonality"] = tol_orthogonality
     return {"command": command, "tool_version": __version__,
             "inputs": inputs, "tolerances": tolerances, "results": results}
 
@@ -118,9 +124,8 @@ def _cmd_check(args):
     sym = is_n_symmetric(op, args.n, args.tol, table)
     isosym = is_isosymmetric(op, args.m, args.n, args.tol, table)
     results = {"commutation_residual": op.commutation_residual,
-               "isometric": _verdict_json(iso),
-               "symmetric": _verdict_json(sym),
-               "isosymmetric": _verdict_json(isosym)}
+               "isometric": _json(iso), "symmetric": _json(sym),
+               "isosymmetric": _json(isosym)}
     _emit(_envelope("check", results, args.file, op,
                     {"m": args.m, "n": args.n}, args.tol), args)
     return EXIT_OK if isosym.holds else EXIT_PROPERTY_FAILS
@@ -162,44 +167,29 @@ def _cmd_spectrum(args):
     op, _ = read_tuple(args.file)
     if (args.m is None) != (args.n is None):
         raise InvalidParams("give both --m and --n, or neither")
-    tol = spectral_tolerance(args.tol)
-    table = SpectralTable(op)
-    pairs = table.spectrum(tol)
+    if args.m is None:
+        checks = None
+        tol = spectral_tolerance(args.tol)
+        pairs = joint_point_spectrum(op, tol)
+    else:
+        checks = spectral_checks(op, args.m, args.n, args.tol)
+        tol, pairs = checks.tol_spectra, checks.pairs
     results = {"eigenpairs": [
-        {"mu": [_complex_json(z) for z in p.mu],
-         "multiplicity": int(p.basis.shape[1]),
+        {"mu": _json(p.mu), "multiplicity": int(p.basis.shape[1]),
          "residual": p.residual} for p in pairs]}
     exit_code = EXIT_OK
-    if args.m is not None:
-        verdict = table.isosymmetric(args.m, args.n)  # default zero test
-        results["isosymmetric"] = _verdict_json(verdict)
-        if verdict.holds:
-            results["classifications"] = [
-                {"mu": [_complex_json(z) for z in c.mu],
-                 "on_sphere": c.on_sphere, "real_sum": c.real_sum,
-                 "compliant": c.compliant}
-                for c in classify_spectrum(op, args.m, args.n, tol, table)]
-            results["orthogonality"] = [
-                {"mu": [_complex_json(z) for z in o.mu],
-                 "mu_prime": [_complex_json(z) for z in o.mu_prime],
-                 "gram_norm": o.gram_norm,
-                 "required_orthogonal": o.required_orthogonal,
-                 "compliant": o.compliant,
-                 "gate_product": o.gate_product, "gate_sum": o.gate_sum}
-                for o in check_orthogonality(op, args.m, args.n, table=table)]
-            zc = check_zero_coordinate_exclusion(op, args.m, args.n, tol, table)
-            results["zero_coordinate"] = {
-                "consistent": zc.consistent,
-                "entries": [
-                    {"mu": [_complex_json(z) for z in e.mu],
-                     "product_modulus": e.product_modulus,
-                     "coordinate_sum": _complex_json(e.coordinate_sum),
-                     "adjoint_sum_distance": e.adjoint_sum_distance,
-                     "consistent": e.consistent} for e in zc.entries]}
+    if checks is not None:
+        results["isosymmetric"] = _json(checks.verdict)
+        if checks.verdict.holds:
+            results["classifications"] = _json(checks.classifications)
+            results["orthogonality"] = _json(checks.orthogonality)
+            results["zero_coordinate"] = _json(checks.zero_coordinate)
         else:
             exit_code = EXIT_PROPERTY_FAILS
     _emit(_envelope("spectrum", results, args.file, op,
-                    {"m": args.m, "n": args.n}, tol_spectra=tol), args)
+                    {"m": args.m, "n": args.n}, tol_spectra=tol,
+                    tol_orthogonality=None if checks is None
+                    else checks.tol_orthogonality), args)
     return exit_code
 
 
@@ -277,7 +267,7 @@ def _cmd_construct(args):
         op = jordan_augment(JordanAugmentSpec(base_tuple=base_op, mu=mu,
                                               q=args.q))
         predicted = _clamped_predictions(base_op, args.q)
-        params = {"mu": [_complex_json(z) for z in mu], "q": args.q}
+        params = {"mu": _json(mu), "q": args.q}
     elif kind == "tensor":
         if not args.left or not args.right:
             raise InvalidParams("tensor requires --left and --right")
@@ -420,6 +410,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (ConvergenceFailure, InvarianceViolation, HypothesisUnmet) as exc:

@@ -534,6 +534,7 @@ def perturbation_expansion(r, q, m, n):
             f"cross-commutation residual {resid:.3e} exceeds {TOL_COMM:.3e}")
 
     table_r, table_q = DefectTable(r), DefectTable(q)
+    table_r.prepare(m, n)  # one nesting pass for every L_{k,l}(r) read below
     # the 2d ladders an (a, g) row indexes: (R+Q)*, Q* on the left and
     # Q, R on the right
     lad_star = np.concatenate((

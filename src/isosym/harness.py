@@ -33,9 +33,7 @@ from .defect import (TOL_ZERO, DefectTable, MultiOperator,
 from .errors import CommutationViolated, HypothesisUnmet, InvalidParams, \
     IsosymError
 from .linalg import checked_tolerance, fro_norm
-from .spectra import (TOL_ORTHOGONALITY, SpectralTable, check_orthogonality,
-                      check_zero_coordinate_exclusion, classify_spectrum,
-                      spectral_tolerance)
+from .spectra import spectral_checks
 from .tupleio import tuple_from_dict, tuple_to_dict
 
 _SEED_MASK = (1 << 64) - 1
@@ -395,22 +393,19 @@ def _gen_spectral(idx, rng):
 
 
 def _eval_spectral(tuples, params, tol):
-    r = tuples["r"]
-    m, n = params["m"], params["n"]
-    tol_cls = spectral_tolerance(tol)
-    tol_orth = max(tol, TOL_ORTHOGONALITY)
-    table = SpectralTable(r)
+    checks = spectral_checks(tuples["r"], params["m"], params["n"], tol)
+    checks.require_isosymmetric()
+    tol_cls, tol_orth = checks.tol_spectra, checks.tol_orthogonality
     worst = 0.0
-    for c in classify_spectrum(r, m, n, tol_cls, table):
+    for c in checks.classifications:
         if not c.compliant:
             norm = float(np.sqrt(sum(abs(z) ** 2 for z in c.mu)))
             worst = max(worst, min(abs(norm - 1.0), abs(sum(c.mu).imag)))
-    for o in check_orthogonality(r, m, n, tol_orth, table):
+    for o in checks.orthogonality:
         clears = (o.gate_product > 10 * tol_orth and o.gate_sum > 10 * tol_orth)
         if clears and o.gram_norm > tol_orth:
             worst = max(worst, o.gram_norm)
-    zc = check_zero_coordinate_exclusion(r, m, n, tol_cls, table)
-    for e in zc.entries:
+    for e in checks.zero_coordinate.entries:
         if not e.consistent:
             worst = max(worst, e.adjoint_sum_distance)
     if params.get("expected_mu") is not None:
@@ -418,7 +413,7 @@ def _eval_spectral(tuples, params, tol):
         expected = sorted((tuple(complex(re, im) for re, im in mu)
                            for mu in params["expected_mu"]), key=sort_key)
         got = []
-        for pair in table.spectrum(tol_cls):
+        for pair in checks.pairs:
             got.extend([pair.mu] * pair.basis.shape[1])
         got.sort(key=sort_key)
         if len(got) != len(expected):

@@ -16,16 +16,20 @@ cluster of several eigenvalues that a later component splits gives each
 of its points that coordinate from the point's own basis W, as
 trace(W* R W)/k, instead of the cluster mean.
 
-A caller that runs several spectral checks on one tuple passes each the
-same SpectralTable, which computes the joint spectrum once per tolerance
-argument and the isosymmetry verdict once per (m, n).
+The spectral checks of an (m,n)-isosymmetric tuple (classification,
+eigenspace orthogonality, zero-coordinate exclusion) all come from one
+spectral_checks call: one joint spectrum, one isosymmetry verdict and one
+tolerance rule.  classify_spectrum, check_orthogonality and
+check_zero_coordinate_exclusion are views of it.
 """
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .classify import is_isosymmetric
+from .classify import ClassVerdict, is_isosymmetric
 from .defect import op_sum
 from .errors import ConvergenceFailure, HypothesisUnmet, InvalidParams, \
     InvarianceViolation
@@ -94,8 +98,33 @@ class ZeroCoordinateReport:
     tuple; each such point is listed with that verdict.
     """
 
-    entries: list = field(default_factory=list)
     consistent: bool = True
+    entries: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class SpectralChecks:
+    """One tuple's joint spectrum and spectral checks at one (m, n).
+
+    The three checks are None when the tuple is not (m,n)-isosymmetric.
+    """
+
+    verdict: ClassVerdict  # is_isosymmetric(r, m, n), default zero test
+    pairs: tuple           # joint_point_spectrum(r, tol_spectra)
+    tol_spectra: float
+    tol_orthogonality: float
+    classifications: list = None     # [SpectralClassification]
+    orthogonality: list = None       # [OrthogonalityCheck]
+    zero_coordinate: ZeroCoordinateReport = None
+
+    def require_isosymmetric(self):
+        """``self``, or HypothesisUnmet if the verdict fails."""
+        if not self.verdict.holds:
+            m, n = self.verdict.orders
+            raise HypothesisUnmet(
+                f"tuple is not ({m},{n})-isosymmetric "
+                f"(defect norm {self.verdict.defect_norm:.3e})")
+        return self
 
 
 def spectral_tolerance(tol=None):
@@ -242,69 +271,9 @@ def joint_point_spectrum(r, tol=TOL_SPECTRA):
     return pairs
 
 
-class SpectralTable:
-    """Joint spectra and isosymmetry verdicts of one tuple, each computed once.
-
-    ``spectrum(tol)`` runs joint_point_spectrum once per tolerance argument
-    and ``isosymmetric(m, n)`` runs is_isosymmetric once per (m, n).  The
-    caller owns the table and drops it with its last reference; the
-    eigenspace bases it hands out are read-only, since it keeps them.
-    """
-
-    __slots__ = ("r", "_spectra", "_verdicts")
-
-    def __init__(self, r):
-        self.r = r
-        self._spectra = {}
-        self._verdicts = {}
-
-    @classmethod
-    def of(cls, r, table=None):
-        """``table`` once checked to belong to ``r``; a new table if None."""
-        if table is None:
-            return cls(r)
-        if table.r is not r:
-            raise InvalidParams("the spectral table belongs to another tuple")
-        return table
-
-    def spectrum(self, tol=TOL_SPECTRA):
-        """joint_point_spectrum(r, tol), as a tuple of pairs."""
-        pairs = self._spectra.get(tol)
-        if pairs is None:
-            pairs = tuple(joint_point_spectrum(self.r, tol))
-            for pair in pairs:
-                pair.basis.setflags(write=False)
-            self._spectra[tol] = pairs
-        return pairs
-
-    def isosymmetric(self, m, n):
-        """is_isosymmetric(r, m, n) at the default tolerance."""
-        verdict = self._verdicts.get((m, n))
-        if verdict is None:
-            verdict = self._verdicts[(m, n)] = is_isosymmetric(self.r, m, n)
-        return verdict
-
-    def require_isosymmetric(self, m, n):
-        """HypothesisUnmet unless the tuple is (m,n)-isosymmetric."""
-        verdict = self.isosymmetric(m, n)
-        if not verdict.holds:
-            raise HypothesisUnmet(
-                f"tuple is not ({m},{n})-isosymmetric "
-                f"(defect norm {verdict.defect_norm:.3e})")
-
-
-def classify_spectrum(r, m, n, tol=TOL_SPECTRA, table=None):
-    """Locate every joint eigenvalue of an (m,n)-isosymmetric tuple.
-
-    Each point must lie on the unit sphere of C^d or have a real
-    coordinate sum; non-compliance is reported, not raised.  ``table``:
-    a SpectralTable of r shared with other checks.
-    """
-    checked_tolerance(tol)
-    table = SpectralTable.of(r, table)
-    table.require_isosymmetric(m, n)
+def _classify(pairs, tol):
     out = []
-    for pair in table.spectrum(tol):
+    for pair in pairs:
         norm = float(np.sqrt(sum(abs(z) ** 2 for z in pair.mu)))
         on_sphere = abs(norm - 1.0) <= tol
         real_sum = abs(sum(pair.mu).imag) <= tol
@@ -314,44 +283,23 @@ def classify_spectrum(r, m, n, tol=TOL_SPECTRA, table=None):
     return out
 
 
-def check_orthogonality(r, m, n, tol=TOL_ORTHOGONALITY, table=None):
-    """Pairwise Gram test between joint eigenspaces.
-
-    A pair (mu, mu') must be orthogonal whenever both gate quantities are
-    nonzero: sum_j mu_j conj(mu'_j) != 1 and sum_j (mu_j - conj(mu'_j)) != 0,
-    each tested against tol on the spectrum at spectral_tolerance(tol).
-    Pairs failing a gate carry no constraint.  ``table``: a SpectralTable
-    of r shared with other checks.
-    """
-    checked_tolerance(tol)
-    table = SpectralTable.of(r, table)
-    table.require_isosymmetric(m, n)
-    pairs = table.spectrum(spectral_tolerance(tol))
+def _orthogonality(pairs, tol):
     out = []
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            mu = pairs[i].mu
-            mup = pairs[j].mu
-            g1 = abs(sum(a * b.conjugate() for a, b in zip(mu, mup)) - 1.0)
-            g2 = abs(sum(a - b.conjugate() for a, b in zip(mu, mup)))
-            required = g1 > tol and g2 > tol
-            gram = fro_norm(pairs[i].basis.conj().T @ pairs[j].basis)
-            out.append(OrthogonalityCheck(
-                mu=mu, mu_prime=mup, gram_norm=gram,
-                required_orthogonal=required,
-                compliant=(not required) or gram <= tol,
-                gate_product=g1, gate_sum=g2))
+    for p, q in combinations(pairs, 2):
+        mu, mup = p.mu, q.mu
+        g1 = abs(sum(a * b.conjugate() for a, b in zip(mu, mup)) - 1.0)
+        g2 = abs(sum(a - b.conjugate() for a, b in zip(mu, mup)))
+        required = g1 > tol and g2 > tol
+        gram = fro_norm(p.basis.conj().T @ q.basis)
+        out.append(OrthogonalityCheck(
+            mu=mu, mu_prime=mup, gram_norm=gram,
+            required_orthogonal=required,
+            compliant=(not required) or gram <= tol,
+            gate_product=g1, gate_sum=g2))
     return out
 
 
-def check_zero_coordinate_exclusion(r, m, n, tol=TOL_SPECTRA, table=None):
-    """Contrapositive of the zero-coordinate exclusion, point by point.
-
-    ``table``: a SpectralTable of r shared with other checks.
-    """
-    checked_tolerance(tol)
-    table = SpectralTable.of(r, table)
-    table.require_isosymmetric(m, n)
+def _zero_coordinate(r, pairs, tol):
     adj_sum = adjoint(op_sum(r))
     try:
         adj_eigs = np.linalg.eigvals(adj_sum)
@@ -359,10 +307,8 @@ def check_zero_coordinate_exclusion(r, m, n, tol=TOL_SPECTRA, table=None):
         raise ConvergenceFailure(str(exc)) from exc
     scale = 1.0 + fro_norm(adj_sum)
     entries = []
-    for pair in table.spectrum(tol):
-        prod = 1.0
-        for z in pair.mu:
-            prod *= abs(z)
+    for pair in pairs:
+        prod = math.prod(abs(z) for z in pair.mu)
         if prod > tol:
             continue
         total = sum(pair.mu)
@@ -370,5 +316,57 @@ def check_zero_coordinate_exclusion(r, m, n, tol=TOL_SPECTRA, table=None):
         entries.append(ZeroCoordinateEntry(
             mu=pair.mu, product_modulus=prod, coordinate_sum=total,
             adjoint_sum_distance=dist, consistent=dist <= tol * scale))
-    return ZeroCoordinateReport(entries=entries,
-                                consistent=all(e.consistent for e in entries))
+    return ZeroCoordinateReport(consistent=all(e.consistent for e in entries),
+                                entries=entries)
+
+
+def spectral_checks(r, m, n, tol=None):
+    """The joint spectrum of r and every spectral check, from one pass.
+
+    The joint spectrum is computed once, at spectral_tolerance(tol), which
+    also gates the classification and the zero-coordinate check; the
+    orthogonality gates and Gram test use the same ``tol`` floored at
+    TOL_ORTHOGONALITY (the default).  The isosymmetry hypothesis is
+    decided once, by the default zero test; when it fails, the three
+    check fields are None.
+    """
+    tol_spectra = spectral_tolerance(tol)
+    tol_orthogonality = (TOL_ORTHOGONALITY if tol is None
+                         else max(tol, TOL_ORTHOGONALITY))
+    pairs = tuple(joint_point_spectrum(r, tol_spectra))
+    verdict = is_isosymmetric(r, m, n)
+    if not verdict.holds:
+        return SpectralChecks(verdict, pairs, tol_spectra, tol_orthogonality)
+    return SpectralChecks(verdict, pairs, tol_spectra, tol_orthogonality,
+                          _classify(pairs, tol_spectra),
+                          _orthogonality(pairs, tol_orthogonality),
+                          _zero_coordinate(r, pairs, tol_spectra))
+
+
+def classify_spectrum(r, m, n, tol=TOL_SPECTRA):
+    """Locate every joint eigenvalue of an (m,n)-isosymmetric tuple.
+
+    Each point must lie on the unit sphere of C^d or have a real
+    coordinate sum; non-compliance is reported, not raised.  The
+    ``classifications`` of spectral_checks(r, m, n, tol).
+    """
+    return spectral_checks(r, m, n, tol).require_isosymmetric().classifications
+
+
+def check_orthogonality(r, m, n, tol=TOL_ORTHOGONALITY):
+    """Pairwise Gram test between joint eigenspaces.
+
+    A pair (mu, mu') must be orthogonal whenever both gate quantities are
+    nonzero: sum_j mu_j conj(mu'_j) != 1 and sum_j (mu_j - conj(mu'_j)) != 0,
+    each tested against tol.  Pairs failing a gate carry no constraint.
+    The ``orthogonality`` of spectral_checks(r, m, n, tol).
+    """
+    return spectral_checks(r, m, n, tol).require_isosymmetric().orthogonality
+
+
+def check_zero_coordinate_exclusion(r, m, n, tol=TOL_SPECTRA):
+    """Contrapositive of the zero-coordinate exclusion, point by point.
+
+    The ``zero_coordinate`` of spectral_checks(r, m, n, tol).
+    """
+    return spectral_checks(r, m, n, tol).require_isosymmetric().zero_coordinate

@@ -152,10 +152,12 @@ def test_spectrum_reports_the_tolerances_it_used(capsys, reference_file,
     argv = ["spectrum", reference_file, "--m", "1", "--n", "1"]
     code, report = _run(capsys, argv + (["--tol", tol] if tol else []))
     assert code == 0
-    # --tol sets the spectral tolerance; the hypothesis keeps the default
-    # zero-test base, 1e-8
+    # --tol sets the spectral tolerance, and the orthogonality tolerance
+    # floored at 1e-8; the hypothesis keeps the default zero-test base, 1e-8
     assert report["tolerances"]["tol"] == 1e-8
     assert report["tolerances"]["tol_spectra"] == tol_spectra
+    assert report["tolerances"]["tol_orthogonality"] == \
+        (1e-8 if tol is None else max(float(tol), 1e-8))
     verdict = report["results"]["isosymmetric"]
     assert verdict["holds"]
     assert verdict["tolerance"] == zero_tolerance(reference_pair(), 1, 1, 1e-8)
@@ -207,6 +209,32 @@ def test_spectrum_computes_spectrum_and_verdict_once(capsys, reference_file,
     assert code == 0
     assert "classifications" in report["results"]
     assert calls == {"joint_point_spectrum": 1, "is_isosymmetric": 1}
+
+
+def test_spectrum_tol_gates_orthogonality_with_one_spectrum(capsys, tmp_path,
+                                                            monkeypatch):
+    import isosym.spectra
+    # two unit-circle points 1e-4 apart in angle: the product gate
+    # |mu conj(mu') - 1| is about 1e-4, above 1e-8 and below 1e-3
+    path = tmp_path / "close.json"
+    write_tuple(path, MultiOperator([np.diag(np.exp([0.3j, 0.3001j]))]))
+    argv = ["spectrum", str(path), "--m", "1", "--n", "1"]
+    code, report = _run(capsys, argv)
+    assert code == 0
+    pair, = report["results"]["orthogonality"]
+    assert 1e-8 < pair["gate_product"] < 1e-3
+    assert pair["required_orthogonal"]
+
+    spectra_made = []
+    jps = isosym.spectra.joint_point_spectrum
+    monkeypatch.setattr(isosym.spectra, "joint_point_spectrum",
+                        lambda r, tol: spectra_made.append(tol) or jps(r, tol))
+    code, report = _run(capsys, argv + ["--tol", "1e-3"])
+    assert code == 0
+    assert spectra_made == [1e-3]
+    assert report["tolerances"]["tol_orthogonality"] == 1e-3
+    pair, = report["results"]["orthogonality"]
+    assert not pair["required_orthogonal"]
 
 
 def test_spectrum_property_fails(capsys, tmp_path):
@@ -307,6 +335,20 @@ def test_out_file(tmp_path, reference_file, capsys):
     assert code == 0
     report = json.loads(dest.read_text())
     assert report["command"] == "check"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{ref}", "--m", "1", "--n", "1", "--out", "{missing}"],
+    ["spectrum", "{ref}", "--out", "{missing}"],
+    ["construct", "example22", "--out", "{missing}"],
+    ["verify", "--suite", "forms", "--trials", "2", "--seed", "5",
+     "--tol", "1e-30", "--counterexample-dir", "{ref}/below-a-file"],
+], ids=["check", "spectrum", "construct", "counterexample-dir"])
+def test_unwritable_output_exit_2(capsys, tmp_path, reference_file, argv):
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = [a.format(ref=reference_file, missing=missing) for a in argv]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from isosym.defect import (DefectTable, MultiOperator, isometry_defect_matrix,
                            symmetry_defect_matrix, zero_tolerance)
 from isosym.errors import FormsDisagree, InvalidParams
 from isosym.linalg import fro_norm
-from isosym.spectra import SpectralTable, joint_point_spectrum
+from isosym.spectra import spectral_checks
 
 from test_defect import _noncommuting_pair
 
@@ -117,9 +117,10 @@ def test_one_shot_leaves_no_table_on_the_tuple():
     r = random_commuting_tuple(2, 4, 5)
     isosymmetry_defect(r, 4, 4)
     minimal_orders(r, 4, 4)
+    spectral_checks(r, 1, 1)
     reached = _reachable(r)
     assert any(m is r.matrices[0] for m in reached)  # the walk does descend
-    assert not any(isinstance(o, (DefectTable, SpectralTable)) for o in reached)
+    assert not any(isinstance(o, DefectTable) for o in reached)
 
 
 @pytest.mark.parametrize("read", [
@@ -141,32 +142,12 @@ def test_returned_matrices_cannot_alias_the_table(read):
     assert read(table).tobytes() == before
 
 
-def test_spectral_table_bases_are_read_only_and_shared():
-    r = reference_pair()
-    table = SpectralTable(r)
-    pairs = table.spectrum()
-    assert table.spectrum() is pairs
-    with pytest.raises(ValueError):
-        pairs[0].basis[0, 0] = 1.0
-    fresh = joint_point_spectrum(r)
-    assert [p.basis.tobytes() for p in pairs] == \
-        [p.basis.tobytes() for p in fresh]
-
-
-def test_spectral_table_keys_spectra_by_tolerance():
-    table = SpectralTable(reference_pair())
-    assert table.spectrum(1e-7) is table.spectrum(1e-7)
-    assert table.spectrum(1e-6) is not table.spectrum(1e-7)
-
-
 def test_table_of_another_tuple_is_rejected():
     r, other = reference_pair(), reference_pair()
     with pytest.raises(InvalidParams):
         minimal_orders(r, 2, 2, table=DefectTable(other))
     with pytest.raises(InvalidParams):
         DefectTable.of(r, DefectTable(other))
-    with pytest.raises(InvalidParams):
-        SpectralTable.of(r, SpectralTable(other))
 
 
 def test_negative_orders_rejected_by_the_table():

@@ -18,8 +18,9 @@ from isosym.classify import minimal_orders
 from isosym.construct import (JordanAugmentSpec, ScaledTupleSpec,
                               jordan_augment, nilpotent_tuple,
                               random_commuting_tuple, reference_pair,
-                              scaled_tuple, tensor_sum)
-from isosym.defect import DefectTable, MultiOperator, zero_tolerance
+                              scaled_tuple, tensor_sum, tensor_sum_parts)
+from isosym.defect import DefectTable, MultiOperator, perturbation_expansion, \
+    zero_tolerance
 from isosym.linalg import fro_norm
 
 from oracles import gamma_forms, gamma_minimal_orders, gamma_s, \
@@ -154,6 +155,29 @@ def test_table_reads_never_take_the_recurrence(monkeypatch):
         for n in range(5):
             table.isosymmetry_defect(m, n)
             table.forms(m, n)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_perturbation_expansion_makes_one_nesting_pass(monkeypatch, order):
+    # r's (order+1)^2 cells L_{k,l} share one pass; read one by one, each
+    # would run its own
+    calls = []
+    nesting = defect._binomial_nesting
+
+    def counted(*args):
+        calls.append(args)
+        return nesting(*args)
+
+    monkeypatch.setattr(defect, "_binomial_nesting", counted)
+    r, q = tensor_sum_parts(random_commuting_tuple(2, 3, 5),
+                            nilpotent_tuple(2, 2, 2, seed=1))
+    prepared = perturbation_expansion(r, q, order, order)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(DefectTable, "prepare", lambda self, m, n: None)
+    cell_by_cell = perturbation_expansion(r, q, order, order)
+    assert len(calls) == (order + 1) ** 2
+    assert prepared.tobytes() == cell_by_cell.tobytes()
 
 
 def test_growing_a_sum_keeps_its_lower_orders_bit_for_bit():

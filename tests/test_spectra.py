@@ -9,10 +9,11 @@ from isosym.construct import (JordanAugmentSpec, jordan_augment,
 from isosym.defect import MultiOperator
 from isosym.errors import HypothesisUnmet, InvalidParams, InvarianceViolation
 from isosym.linalg import TOL_RANK, fro_norm
-from isosym.spectra import (check_orthogonality,
+from isosym.spectra import (TOL_ORTHOGONALITY, TOL_SPECTRA,
+                            check_orthogonality,
                             check_zero_coordinate_exclusion,
                             classify_spectrum, joint_point_spectrum,
-                            spectral_tolerance)
+                            spectral_checks, spectral_tolerance)
 
 from oracles import svd_joint_spectrum
 
@@ -298,15 +299,89 @@ class TestZeroCoordinate:
         assert report.consistent
 
 
+def _isosymmetric_fixtures():
+    """(1,1)-isosymmetric tuples: with a zero coordinate, unitary, Hermitian."""
+    unitary, _ = _conjugate(
+        _diag_tuple([(w,) for w in np.exp([0.3j, 1.9j, 2.7j])]), 13)
+    hermitian, _ = _conjugate(
+        _diag_tuple([(1.0, 0.5), (-1.0, 2.0), (0.25, -0.75)]), 11)
+    return [reference_pair(), unitary, hermitian]
+
+
+class TestSpectralChecks:
+    def test_one_spectrum_and_one_verdict(self, monkeypatch):
+        calls = {"joint_point_spectrum": 0, "is_isosymmetric": 0}
+
+        def counting(name):
+            original = getattr(spectra, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(spectra, name, counting(name))
+        checks = spectral_checks(_isosymmetric_fixtures()[2], 1, 1)
+        assert len(checks.classifications) == 3
+        assert len(checks.orthogonality) == 3
+        assert checks.zero_coordinate.consistent
+        assert calls == {"joint_point_spectrum": 1, "is_isosymmetric": 1}
+
+    @pytest.mark.parametrize("tol", [None, 1e-9, 1e-5])
+    def test_each_check_is_its_field(self, tol):
+        given = {} if tol is None else {"tol": tol}
+        for r in _isosymmetric_fixtures():
+            checks = spectral_checks(r, 1, 1, tol)
+            assert checks.verdict == spectra.is_isosymmetric(r, 1, 1)
+            fresh = joint_point_spectrum(r, checks.tol_spectra)
+            assert [(p.mu, p.basis.tobytes()) for p in checks.pairs] == \
+                [(p.mu, p.basis.tobytes()) for p in fresh]
+            assert classify_spectrum(r, 1, 1, **given) == \
+                checks.classifications
+            assert check_orthogonality(r, 1, 1, **given) == \
+                checks.orthogonality
+            assert check_zero_coordinate_exclusion(r, 1, 1, **given) == \
+                checks.zero_coordinate
+
+    @pytest.mark.parametrize("tol, tol_spectra, tol_orthogonality", [
+        (None, TOL_SPECTRA, TOL_ORTHOGONALITY), (1e-12, 1e-7, 1e-8),
+        (3e-8, 1e-7, 3e-8), (1e-3, 1e-3, 1e-3)])
+    def test_tolerances_are_floored(self, tol, tol_spectra,
+                                    tol_orthogonality):
+        checks = spectral_checks(reference_pair(), 1, 1, tol)
+        assert checks.tol_spectra == tol_spectra
+        assert checks.tol_orthogonality == tol_orthogonality
+
+    def test_a_classification_below_the_floor_is_gated_at_the_floor(self):
+        # |mu| = 1 + 5e-8: on the sphere at the 1e-7 floor, off it at 1e-9
+        r = _diag_tuple([((1.0 + 5e-8) * np.exp(0.3j),)])
+        c, = classify_spectrum(r, 1, 1, 1e-9)
+        assert c.on_sphere and c.compliant
+
+    def test_failed_hypothesis_leaves_the_checks_empty(self):
+        r = random_commuting_tuple(2, 4, 19)
+        checks = spectral_checks(r, 1, 1)
+        assert not checks.verdict.holds and checks.pairs
+        assert checks.classifications is None
+        assert checks.orthogonality is None
+        assert checks.zero_coordinate is None
+        for view in (classify_spectrum, check_orthogonality,
+                     check_zero_coordinate_exclusion):
+            with pytest.raises(HypothesisUnmet, match=r"not \(1,1\)"):
+                view(r, 1, 1)
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("check", [
     lambda tol: joint_point_spectrum(random_commuting_tuple(2, 4, 1), tol),
     lambda tol: classify_spectrum(reference_pair(), 1, 1, tol),
     lambda tol: check_orthogonality(reference_pair(), 1, 1, tol),
     lambda tol: check_zero_coordinate_exclusion(reference_pair(), 1, 1, tol),
+    lambda tol: spectral_checks(reference_pair(), 1, 1, tol),
     spectral_tolerance,
 ], ids=["joint_point_spectrum", "classify", "orthogonality",
-        "zero_coordinate", "spectral_tolerance"])
+        "zero_coordinate", "spectral_checks", "spectral_tolerance"])
 def test_unusable_tolerance_rejected(check, tol):
     # unchecked, nan skips every residual check, -1 and 0 fail commuting
     # input as non-invariant, and inf calls every point compliant
