@@ -2,7 +2,8 @@
 
 from dataclasses import dataclass
 
-from .defect import DefectTable
+from .defect import DefectTable, isometry_defect, isosymmetry_defect, \
+    isosymmetry_defect_matrix, symmetry_defect
 from .errors import HypothesisUnmet, InvalidParams
 from .linalg import matrix_rank
 
@@ -46,31 +47,29 @@ def _verdict(prop, orders, report):
                         tolerance=report.tolerance_used)
 
 
-def is_m_isometric(r, m, tol=None, table=None):
-    """Does M_m(r) vanish?  ``table``: a DefectTable of r to read from."""
+def is_m_isometric(r, m, tol=None):
+    """Does M_m(r) vanish?  ``r``: a tuple or its DefectTable."""
     if m < 1:
         raise InvalidParams("m must be >= 1")
-    return _verdict("m_isometric", (m,),
-                    DefectTable.of(r, table).isometry_defect(m, tol))
+    return _verdict("m_isometric", (m,), isometry_defect(r, m, tol))
 
 
-def is_n_symmetric(r, n, tol=None, table=None):
-    """Does S_n(r) vanish?  ``table``: a DefectTable of r to read from."""
+def is_n_symmetric(r, n, tol=None):
+    """Does S_n(r) vanish?  ``r``: a tuple or its DefectTable."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    return _verdict("n_symmetric", (n,),
-                    DefectTable.of(r, table).symmetry_defect(n, tol))
+    return _verdict("n_symmetric", (n,), symmetry_defect(r, n, tol))
 
 
-def is_isosymmetric(r, m, n, tol=None, table=None):
-    """Does L_{m,n}(r) vanish?  ``table``: a DefectTable of r to read from."""
+def is_isosymmetric(r, m, n, tol=None):
+    """Does L_{m,n}(r) vanish?  ``r``: a tuple or its DefectTable."""
     if m + n < 1:
         raise InvalidParams("m + n must be >= 1")
     return _verdict("mn_isosymmetric", (m, n),
-                    DefectTable.of(r, table).isosymmetry_defect(m, n, tol))
+                    isosymmetry_defect(r, m, n, tol))
 
 
-def minimal_orders(r, m_max, n_max, tol=None, table=None):
+def minimal_orders(r, m_max, n_max, tol=None):
     """Minimal (m, n) pairs with vanishing defect inside a box.
 
     Scans diagonals of the (m, n) lattice in increasing m + n.  Once a zero
@@ -78,13 +77,13 @@ def minimal_orders(r, m_max, n_max, tol=None, table=None):
     maps a vanishing defect to a vanishing defect), so dominated cells are
     pruned rather than evaluated; what remains of the zero set is exactly
     the minimal antichain.  The table builds the M-style sums of the whole
-    box in one pass first, so each cell only combines them.  Cells are
-    read from ``table`` (a DefectTable of r), so a caller that reads more
-    cells afterwards can pass its own.
+    box in one pass first, so each cell only combines them.  ``r`` is a
+    tuple or its DefectTable; a caller that reads more cells afterwards
+    passes its table and finds them built.
     """
     if not (0 <= m_max <= 12 and 0 <= n_max <= 12):
         raise InvalidParams("scan bounds are capped at 12")
-    table = DefectTable.of(r, table)
+    table = DefectTable.of(r)
     table.prepare(m_max, n_max)
     found = []
     for total in range(m_max + n_max + 1):
@@ -94,7 +93,7 @@ def minimal_orders(r, m_max, n_max, tol=None, table=None):
                 continue
             if any(m >= zm and n >= zn for zm, zn in found):
                 continue
-            if table.isosymmetry_defect(m, n, tol).is_zero:
+            if isosymmetry_defect(table, m, n, tol).is_zero:
                 found.append((m, n))
     found.sort()
     return MinimalOrders(staircase=found, search_bounds=(m_max, n_max),
@@ -116,8 +115,8 @@ def defect_family_rank(r, m, n, direction, tol=None):
         raise InvalidParams("vary_m needs m >= 2 and n >= 1")
     if direction == "vary_n" and (n < 2 or m < 1):
         raise InvalidParams("vary_n needs n >= 2 and m >= 1")
-    table = DefectTable(r)
-    corner = table.isosymmetry_defect(m - 1, n - 1, tol)
+    table = DefectTable.of(r)
+    corner = isosymmetry_defect(table, m - 1, n - 1, tol)
     if corner.is_zero:
         raise HypothesisUnmet(
             f"L_({m - 1},{n - 1}) vanishes (norm {corner.norm:.3e}); "
@@ -126,10 +125,10 @@ def defect_family_rank(r, m, n, direction, tol=None):
                   if corner.norm <= STRICTNESS_BAND * corner.tolerance_used
                   else "met")
     if direction == "vary_m":
-        family = [table.isosymmetry_defect_matrix(k, n - 1) for k in range(m)]
+        family = [isosymmetry_defect_matrix(table, k, n - 1) for k in range(m)]
         size = m
     else:
-        family = [table.isosymmetry_defect_matrix(m - 1, l) for l in range(n)]
+        family = [isosymmetry_defect_matrix(table, m - 1, l) for l in range(n)]
         size = n
     rank = matrix_rank(family)
     return FamilyRank(rank=rank, independent=rank == size,

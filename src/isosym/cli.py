@@ -120,9 +120,9 @@ def _emit(payload, args):
 def _cmd_check(args):
     op, _ = read_tuple(args.file)
     table = DefectTable(op)  # L_{m,n} reuses M_m and S_n
-    iso = is_m_isometric(op, args.m, args.tol, table)
-    sym = is_n_symmetric(op, args.n, args.tol, table)
-    isosym = is_isosymmetric(op, args.m, args.n, args.tol, table)
+    iso = is_m_isometric(table, args.m, args.tol)
+    sym = is_n_symmetric(table, args.n, args.tol)
+    isosym = is_isosymmetric(table, args.m, args.n, args.tol)
     results = {"commutation_residual": op.commutation_residual,
                "isometric": _json(iso), "symmetric": _json(sym),
                "isosymmetric": _json(isosym)}
@@ -193,12 +193,16 @@ def _cmd_spectrum(args):
     return exit_code
 
 
-def _parse_floats(raw):
-    return tuple(float(part) for part in raw.split(","))
-
-
-def _parse_complexes(raw):
-    return tuple(complex(part.replace(" ", "")) for part in raw.split(","))
+def _parse_numbers(raw, parse):
+    """The comma separated parts of ``raw``, each read by ``parse``, if
+    every one is a finite number, else InvalidParams."""
+    try:
+        values = tuple(parse(part) for part in raw.split(","))
+    except ValueError:
+        raise InvalidParams(f"not a list of numbers: {raw!r}") from None
+    if not np.isfinite(values).all():
+        raise InvalidParams(f"not a list of finite numbers: {raw!r}")
+    return values
 
 
 def _clamped_predictions(base, q):
@@ -239,6 +243,8 @@ def _nilpotency_order(r):
 def _cmd_construct(args):
     if not args.out:
         raise InvalidParams("construct requires --out")
+    if args.seed < 0:
+        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
     kind = args.kind
     predicted = None
     if kind == "example22":
@@ -251,7 +257,7 @@ def _cmd_construct(args):
         base_op, _ = read_tuple(args.base)
         if base_op.d != 1:
             raise InvalidParams("--base must hold a single matrix (d=1)")
-        beta = _parse_floats(args.beta)
+        beta = _parse_numbers(args.beta, float)
         op = scaled_tuple(ScaledTupleSpec(base=base_op.matrices[0], beta=beta))
         predicted = [list(p) for p in
                      minimal_orders(base_op, 3, 3).staircase] or None
@@ -263,7 +269,7 @@ def _cmd_construct(args):
         if not args.base or not args.mu or args.q is None:
             raise InvalidParams("jordan requires --base, --mu and --q")
         base_op, _ = read_tuple(args.base)
-        mu = _parse_complexes(args.mu)
+        mu = _parse_numbers(args.mu, lambda z: complex(z.replace(" ", "")))
         op = jordan_augment(JordanAugmentSpec(base_tuple=base_op, mu=mu,
                                               q=args.q))
         predicted = _clamped_predictions(base_op, args.q)

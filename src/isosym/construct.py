@@ -29,7 +29,8 @@ class ScaledTupleSpec:
         object.__setattr__(self, "base", as_matrix(self.base))
         beta = tuple(float(b) for b in self.beta)
         object.__setattr__(self, "beta", beta)
-        if abs(sum(b * b for b in beta) - 1.0) > BETA_TOL:
+        # "not <=" also refuses NaN weights, for which every comparison fails
+        if not abs(sum(b * b for b in beta) - 1.0) <= BETA_TOL:
             raise BetaNotNormalized(
                 f"sum of squared weights is {sum(b * b for b in beta)!r}, not 1")
 
@@ -157,8 +158,8 @@ def random_commuting_tuple(d, dim, seed):
     defect zero-test scale factors stay moderate.  Deterministic in
     ``seed`` (PCG64 stream).
     """
-    if dim > 64:
-        raise InvalidParams("random tuples are capped at dim 64")
+    if not 1 <= dim <= 64:
+        raise InvalidParams(f"random tuples need 1 <= dim <= 64, got {dim}")
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     t = t / max(1.0, fro_norm(t))

@@ -34,11 +34,12 @@ tuple's sums stay exact while its entries do.
 
 Every defect is evaluated by a DefectTable, which builds the ingredients
 of one tuple (power ladders, S_l, the B_k around each S_l, M_k) once and
-reuses them for every cell it is asked for.  A caller that reads several
-defects of one tuple creates a table, reads from it and drops it; the table is
-never stored on the tuple or in this module, so it lives exactly as long
-as its caller keeps it.  The one-shot functions (``isosymmetry_defect``
-and the rest) each build a throwaway table.  Cells are always evaluated
+reuses them for every cell it is asked for.  Every function here and in
+``classify`` that reads a defect takes a tuple, for which it builds a
+throwaway table, or its DefectTable, which it reads and grows.  A caller
+reading several defects of one tuple passes one table wherever the tuple
+goes; the table is never stored on the tuple or in this module, so it
+lives exactly as long as its caller keeps it.  Cells are always evaluated
 from the definitions, never from the recurrence, and the arrays a table
 hands out are read-only because it keeps them for later reads.
 """
@@ -264,9 +265,11 @@ class DefectTable:
     in both outer forms once; their gap is kept beside it and checked
     against the caller's tolerance on every read.
 
-    The caller owns the table: ``r`` does not refer to it, so it is freed
-    with the caller's last reference.  Every array it hands out is kept
-    for later reads and is therefore read-only.
+    The module functions read it in place of the tuple; it offers only
+    ``r``, ``of``, ``prepare`` and ``forms``.  The caller owns the table:
+    ``r`` does not refer to it, so it is freed with the caller's last
+    reference.  Every array it hands out is kept for later reads and is
+    therefore read-only.
     """
 
     __slots__ = ("r", "_total", "_ladders", "_sums", "_m", "_s", "_cells")
@@ -281,13 +284,9 @@ class DefectTable:
         self._cells = {}     # (m, n) -> (L_{m,n}, gap between its two forms)
 
     @classmethod
-    def of(cls, r, table=None):
-        """``table`` once checked to belong to ``r``; a new table if None."""
-        if table is None:
-            return cls(r)
-        if table.r is not r:
-            raise InvalidParams("the defect table belongs to another tuple")
-        return table
+    def of(cls, r):
+        """``r`` if it is a DefectTable, else a new table of the tuple r."""
+        return r if isinstance(r, cls) else cls(r)
 
     def _powers(self, side, k):
         """Power ladder of ``side`` ("R", "R*", "T" or "T*") up to power k."""
@@ -317,7 +316,7 @@ class DefectTable:
                  if len(self._sums.get(l, ())) <= order]
         if short:
             # S_0 = I: the sums of M_m need no ladder of T
-            mids = np.array([self.symmetry_defect_matrix(l) if l
+            mids = np.array([self._symmetry(l) if l
                              else np.eye(self.r.dim) for l in short],
                             dtype=np.complex128)
             lad_star, lad = self._powers("R*", order), self._powers("R", order)
@@ -339,7 +338,7 @@ class DefectTable:
         _check_orders(m_max=m_max, n_max=n_max)
         self._nested(range(n_max + 1), m_max)
 
-    def symmetry_defect_matrix(self, l):
+    def _symmetry(self, l):
         """S_l as a raw matrix."""
         _check_orders(l=l)
         if l not in self._s:
@@ -349,7 +348,7 @@ class DefectTable:
                 _alternating_weights(l)))
         return self._s[l]
 
-    def isometry_defect_matrix(self, l):
+    def _isometry(self, l):
         """M_l as a raw matrix."""
         _check_orders(l=l)
         if l not in self._m:
@@ -367,7 +366,7 @@ class DefectTable:
         """
         _check_orders(m=m, n=n)
         _, around = self._nested((0, n), m)  # one pass for M_m and iso
-        m_m = self.isometry_defect_matrix(m)
+        m_m = self._isometry(m)
         ks = np.arange(n + 1)
         sym = kernels.active.weighted_sandwich_sum(
             self._powers("T*", n)[ks], m_m, self._powers("T", n)[n - ks],
@@ -390,81 +389,67 @@ class DefectTable:
                 f"(allowed {allowed:.3e}); input likely fails commutation")
         return matrix, allowed
 
-    def isosymmetry_defect_matrix(self, m, n, tol=None):
-        """L_{m,n}, evaluated through both equivalent forms.
-
-        The forms must agree within the scaled tolerance (this is the
-        cheapest end-to-end detector of a corrupted input); FormsDisagree
-        otherwise.  Returns the sym_outer value.
-        """
-        return self._checked_cell(m, n, tol)[0]
-
-    def symmetry_defect(self, l, tol=None):
-        """S_l with a zero verdict; S_n = 0 means the tuple is n-symmetric."""
-        return _report("S", (l,), self.symmetry_defect_matrix(l),
-                       zero_tolerance(self.r, 0, l, tol))
-
-    def isometry_defect(self, l, tol=None):
-        """M_l with a zero verdict; M_m = 0 means the tuple is m-isometric."""
-        return _report("M", (l,), self.isometry_defect_matrix(l),
-                       zero_tolerance(self.r, l, 0, tol))
-
-    def isosymmetry_defect(self, m, n, tol=None):
-        """L_{m,n} with a zero verdict; zero means (m,n)-isosymmetric."""
-        return _report("Lambda", (m, n), *self._checked_cell(m, n, tol))
-
 
 def symmetry_defect_matrix(r, l):
-    """S_l(r) as a raw (read-only) matrix."""
-    return DefectTable(r).symmetry_defect_matrix(l)
+    """S_l(r) as a raw (read-only) matrix; ``r`` a tuple or its DefectTable."""
+    return DefectTable.of(r)._symmetry(l)
 
 
 def isometry_defect_matrix(r, l):
-    """M_l(r) as a raw (read-only) matrix."""
-    return DefectTable(r).isometry_defect_matrix(l)
+    """M_l(r) as a raw (read-only) matrix; ``r`` a tuple or its DefectTable."""
+    return DefectTable.of(r)._isometry(l)
 
 
 def isosymmetry_defect_matrix(r, m, n, tol=None):
-    """L_{m,n}(r) as a raw (read-only) matrix; see DefectTable."""
-    return DefectTable(r).isosymmetry_defect_matrix(m, n, tol)
+    """L_{m,n}(r) as a raw (read-only) matrix; ``r`` a tuple or its table.
+
+    Its two forms must agree within the scaled tolerance (the cheapest
+    end-to-end detector of a corrupted input), else FormsDisagree.
+    """
+    return DefectTable.of(r)._checked_cell(m, n, tol)[0]
 
 
 def symmetry_defect(r, l, tol=None):
     """S_l(r) with a zero verdict; S_n(r) = 0 means r is n-symmetric."""
-    return DefectTable(r).symmetry_defect(l, tol)
+    table = DefectTable.of(r)
+    return _report("S", (l,), table._symmetry(l),
+                   zero_tolerance(table.r, 0, l, tol))
 
 
 def isometry_defect(r, l, tol=None):
     """M_l(r) with a zero verdict; M_m(r) = 0 means r is m-isometric."""
-    return DefectTable(r).isometry_defect(l, tol)
+    table = DefectTable.of(r)
+    return _report("M", (l,), table._isometry(l),
+                   zero_tolerance(table.r, l, 0, tol))
 
 
 def isosymmetry_defect(r, m, n, tol=None):
     """L_{m,n}(r) with a zero verdict; zero means (m,n)-isosymmetric."""
-    return DefectTable(r).isosymmetry_defect(m, n, tol)
+    table = DefectTable.of(r)
+    return _report("Lambda", (m, n), *table._checked_cell(m, n, tol))
 
 
-def raise_isometry_order(r, m, n, table=None):
+def raise_isometry_order(r, m, n):
     """One recurrence step in m: sum_j R_j* L_{m,n} R_j - L_{m,n}.
 
-    Equals L_{m+1,n}(r) within tolerance.  L_{m,n} is read from ``table``
-    (a DefectTable of r) when one is given.
+    Equals L_{m+1,n}(r) within tolerance; ``r`` a tuple or its DefectTable.
     """
-    lam = DefectTable.of(r, table).isosymmetry_defect_matrix(m, n)
+    table = DefectTable.of(r)
+    lam = isosymmetry_defect_matrix(table, m, n)
     out = -lam
-    for rj in r.matrices:
+    for rj in table.r.matrices:
         out = out + adjoint(rj) @ lam @ rj
     return out
 
 
-def raise_symmetry_order(r, m, n, table=None):
+def raise_symmetry_order(r, m, n):
     """One recurrence step in n: (sum_j R_j*) L_{m,n} - L_{m,n} (sum_j R_j).
 
-    Equals L_{m,n+1}(r) within tolerance.  L_{m,n} is read from ``table``
-    (a DefectTable of r) when one is given.
+    Equals L_{m,n+1}(r) within tolerance; ``r`` a tuple or its DefectTable.
     """
-    lam = DefectTable.of(r, table).isosymmetry_defect_matrix(m, n)
-    total = op_sum(r)
+    table = DefectTable.of(r)
+    lam = isosymmetry_defect_matrix(table, m, n)
+    total = op_sum(table.r)
     return adjoint(total) @ lam - lam @ total
 
 
@@ -543,9 +528,9 @@ def perturbation_expansion(r, q, m, n):
         table_q._powers("R*", m)))
     lad = np.concatenate((table_q._powers("R", m), table_r._powers("R", m)))
 
-    lam_r = [[table_r.isosymmetry_defect_matrix(k, l) for l in range(n + 1)]
+    lam_r = [[isosymmetry_defect_matrix(table_r, k, l) for l in range(n + 1)]
              for k in range(m + 1)]
-    s_q = [table_q.symmetry_defect_matrix(j) for j in range(n + 1)]
+    s_q = [symmetry_defect_matrix(table_q, j) for j in range(n + 1)]
 
     out = np.zeros((r.dim, r.dim), dtype=np.complex128)
     for k, (indices, coeffs) in enumerate(_expansion_terms(m, r.d)):

@@ -234,10 +234,10 @@ def _eval_recurrence(tuples, params, tol):
     r = tuples["r"]
     m, n = params["m"], params["n"]
     table = DefectTable(r)
-    up_m = _normalized(raise_isometry_order(r, m, n, table)
-                       - table.isosymmetry_defect_matrix(m + 1, n), r, m + 1, n)
-    up_n = _normalized(raise_symmetry_order(r, m, n, table)
-                       - table.isosymmetry_defect_matrix(m, n + 1), r, m, n + 1)
+    up_m = _normalized(raise_isometry_order(table, m, n)
+                       - isosymmetry_defect_matrix(table, m + 1, n), r, m + 1, n)
+    up_n = _normalized(raise_symmetry_order(table, m, n)
+                       - isosymmetry_defect_matrix(table, m, n + 1), r, m, n + 1)
     return max(up_m, up_n)
 
 
@@ -331,12 +331,12 @@ def _eval_ascent(tuples, params, tol):
     w = params["window"]
     table = DefectTable(r)
     worst = 0.0
-    for m0, n0 in minimal_orders(r, b, b, tol, table).staircase:
+    for m0, n0 in minimal_orders(table, b, b, tol).staircase:
         for i in range(w + 1):
             for j in range(w + 1):
                 if i == 0 and j == 0:
                     continue
-                cell = table.isosymmetry_defect_matrix(m0 + i, n0 + j, tol)
+                cell = isosymmetry_defect_matrix(table, m0 + i, n0 + j, tol)
                 worst = max(worst, _normalized(cell, r, m0 + i, n0 + j))
     return worst
 

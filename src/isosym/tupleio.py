@@ -65,15 +65,17 @@ def tuple_to_dict(op, metadata=None):
     return out
 
 
-def _count(name, value):
-    """``value`` as an int if the schema takes it as a count, else ParseError.
+def _is_integer(value):
+    """Is ``value`` a schema integer?  2.0 is one, a boolean is not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, float) and value.is_integer()))
 
-    The schema's integers are integral numbers, including floats such as
-    2.0 but not booleans, and a count must be at least 1.
-    """
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < 1:
+
+def _count(name, value):
+    """``value`` as an int if the schema takes it as a count (an integer
+    of at least 1), else ParseError."""
+    if not _is_integer(value) or value < 1:
         raise ParseError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
 
@@ -98,9 +100,13 @@ def tuple_from_dict(data):
         raise ParseError(f"expected {d} matrices, got "
                          f"{len(raw) if isinstance(raw, list) else type(raw)}")
     mats = [matrix_from_json(rows, dim) for rows in raw]
-    metadata = data.get("metadata") or {}
-    if not isinstance(metadata, dict):
-        raise ParseError("metadata must be an object")
+    metadata = data.get("metadata", {})
+    if not (isinstance(metadata, dict)
+            and isinstance(metadata.get("name", ""), str)
+            and _is_integer(metadata.get("seed", 0))
+            and isinstance(metadata.get("construction", {}), dict)):
+        raise ParseError("metadata must be an object with a string name, an "
+                         "integer seed and an object construction")
     return MultiOperator(mats), metadata
 
 

@@ -351,6 +351,28 @@ def test_unwritable_output_exit_2(capsys, tmp_path, reference_file, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scaled", "--base", "{single}", "--beta", "a,b"],
+    ["scaled", "--base", "{single}", "--beta", "nan,1"],
+    ["jordan", "--base", "{ref}", "--mu", "x,y", "--q", "2"],
+    ["jordan", "--base", "{ref}", "--mu", "nan,1", "--q", "2"],
+    ["random", "--d", "2", "--dim", "0"],
+    ["random", "--d", "2", "--dim", "-3"],
+    ["random", "--d", "2", "--dim", "3", "--seed", "-1"],
+    ["nilpotent", "--d", "2", "--dim", "3", "--order", "2", "--seed", "-1"],
+], ids=["beta-text", "beta-nan", "mu-text", "mu-nan", "dim-0", "dim-negative",
+        "random-seed-negative", "nilpotent-seed-negative"])
+def test_malformed_construct_value_exit_2(capsys, tmp_path, reference_file,
+                                          argv):
+    single = tmp_path / "single.json"
+    write_tuple(single, MultiOperator([np.eye(2)]))
+    out = tmp_path / "bad.json"
+    argv = [a.format(single=single, ref=reference_file) for a in argv]
+    assert main(["construct"] + argv + ["--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def fresh_parser():
     """Start and end without a cached parser."""

@@ -1,12 +1,17 @@
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 
-from isosym.classify import minimal_orders
+from isosym import defect
+from isosym.classify import (defect_family_rank, is_isosymmetric,
+                             is_m_isometric, is_n_symmetric, minimal_orders)
 from isosym.construct import random_commuting_tuple, reference_pair
-from isosym.defect import (DefectTable, MultiOperator, isometry_defect_matrix,
-                           isosymmetry_defect, isosymmetry_defect_matrix,
+from isosym.defect import (DefectTable, MultiOperator, isometry_defect,
+                           isometry_defect_matrix, isosymmetry_defect,
+                           isosymmetry_defect_matrix, raise_isometry_order,
+                           raise_symmetry_order, symmetry_defect,
                            symmetry_defect_matrix, zero_tolerance)
 from isosym.errors import FormsDisagree, InvalidParams
 from isosym.linalg import fro_norm
@@ -24,15 +29,8 @@ def _cells(rng, max_order=4):
     return [cells[i] for i in rng.permutation(len(cells))]
 
 
-def _read(table, cell):
-    if cell[0] == "S":
-        return table.symmetry_defect_matrix(cell[1])
-    if cell[0] == "M":
-        return table.isometry_defect_matrix(cell[1])
-    return table.isosymmetry_defect_matrix(cell[1], cell[2])
-
-
-def _one_shot(r, cell):
+def _read(r, cell):
+    """One cell of ``r``, a tuple or its DefectTable."""
     if cell[0] == "S":
         return symmetry_defect_matrix(r, cell[1])
     if cell[0] == "M":
@@ -49,10 +47,10 @@ def test_shared_table_matches_one_shot_bit_for_bit(seed):
     table = DefectTable(r)
     for cell in _cells(rng):
         got = _read(table, cell)
-        assert got.tobytes() == _one_shot(r, cell).tobytes(), cell
+        assert got.tobytes() == _read(r, cell).tobytes(), cell
     # a second pass reads the stored cells, still unchanged
     for cell in _cells(rng):
-        assert _read(table, cell).tobytes() == _one_shot(r, cell).tobytes()
+        assert _read(table, cell).tobytes() == _read(r, cell).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -74,9 +72,9 @@ def test_forms_disagree_from_a_table_cell_on_every_read():
     table = DefectTable(bad)
     for _ in range(2):
         with pytest.raises(FormsDisagree):
-            table.isosymmetry_defect_matrix(2, 2)
+            isosymmetry_defect_matrix(table, 2, 2)
         with pytest.raises(FormsDisagree):
-            table.isosymmetry_defect(2, 2)
+            isosymmetry_defect(table, 2, 2)
         sym, iso = table.forms(2, 2)  # the raw forms are not checked
         assert fro_norm(sym - iso) > zero_tolerance(bad, 2, 2)
 
@@ -84,10 +82,10 @@ def test_forms_disagree_from_a_table_cell_on_every_read():
 def test_forms_gap_is_checked_against_each_reads_tolerance():
     bad = MultiOperator(_noncommuting_pair(), tol_comm=1.0)
     table = DefectTable(bad)
-    loose = table.isosymmetry_defect(2, 2, tol=1e6)
+    loose = isosymmetry_defect(table, 2, 2, tol=1e6)
     with pytest.raises(FormsDisagree):
-        table.isosymmetry_defect(2, 2)
-    again = table.isosymmetry_defect(2, 2, tol=1e6)
+        isosymmetry_defect(table, 2, 2)
+    again = isosymmetry_defect(table, 2, 2, tol=1e6)
     assert again.matrix is loose.matrix and again.norm == loose.norm
 
 
@@ -124,10 +122,10 @@ def test_one_shot_leaves_no_table_on_the_tuple():
 
 
 @pytest.mark.parametrize("read", [
-    lambda t: t.symmetry_defect_matrix(2),
-    lambda t: t.isometry_defect_matrix(2),
-    lambda t: t.isosymmetry_defect_matrix(2, 1),
-    lambda t: t.isosymmetry_defect(2, 1).matrix,
+    lambda t: symmetry_defect_matrix(t, 2),
+    lambda t: isometry_defect_matrix(t, 2),
+    lambda t: isosymmetry_defect_matrix(t, 2, 1),
+    lambda t: isosymmetry_defect(t, 2, 1).matrix,
     lambda t: t.forms(2, 1)[0],
     lambda t: t.forms(2, 1)[1],
 ], ids=["S", "M", "L", "L-report", "forms-sym", "forms-iso"])
@@ -142,22 +140,14 @@ def test_returned_matrices_cannot_alias_the_table(read):
     assert read(table).tobytes() == before
 
 
-def test_table_of_another_tuple_is_rejected():
-    r, other = reference_pair(), reference_pair()
-    with pytest.raises(InvalidParams):
-        minimal_orders(r, 2, 2, table=DefectTable(other))
-    with pytest.raises(InvalidParams):
-        DefectTable.of(r, DefectTable(other))
-
-
 def test_negative_orders_rejected_by_the_table():
     table = DefectTable(reference_pair())
     with pytest.raises(InvalidParams):
-        table.symmetry_defect_matrix(-1)
+        symmetry_defect_matrix(table, -1)
     with pytest.raises(InvalidParams):
-        table.isometry_defect(-1)
+        isometry_defect(table, -1)
     with pytest.raises(InvalidParams):
-        table.isosymmetry_defect(1, -1)
+        isosymmetry_defect(table, 1, -1)
     with pytest.raises(InvalidParams):
         table.forms(-1, 0)
 
@@ -165,6 +155,60 @@ def test_negative_orders_rejected_by_the_table():
 def test_scan_with_shared_table_matches_fresh_scan():
     r = random_commuting_tuple(2, 4, 1)
     table = DefectTable(r)
-    table.isosymmetry_defect_matrix(5, 5)  # grow the ingredients first
-    assert minimal_orders(r, 6, 6, table=table) == minimal_orders(r, 6, 6)
+    isosymmetry_defect_matrix(table, 5, 5)  # grow the ingredients first
+    assert minimal_orders(table, 6, 6) == minimal_orders(r, 6, 6)
 
+
+
+#: every reader of a defect, each called with its first argument left open
+READERS = {
+    "symmetry_defect_matrix": lambda r: symmetry_defect_matrix(r, 3),
+    "isometry_defect_matrix": lambda r: isometry_defect_matrix(r, 3),
+    "isosymmetry_defect_matrix": lambda r: isosymmetry_defect_matrix(r, 2, 3),
+    "symmetry_defect": lambda r: symmetry_defect(r, 2),
+    "isometry_defect": lambda r: isometry_defect(r, 4),
+    "isosymmetry_defect": lambda r: isosymmetry_defect(r, 3, 1),
+    "is_m_isometric": lambda r: is_m_isometric(r, 2),
+    "is_n_symmetric": lambda r: is_n_symmetric(r, 1),
+    "is_isosymmetric": lambda r: is_isosymmetric(r, 1, 2),
+    "minimal_orders": lambda r: minimal_orders(r, 4, 4),
+    "raise_isometry_order": lambda r: raise_isometry_order(r, 2, 2),
+    "raise_symmetry_order": lambda r: raise_symmetry_order(r, 1, 3),
+    "defect_family_rank": lambda r: defect_family_rank(r, 3, 2, "vary_m"),
+}
+
+
+def _bytes(value):
+    """A result as bytes: arrays by their data, dataclasses field by field,
+    everything else by its repr (exact for floats)."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return b"|".join(_bytes(getattr(value, f.name))
+                         for f in dataclasses.fields(value))
+    return repr(value).encode()
+
+
+def test_table_is_read_wherever_the_tuple_is(monkeypatch):
+    assert len(READERS) == 13
+    r = random_commuting_tuple(3, 5, 31)
+    table = DefectTable(r)
+    # one table grown by every reader in turn answers as the tuple does
+    for name, read in READERS.items():
+        assert _bytes(read(table)) == _bytes(read(r)), name
+    assert DefectTable.of(table) is table
+    assert DefectTable.of(r) is not table
+
+    calls = []
+    nesting = defect._binomial_nesting
+
+    def counted(*args):
+        calls.append(args)
+        return nesting(*args)
+
+    monkeypatch.setattr(defect, "_binomial_nesting", counted)
+    for name, read in READERS.items():
+        assert _bytes(read(table)) == _bytes(read(r)), name
+        calls.clear()
+        read(table)  # a second read finds every ingredient built
+        assert calls == [], name

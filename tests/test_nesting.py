@@ -72,7 +72,7 @@ def test_every_sum_agrees_with_the_gamma_enumeration(seed):
     for r in _corpus([7, seed], 12):
         table = DefectTable(r)
         for m in range(MAX_ORDER + 1):
-            got = table.isometry_defect_matrix(m)
+            got = defect.isometry_defect_matrix(table, m)
             expect = gamma_weighted_sum(r.matrices, m)
             assert fro_norm(got - expect) <= _bound(r, m, 0), (r, m)
         for _ in range(4):
@@ -87,7 +87,7 @@ def test_reference_pair_keeps_its_exact_values():
     r = reference_pair()
     table = DefectTable(r)
     for m in range(5):
-        assert np.array_equal(table.isometry_defect_matrix(m),
+        assert np.array_equal(defect.isometry_defect_matrix(table, m),
                               gamma_weighted_sum(r.matrices, m))
         for n in range(5):
             sym, iso = table.forms(m, n)
@@ -102,7 +102,7 @@ def test_reference_pair_keeps_its_exact_values():
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_nilpotent_symmetry_defect_stays_exactly_zero(q):
     nil = nilpotent_tuple(2, 6, q, 40 + q)
-    got = DefectTable(nil).symmetry_defect_matrix(2 * q)
+    got = defect.symmetry_defect_matrix(nil, 2 * q)
     assert np.array_equal(got, gamma_s(nil.matrices, 2 * q))
     assert fro_norm(got) == 0.0
 
@@ -149,11 +149,11 @@ def test_table_reads_never_take_the_recurrence(monkeypatch):
     monkeypatch.setattr(defect, "raise_symmetry_order", refuse)
     r = random_commuting_tuple(3, 5, 17)
     table = DefectTable(r)
-    minimal_orders(r, 4, 4, table=table)
+    minimal_orders(table, 4, 4)
     for m in range(5):
-        table.isometry_defect(m)
+        defect.isometry_defect(table, m)
         for n in range(5):
-            table.isosymmetry_defect(m, n)
+            defect.isosymmetry_defect(table, m, n)
             table.forms(m, n)
 
 
@@ -186,5 +186,5 @@ def test_growing_a_sum_keeps_its_lower_orders_bit_for_bit():
     grown.prepare(MAX_ORDER, 3)
     for m in range(MAX_ORDER + 1):
         for n in range(4):
-            assert grown.isosymmetry_defect_matrix(m, n).tobytes() == \
-                low.isosymmetry_defect_matrix(m, n).tobytes()
+            assert defect.isosymmetry_defect_matrix(grown, m, n).tobytes() \
+                == defect.isosymmetry_defect_matrix(low, m, n).tobytes()

@@ -107,6 +107,25 @@ def test_counts_load_iff_the_schema_accepts_them(field, value, schemas):
             tuple_from_dict(data)
 
 
+@pytest.mark.parametrize("metadata", [
+    {}, {"name": "x", "seed": 3, "construction": {"kind": "random"}},
+    {"seed": -2}, {"seed": 2.0}, {"other": [1, None]}, [], 0, "", False, None,
+    "x", [1], {"name": 3}, {"name": None}, {"seed": 1.5}, {"seed": True},
+    {"seed": "3"}, {"construction": []}, {"construction": None},
+], ids=["empty", "full", "negative-seed", "seed-2.0", "extra-key", "list",
+        "zero", "empty-string", "false", "null", "string", "list-of-one",
+        "name-number", "name-null", "seed-1.5", "seed-true", "seed-string",
+        "construction-list", "construction-null"])
+def test_metadata_loads_iff_the_schema_accepts_it(metadata, schemas):
+    data = {"d": 1, "dim": 1, "matrices": [[[[1, 0]]]], "metadata": metadata}
+    if jsonschema.Draft202012Validator(schemas["tuple"]).is_valid(data):
+        _, loaded = tuple_from_dict(data)
+        assert loaded == metadata
+    else:
+        with pytest.raises(ParseError):
+            tuple_from_dict(data)
+
+
 def test_nan_and_infinity_in_a_file_fail_to_parse(tmp_path):
     for token in ("NaN", "Infinity", "-Infinity"):
         path = tmp_path / "nonfinite.json"
