@@ -132,16 +132,14 @@ def _cmd_check(args):
 
 
 def _cmd_defect(args):
+    wanted = ["m", "n"] if args.kind == "Lambda" else ["l"]
+    if [o for o in ("l", "m", "n") if getattr(args, o) is not None] != wanted:
+        raise InvalidParams(f"--kind {args.kind} takes exactly "
+                            + " and ".join(f"--{o}" for o in wanted))
     op, _ = read_tuple(args.file)
-    if args.kind in ("S", "M"):
-        if args.l is None:
-            raise InvalidParams(f"--kind {args.kind} requires --l")
-        report = (symmetry_defect if args.kind == "S" else isometry_defect)(
-            op, args.l, args.tol)
-    else:
-        if args.m is None or args.n is None:
-            raise InvalidParams("--kind Lambda requires --m and --n")
-        report = isosymmetry_defect(op, args.m, args.n, args.tol)
+    read = {"S": symmetry_defect, "M": isometry_defect,
+            "Lambda": isosymmetry_defect}[args.kind]
+    report = read(op, *(getattr(args, o) for o in wanted), args.tol)
     results = {"kind": report.kind, "orders": list(report.orders),
                "norm": report.norm, "tolerance": report.tolerance_used,
                "is_zero": report.is_zero,
@@ -241,10 +239,9 @@ def _nilpotency_order(r):
 
 
 def _cmd_construct(args):
-    if not args.out:
-        raise InvalidParams("construct requires --out")
-    if args.seed < 0:
-        raise InvalidParams(f"--seed must be >= 0, got {args.seed}")
+    seed = getattr(args, "seed", None)  # nilpotent and random only
+    if seed is not None and seed < 0:
+        raise InvalidParams(f"--seed must be >= 0, got {seed}")
     kind = args.kind
     predicted = None
     if kind == "example22":
@@ -252,8 +249,6 @@ def _cmd_construct(args):
         predicted = [[1, 1]]
         params = {}
     elif kind == "scaled":
-        if not args.base or not args.beta:
-            raise InvalidParams("scaled requires --base and --beta")
         base_op, _ = read_tuple(args.base)
         if base_op.d != 1:
             raise InvalidParams("--base must hold a single matrix (d=1)")
@@ -266,8 +261,6 @@ def _cmd_construct(args):
             predicted = [list(p) for p in predicted]
         params = {"beta": list(beta)}
     elif kind == "jordan":
-        if not args.base or not args.mu or args.q is None:
-            raise InvalidParams("jordan requires --base, --mu and --q")
         base_op, _ = read_tuple(args.base)
         mu = _parse_numbers(args.mu, lambda z: complex(z.replace(" ", "")))
         op = jordan_augment(JordanAugmentSpec(base_tuple=base_op, mu=mu,
@@ -275,8 +268,6 @@ def _cmd_construct(args):
         predicted = _clamped_predictions(base_op, args.q)
         params = {"mu": _json(mu), "q": args.q}
     elif kind == "tensor":
-        if not args.left or not args.right:
-            raise InvalidParams("tensor requires --left and --right")
         left, _ = read_tuple(args.left)
         right, _ = read_tuple(args.right)
         op = tensor_sum(left, right)
@@ -284,31 +275,24 @@ def _cmd_construct(args):
         predicted = _clamped_predictions(left, q) if q else None
         params = {"left": args.left, "right": args.right}
     elif kind == "nilpotent":
-        if args.d is None or args.dim is None or args.order is None:
-            raise InvalidParams("nilpotent requires --d, --dim and --order")
-        op = nilpotent_tuple(args.d, args.dim, args.order, args.seed)
+        op = nilpotent_tuple(args.d, args.dim, args.order, seed)
         predicted = [[0, 2 * args.order]]
         params = {"d": args.d, "dim": args.dim, "order": args.order,
-                  "seed": args.seed}
-    elif kind == "random":
-        if args.d is None or args.dim is None:
-            raise InvalidParams("random requires --d and --dim")
-        op = random_commuting_tuple(args.d, args.dim, args.seed)
-        params = {"d": args.d, "dim": args.dim, "seed": args.seed}
-    else:
-        raise InvalidParams(f"unknown construction kind {kind!r}")
+                  "seed": seed}
+    else:  # random, the last of the kinds the parser accepts
+        op = random_commuting_tuple(args.d, args.dim, seed)
+        params = {"d": args.d, "dim": args.dim, "seed": seed}
     metadata = {"construction": dict(params, kind=kind,
                                      predicted_orders=predicted)}
     if args.name:
         metadata["name"] = args.name
-    if kind in ("nilpotent", "random"):
-        metadata["seed"] = args.seed
+    if seed is not None:
+        metadata["seed"] = seed
     write_tuple(args.out, op, metadata)
     results = {"kind": kind, "out": args.out, "d": op.d, "dim": op.dim,
                "predicted_orders": predicted}
-    out_path, args.out = args.out, None  # report goes to stdout
+    args.out = None  # the report goes to stdout
     _emit(_envelope("construct", results, None, op, {"kind": kind}), args)
-    args.out = out_path
     return EXIT_OK
 
 
@@ -383,22 +367,32 @@ def _build_parser():
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("construct", parents=[output],
+    p = sub.add_parser("construct",
                        help="build a tuple file from a named family")
-    p.add_argument("kind", choices=("scaled", "jordan", "tensor",
-                                    "nilpotent", "random", "example22"))
-    p.add_argument("--base", default=None, help="tuple file (scaled, jordan)")
-    p.add_argument("--beta", default=None, help="comma separated weights")
-    p.add_argument("--mu", default=None, help="comma separated complex values")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--left", default=None, help="tuple file (tensor)")
-    p.add_argument("--right", default=None, help="tuple file (tensor)")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--name", default=None)
-    p.add_argument("--seed", type=int, default=0, help="nilpotent, random")
     p.set_defaults(func=_cmd_construct)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--out", required=True, help="tuple file to write")
+    written.add_argument("--format", choices=("json", "text"), default="json")
+    written.add_argument("--name", default=None)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[written])
+    seeded.add_argument("--d", type=int, required=True)
+    seeded.add_argument("--dim", type=int, required=True)
+    seeded.add_argument("--seed", type=int, default=0)
+    kinds.add_parser("example22", parents=[written])
+    k = kinds.add_parser("scaled", parents=[written])
+    k.add_argument("--base", required=True, help="tuple file with d = 1")
+    k.add_argument("--beta", required=True, help="comma separated weights")
+    k = kinds.add_parser("jordan", parents=[written])
+    k.add_argument("--base", required=True, help="tuple file")
+    k.add_argument("--mu", required=True, help="comma separated complex values")
+    k.add_argument("--q", type=int, required=True)
+    k = kinds.add_parser("tensor", parents=[written])
+    k.add_argument("--left", required=True, help="tuple file")
+    k.add_argument("--right", required=True, help="tuple file")
+    k = kinds.add_parser("nilpotent", parents=[seeded])
+    k.add_argument("--order", type=int, required=True)
+    kinds.add_parser("random", parents=[seeded])
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a randomized verification suite")

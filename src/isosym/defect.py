@@ -16,21 +16,26 @@ m-isometric, n-symmetric and (m,n)-isosymmetric tuples respectively.
 
 Zero tests are Frobenius-norm tests against a scaled tolerance: the defect
 of order (m, n) is a polynomial of degree at most 2(m+n) in the tuple
-entries, so the scale is tol * (1 + max_j ||R_j||)^(2(m+n)) * dim.
+entries, so the scale is tol * (1 + max_j ||R_j||)^(2(m+n)) * dim.  An
+order whose scale or weights overflow a float is refused (TooLarge)
+before any matrix is formed.
 
-Every M-style sum, M_m and the "iso_outer" form of L_{m,n}, is a
-combination sum_k (-1)^(m-k) C(m,k) B_k(X) of
+Two sums around a middle operator X make every defect: the S-style
+sandwich sum_k (-1)^(n-k) C(n,k) T*^k X T^(n-k), T = sum_j R_j, gives S_n
+(X = I = M_0) and the "sym_outer" form (X = M_m); the M-style sum
+sum_k (-1)^(m-k) C(m,k) B_k(X) of
 
-    B_k(X) = sum_{|gamma|=k} (k!/gamma!) R*^gamma X R^gamma,
+    B_k(X) = sum_{|gamma|=k} (k!/gamma!) R*^gamma X R^gamma
 
-with X = S_0 = I for M_m and X = S_n for L_{m,n}.  B_k is never
+gives M_m (X = I = S_0) and the "iso_outer" form (X = S_n).  B_k is never
 enumerated over gamma: for commuting R_j the multinomial theorem nests it
 over the components, B^(j)_k = sum_{g=0..k} C(k,g) R_j*^g B^(j+1)_(k-g)
 R_j^g, starting from the last component's R_d*^k X R_d^k.  Up to order
 K that is K(K+1) matrix products per component and middle operator X,
 where enumerating gamma takes a chained product per multi-index and side,
 2 C(K+d, d) of them.  The weights C(k,g) are integers, so an integer
-tuple's sums stay exact while its entries do.
+tuple's sums stay exact while its entries do.  One function, ``_combine``,
+reduces every weighted sum of matrices, the expansion's included.
 
 Every defect is evaluated by a DefectTable, which builds the ingredients
 of one tuple (power ladders, S_l, the B_k around each S_l, M_k) once and
@@ -44,6 +49,7 @@ from the definitions, never from the recurrence, and the arrays a table
 hands out are read-only because it keeps them for later reads.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +58,7 @@ import numpy as np
 from . import kernels
 from .errors import (CrossCommutationViolated, CommutationViolated,
                      DimensionMismatch, DMismatch, FormsDisagree,
-                     InvalidParams)
+                     InvalidParams, TooLarge)
 from .linalg import adjoint, as_matrix, checked_tolerance, fro_norm
 from .multiindex import binomial, multi_indices, multinomial_weight
 
@@ -60,6 +66,11 @@ from .multiindex import binomial, multi_indices, multinomial_weight
 TOL_ZERO = 1e-8
 #: relative tolerance of the pairwise commutation invariant
 TOL_COMM = 1e-10
+
+
+def _commutator_residual(a, b, norm_a, norm_b):
+    """||AB - BA|| / ((1 + ||A||)(1 + ||B||)), given the two norms."""
+    return fro_norm(a @ b - b @ a) / ((1.0 + norm_a) * (1.0 + norm_b))
 
 
 class MultiOperator:
@@ -84,12 +95,9 @@ class MultiOperator:
                 raise DimensionMismatch(
                     f"components must all be {dim}x{dim}, got {m.shape}")
         norms = [fro_norm(m) for m in mats]
-        worst = 0.0
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                resid = fro_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                rel = resid / ((1.0 + norms[i]) * (1.0 + norms[j]))
-                worst = max(worst, rel)
+        worst = max((_commutator_residual(mats[i], mats[j], norms[i], norms[j])
+                     for i in range(len(mats))
+                     for j in range(i + 1, len(mats))), default=0.0)
         if worst > tol_comm:
             raise CommutationViolated(
                 f"commutation residual {worst:.3e} exceeds {tol_comm:.3e}")
@@ -129,7 +137,15 @@ def zero_test_base(tol=None):
 
 def zero_tolerance(r, m, n, tol=None):
     """Scaled zero-test tolerance for an order-(m, n) defect of r."""
-    return zero_test_base(tol) * (1.0 + r.max_norm()) ** (2 * (m + n)) * r.dim
+    base = zero_test_base(tol)
+    try:
+        scale = base * (1.0 + r.max_norm()) ** (2 * (m + n)) * r.dim
+    except OverflowError:
+        scale = np.inf
+    if scale == np.inf:
+        raise TooLarge(f"the zero-test scale of order ({m},{n}) overflows "
+                       "a float")
+    return scale
 
 
 def op_sum(r):
@@ -243,6 +259,10 @@ def _check_orders(**orders):
     for name, value in orders.items():
         if value < 0:
             raise InvalidParams(f"defect order {name} must be >= 0, got {value}")
+        # C(l, l // 2), the largest weight of order l, first fails at 1030
+        if binomial(value, value // 2) > sys.float_info.max:
+            raise TooLarge(f"the binomial weights of order {name} = {value} "
+                           "overflow a float")
 
 
 def _report(kind, orders, matrix, tolerance_used):
@@ -272,11 +292,10 @@ class DefectTable:
     therefore read-only.
     """
 
-    __slots__ = ("r", "_total", "_ladders", "_sums", "_m", "_s", "_cells")
+    __slots__ = ("r", "_ladders", "_sums", "_m", "_s", "_cells")
 
     def __init__(self, r):
         self.r = r
-        self._total = None   # T = sum_j R_j
         self._ladders = {}   # "R", "R*": (d, k+1, n, n); "T", "T*": (k+1, n, n)
         self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n)
         self._m = {}         # l -> M_l
@@ -294,10 +313,8 @@ class DefectTable:
         if have is not None and have.shape[-3] > k:
             return have
         if side in ("T", "T*"):
-            if self._total is None:
-                self._total = op_sum(self.r)
-            base = self._total if side == "T" else adjoint(self._total)
-            out = _ladder(base, k, have)
+            total = op_sum(self.r)
+            out = _ladder(total if side == "T" else adjoint(total), k, have)
         else:
             mats = self.r.matrices
             if side == "R*":
@@ -338,14 +355,19 @@ class DefectTable:
         _check_orders(m_max=m_max, n_max=n_max)
         self._nested(range(n_max + 1), m_max)
 
+    def _sandwich(self, n, mid):
+        """The S-style sum_k (-1)^(n-k) C(n,k) T*^k X T^(n-k), X = ``mid``
+        (None: I): S_n around I, the sym form of L_{m,n} around M_m."""
+        stars = self._powers("T*", n)[:n + 1]
+        plain = self._powers("T", n)[n::-1]
+        prods = stars @ plain if mid is None else stars @ mid @ plain
+        return _combine(_alternating_weights(n), prods)
+
     def _symmetry(self, l):
         """S_l as a raw matrix."""
         _check_orders(l=l)
         if l not in self._s:
-            ks = np.arange(l + 1)
-            self._s[l] = _frozen(kernels.active.weighted_sandwich_sum(
-                self._powers("T*", l)[ks], None, self._powers("T", l)[l - ks],
-                _alternating_weights(l)))
+            self._s[l] = _frozen(self._sandwich(l, None))
         return self._s[l]
 
     def _isometry(self, l):
@@ -366,23 +388,19 @@ class DefectTable:
         """
         _check_orders(m=m, n=n)
         _, around = self._nested((0, n), m)  # one pass for M_m and iso
-        m_m = self._isometry(m)
-        ks = np.arange(n + 1)
-        sym = kernels.active.weighted_sandwich_sum(
-            self._powers("T*", n)[ks], m_m, self._powers("T", n)[n - ks],
-            _alternating_weights(n))
+        sym = self._sandwich(n, self._isometry(m))
         iso = _combine(_alternating_weights(m), around)
         return _frozen(sym), _frozen(iso)
 
     def _checked_cell(self, m, n, tol):
         """L_{m,n} and its zero tolerance, after the two-form check."""
+        allowed = zero_tolerance(self.r, m, n, tol)
         cell = self._cells.get((m, n))
         if cell is None:
             sym, iso = self.forms(m, n)
             cell = (sym, fro_norm(sym - iso))
             self._cells[(m, n)] = cell
         matrix, gap = cell
-        allowed = zero_tolerance(self.r, m, n, tol)
         if gap > allowed:
             raise FormsDisagree(
                 f"the two L_({m},{n}) forms differ by {gap:.3e} "
@@ -412,15 +430,15 @@ def isosymmetry_defect_matrix(r, m, n, tol=None):
 def symmetry_defect(r, l, tol=None):
     """S_l(r) with a zero verdict; S_n(r) = 0 means r is n-symmetric."""
     table = DefectTable.of(r)
-    return _report("S", (l,), table._symmetry(l),
-                   zero_tolerance(table.r, 0, l, tol))
+    allowed = zero_tolerance(table.r, 0, l, tol)
+    return _report("S", (l,), table._symmetry(l), allowed)
 
 
 def isometry_defect(r, l, tol=None):
     """M_l(r) with a zero verdict; M_m(r) = 0 means r is m-isometric."""
     table = DefectTable.of(r)
-    return _report("M", (l,), table._isometry(l),
-                   zero_tolerance(table.r, l, 0, tol))
+    allowed = zero_tolerance(table.r, l, 0, tol)
+    return _report("M", (l,), table._isometry(l), allowed)
 
 
 def isosymmetry_defect(r, m, n, tol=None):
@@ -455,20 +473,17 @@ def raise_symmetry_order(r, m, n):
 
 def cross_commutation_residual(r, q):
     """Worst relative residual of [R_j, Q_i] and [R_j, Q_i*] over all i, j."""
-    worst = 0.0
-    for rj in r.matrices:
-        nr = 1.0 + fro_norm(rj)
-        for qi in q.matrices:
-            nq = 1.0 + fro_norm(qi)
-            for qc in (qi, adjoint(qi)):
-                resid = fro_norm(rj @ qc - qc @ rj)
-                worst = max(worst, resid / (nr * nq))
-    return worst
+    sides = [(qc, fro_norm(qi)) for qi in q.matrices
+             for qc in (qi, adjoint(qi))]
+    return max(_commutator_residual(rj, qc, nr, nq)
+               for rj, nr in zip(r.matrices, map(fro_norm, r.matrices))
+               for qc, nq in sides)
 
 
 def nilpotency_residual(r, k):
     """max ||R^alpha|| over |alpha| = k; r is k-nilpotent iff this is 0."""
-    _check_orders(k=k)
+    if k < 0:
+        raise InvalidParams(f"order k must be >= 0, got {k}")
     ladders = _ladder_stack(r.matrices, k)
     alphas = np.array(multi_indices(r.d, k), dtype=np.intp).reshape(-1, r.d)
     # CLI `construct tensor` asks for k up to dim, where there can be 10^4
@@ -485,8 +500,14 @@ def _expansion_terms(m, d):
 
     Each row of ``indices`` is one pair |alpha| + |gamma| = m - k written
     as a multi-index (alpha, gamma) over 2d components; its coefficient is
-    C(m,k) (m-k)!/(alpha! gamma!) = m!/(alpha! gamma! k!).
+    C(m,k) (m-k)!/(alpha! gamma!) = m!/(alpha! gamma! k!), the largest of
+    them the multinomial of the most even split of m into 2d + 1 parts.
     """
+    even, rest = divmod(m, 2 * d + 1)
+    split = [even + 1] * rest + [even] * (2 * d + 1 - rest)
+    if multinomial_weight(split) > sys.float_info.max:
+        raise TooLarge(f"the expansion coefficients of order {m} overflow "
+                       "a float")
     terms = []
     for k in range(m + 1):
         rows = multi_indices(2 * d, m - k)
@@ -503,10 +524,11 @@ def perturbation_expansion(r, q, m, n):
     Requires [R_j, Q_i] = [R_j, Q_i*] = 0 (within TOL_COMM, relative).
     Evaluates
 
-        sum_{j=0..n} sum_{|a|+|g|+k=m} C(n,j) m!/(a! g! k!)
-            (R+Q)*^a Q*^g  L_{k,n-j}(R) S_j(Q)  Q^a R^g
+        sum_{|a|+|g|+k=m} m!/(a! g! k!) (R+Q)*^a Q*^g  X_k  Q^a R^g,
+        X_k = sum_{j=0..n} C(n,j) L_{k,n-j}(R) S_j(Q),
 
-    which equals L_{m,n}(r + q) within tolerance.
+    which equals L_{m,n}(r + q) within tolerance.  The sum is linear in
+    its middle, so each k sandwiches the one middle X_k.
     """
     _check_orders(m=m, n=n)
     if r.d != q.d:
@@ -517,6 +539,7 @@ def perturbation_expansion(r, q, m, n):
     if resid > TOL_COMM:
         raise CrossCommutationViolated(
             f"cross-commutation residual {resid:.3e} exceeds {TOL_COMM:.3e}")
+    terms = _expansion_terms(m, r.d)
 
     table_r, table_q = DefectTable(r), DefectTable(q)
     table_r.prepare(m, n)  # one nesting pass for every L_{k,l}(r) read below
@@ -528,16 +551,17 @@ def perturbation_expansion(r, q, m, n):
         table_q._powers("R*", m)))
     lad = np.concatenate((table_q._powers("R", m), table_r._powers("R", m)))
 
-    lam_r = [[isosymmetry_defect_matrix(table_r, k, l) for l in range(n + 1)]
-             for k in range(m + 1)]
-    s_q = [symmetry_defect_matrix(table_q, j) for j in range(n + 1)]
+    # L_{k,l}(r) S_(n-l)(q), indexed [k, l] and weighted by C(n, n-l) = C(n, l)
+    pairs = np.array([[isosymmetry_defect_matrix(table_r, k, l)
+                       for l in range(n + 1)] for k in range(m + 1)]) \
+        @ np.array([symmetry_defect_matrix(table_q, n - l)
+                    for l in range(n + 1)])
+    binomials = np.abs(_alternating_weights(n))
 
     out = np.zeros((r.dim, r.dim), dtype=np.complex128)
-    for k, (indices, coeffs) in enumerate(_expansion_terms(m, r.d)):
+    for k, (indices, coeffs) in enumerate(terms):
+        mid = _combine(binomials, pairs[k])
         lefts = kernels.active.gamma_products(lad_star, indices)
         rights = kernels.active.gamma_products(lad, indices)
-        for j in range(n + 1):
-            mid = lam_r[k][n - j] @ s_q[j]
-            out = out + kernels.active.weighted_sandwich_sum(
-                lefts, mid, rights, binomial(n, j) * coeffs)
+        out += _combine(coeffs, lefts @ mid @ rights)
     return out

@@ -4,8 +4,9 @@ Everything here is written with plain numpy loops and matrix_power, with
 multi-index enumeration via itertools -- deliberately sharing no code with
 the package's kernel-backed evaluation paths.  The exception is the gamma
 enumeration at the end: the package's former evaluation of the M-style
-sums, built on the ``kernels`` functions it used, kept as the reference
-for the binomial nesting that replaced it.
+sums, built on the ``kernels.gamma_products`` it used, kept as the
+reference for the binomial nesting that replaced it.  Its weighted sums
+are reduced here, by ``np.tensordot``, not by the package.
 """
 
 import math
@@ -145,7 +146,7 @@ def svd_joint_spectrum(mats):
 
 # ---------------------------------------------------------------------------
 # gamma enumeration: every M-style sum as sum_gamma w_gamma R*^gamma X R^gamma
-# over degree-ordered gamma-product stacks, fed to weighted_sandwich_sum
+# over degree-ordered gamma-product stacks, reduced by _weighted_sandwiches
 
 
 @lru_cache(maxsize=128)
@@ -182,6 +183,12 @@ def _chained_ladders(mats, kmax):
     return out
 
 
+def _weighted_sandwiches(lefts, mid, rights, weights):
+    """sum_t weights[t] lefts[t] mid rights[t]; mid None means identity."""
+    prods = lefts @ rights if mid is None else lefts @ mid @ rights
+    return np.tensordot(weights, prods, axes=1)
+
+
 def gamma_weighted_sum(mats, order, mid=None):
     """sum_{|gamma|<=order} w_gamma R*^gamma mid R^gamma (mid None: I)."""
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
@@ -189,7 +196,7 @@ def gamma_weighted_sum(mats, order, mid=None):
     stars = kernels.active.gamma_products(
         _chained_ladders([m.conj().T for m in mats], order), gammas)
     plain = kernels.active.gamma_products(_chained_ladders(mats, order), gammas)
-    return kernels.active.weighted_sandwich_sum(stars, mid, plain, weights)
+    return _weighted_sandwiches(stars, mid, plain, weights)
 
 
 def gamma_s(mats, l, mid=None):
@@ -200,8 +207,7 @@ def gamma_s(mats, l, mid=None):
     ladders = _chained_ladders([total.conj().T, total], l)
     ks = np.arange(l + 1)
     alt = np.array([(-1.0) ** (l - k) * math.comb(l, k) for k in range(l + 1)])
-    return kernels.active.weighted_sandwich_sum(
-        ladders[0][ks], mid, ladders[1][l - ks], alt)
+    return _weighted_sandwiches(ladders[0][ks], mid, ladders[1][l - ks], alt)
 
 
 def gamma_forms(mats, m, n):

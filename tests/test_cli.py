@@ -295,8 +295,79 @@ def test_construct_scaled(capsys, tmp_path):
     assert op.d == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "FILE", "--m", "400", "--n", "1"],
+    ["defect", "FILE", "--kind", "S", "--l", "2000"],
+    ["defect", "ZERO", "--kind", "M", "--l", "1030"],
+], ids=["check-scale", "defect-scale", "defect-weights"])
+def test_order_too_large_exit_2(capsys, tmp_path, reference_file, argv):
+    # the zero tuple's zero-test scale fits at any order; its weights do not
+    zero = tmp_path / "zero.json"
+    write_tuple(zero, MultiOperator([np.zeros((2, 2))]))
+    argv = [{"FILE": reference_file, "ZERO": str(zero)}.get(a, a)
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflow" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["defect", "FILE", "--kind", "S", "--l", "1", "--m", "7", "--n", "9"],
+    ["defect", "FILE", "--kind", "M", "--l", "1", "--n", "2"],
+    ["defect", "FILE", "--kind", "Lambda", "--m", "1", "--n", "1", "--l", "3"],
+], ids=["S-with-m-n", "M-with-n", "Lambda-with-l"])
+def test_defect_refuses_orders_its_kind_does_not_read(capsys, reference_file,
+                                                      argv):
+    argv = [reference_file if a == "FILE" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["example22", "--q", "5", "--beta", "1,2", "--left", "x"],
+    ["random", "--d", "2", "--dim", "3", "--order", "2"],
+    ["nilpotent", "--d", "2", "--dim", "3", "--order", "2", "--mu", "1"],
+    ["tensor", "--left", "FILE", "--right", "FILE", "--seed", "3"],
+    ["scaled", "--base", "FILE", "--beta", "1", "--q", "2"],
+], ids=["example22", "random-order", "nilpotent-mu", "tensor-seed",
+        "scaled-q"])
+def test_construct_refuses_flags_its_kind_does_not_read(capsys, tmp_path,
+                                                        reference_file, argv):
+    out = tmp_path / "o.json"
+    argv = [reference_file if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["construct"] + argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["scaled", "--beta", "1"], "--base"),
+    (["jordan", "--base", "FILE", "--mu", "1"], "--q"),
+    (["tensor", "--left", "FILE"], "--right"),
+    (["nilpotent", "--d", "2", "--dim", "3"], "--order"),
+    (["random", "--d", "2"], "--dim"),
+    (["other"], "invalid choice"),
+], ids=["scaled", "jordan", "tensor", "nilpotent", "random", "unknown-kind"])
+def test_construct_kind_requires_its_flags(capsys, tmp_path, reference_file,
+                                           argv, missing):
+    out = tmp_path / "o.json"
+    argv = [reference_file if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["construct"] + argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert missing in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_requires_out(capsys):
-    assert main(["construct", "example22"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "example22"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_verify_suite_pass(capsys, tmp_path, schemas, monkeypatch):
@@ -388,7 +459,7 @@ def test_parser_is_built_once_per_process(capsys, reference_file, fresh_parser,
     built = []
     add_subparsers = argparse.ArgumentParser.add_subparsers
 
-    def counting(self, **kwargs):  # called once per parser built
+    def counting(self, **kwargs):  # called once per command level built
         built.append(self.prog)
         return add_subparsers(self, **kwargs)
 
@@ -397,7 +468,7 @@ def test_parser_is_built_once_per_process(capsys, reference_file, fresh_parser,
         argv = ["check", reference_file, "--m", "1", "--n", str(1 + i % 3)]
         assert main(argv) in (0, 1)
     capsys.readouterr()
-    assert built == ["isosym"]
+    assert built == ["isosym", "isosym construct"]
 
 
 def test_repeated_main_calls_match_fresh_calls(capsys, tmp_path, reference_file,

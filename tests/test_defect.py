@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from isosym.defect import (MultiOperator, isometry_defect,
+from isosym import defect
+from isosym.defect import (DefectTable, MultiOperator, isometry_defect,
                            isometry_defect_matrix, isosymmetry_defect,
                            isosymmetry_defect_matrix, nilpotency_residual,
                            op_sum, perturbation_expansion, raise_isometry_order,
@@ -12,7 +13,8 @@ from isosym.construct import (JordanAugmentSpec, identity_tuple,
                               reference_pair, random_commuting_tuple,
                               tensor_sum_parts)
 from isosym.errors import (CommutationViolated, CrossCommutationViolated,
-                           DimensionMismatch, FormsDisagree, InvalidParams)
+                           DimensionMismatch, FormsDisagree, InvalidParams,
+                           TooLarge)
 from isosym.linalg import adjoint, fro_norm
 
 from oracles import degree_indices, gamma_power, naive_lambda, naive_m, naive_s
@@ -271,7 +273,7 @@ class TestPerturbationExpansion:
         total = MultiOperator([a + b for a, b in
                                zip(left.matrices, right.matrices)])
         for m in range(4):
-            for n in range(4):
+            for n in range(6):
                 lhs = isosymmetry_defect_matrix(total, m, n)
                 rhs = perturbation_expansion(left, right, m, n)
                 assert fro_norm(lhs - rhs) <= 1e-9 * (1 + fro_norm(lhs))
@@ -287,6 +289,56 @@ class TestPerturbationExpansion:
         q = MultiOperator([np.diag([1.0, 2.0])])
         with pytest.raises(CrossCommutationViolated):
             perturbation_expansion(r, q, 1, 1)
+
+
+class TestOrdersTooLarge:
+    """An order whose zero-test scale or binomial weights overflow a float
+    is refused before any power ladder is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_ladders(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a power ladder was built")
+        monkeypatch.setattr(defect, "_ladder", refuse)
+        monkeypatch.setattr(defect, "_ladder_stack", refuse)
+
+    def test_zero_test_scale_overflow(self):
+        r = reference_pair()
+        for m, n in [(400, 1), (0, 2000), (200, 200)]:
+            with pytest.raises(TooLarge):
+                zero_tolerance(r, m, n)
+        with pytest.raises(TooLarge):
+            isometry_defect(r, 400)
+        with pytest.raises(TooLarge):
+            symmetry_defect(r, 2000)
+        with pytest.raises(TooLarge):
+            isosymmetry_defect(r, 200, 200)
+
+    def test_binomial_weight_overflow(self):
+        zero = MultiOperator([np.zeros((2, 2))] * 2)
+        assert zero_tolerance(zero, 1030, 1030) == 1e-8 * 2
+        with pytest.raises(TooLarge):
+            symmetry_defect(zero, 1030)
+        with pytest.raises(TooLarge):
+            isometry_defect(zero, 1030)
+        with pytest.raises(TooLarge):
+            isosymmetry_defect(zero, 0, 1030)
+        with pytest.raises(TooLarge):
+            symmetry_defect_matrix(zero, 2000)
+        with pytest.raises(TooLarge):
+            DefectTable(zero).prepare(1030, 0)
+        with pytest.raises(TooLarge):
+            perturbation_expansion(zero, zero, 1030, 0)
+
+    def test_expansion_coefficient_overflow(self):
+        # d = 1: every C(700, k) fits, but 700!/(a! g! k!) reaches 3^700
+        zero = MultiOperator([np.zeros((2, 2))])
+        with pytest.raises(TooLarge):
+            perturbation_expansion(zero, zero, 700, 0)
+
+
+def test_highest_order_weights_fit_a_float():
+    assert np.isfinite(defect._alternating_weights(1029)).all()
 
 
 class TestNilpotencyResidual:

@@ -2,9 +2,9 @@
 
 ``oracles.gamma_*`` evaluate every M-style sum the way the package did
 before the nesting: degree-ordered R*^gamma / R^gamma stacks weighted by
-(-1)^(m-|gamma|) C(m,|gamma|) |gamma|!/gamma! and fed to
-weighted_sandwich_sum.  The nesting must agree with it within the
-rounding of the terms summed, give the same exact zeros, and find the
+(-1)^(m-|gamma|) C(m,|gamma|) |gamma|!/gamma!, sandwiched and reduced by
+the oracle's own ``np.tensordot``.  The nesting must agree with it within
+the rounding of the terms summed, give the same exact zeros, and find the
 same staircases.
 """
 
