@@ -11,11 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defect import MultiOperator
-from .errors import BetaNotNormalized, DMismatch, InvalidParams
+from .errors import BetaNotNormalized, DMismatch, InvalidParams, TooLarge
 from .linalg import as_matrix, fro_norm, kron
 
 #: rounding allowance on |sum(beta_j^2) - 1| and on a vanishing sum(beta_j)
 BETA_TOL = 1e-12
+#: largest dim of a jordan or tensor result: one component is then 16 MB
+MAX_BUILT_DIM = 1024
+
+
+def _check_built_dim(dim, what):
+    """Refuse a result of more than MAX_BUILT_DIM before it is allocated."""
+    if dim > MAX_BUILT_DIM:
+        raise TooLarge(f"the {what} would be {dim}x{dim}, above the "
+                       f"{MAX_BUILT_DIM}x{MAX_BUILT_DIM} limit")
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,7 @@ def tensor_sum_parts(r, q):
     """
     if r.d != q.d:
         raise DMismatch("tuples must have the same number of components")
+    _check_built_dim(r.dim * q.dim, "tensor sum")
     eye_r = np.eye(r.dim, dtype=np.complex128)
     eye_q = np.eye(q.dim, dtype=np.complex128)
     left = MultiOperator([kron(m, eye_q) for m in r.matrices])
@@ -98,6 +108,7 @@ def jordan_augment_parts(spec):
     with the first.
     """
     a = spec.base_tuple
+    _check_built_dim(spec.q * a.dim, "Jordan augmentation")
     eye_q = np.eye(spec.q, dtype=np.complex128)
     shift = np.zeros((spec.q, spec.q), dtype=np.complex128)
     for i in range(spec.q - 1):

@@ -34,8 +34,10 @@ R_j^g, starting from the last component's R_d*^k X R_d^k.  Up to order
 K that is K(K+1) matrix products per component and middle operator X,
 where enumerating gamma takes a chained product per multi-index and side,
 2 C(K+d, d) of them.  The weights C(k,g) are integers, so an integer
-tuple's sums stay exact while its entries do.  One function, ``_combine``,
-reduces every weighted sum of matrices, the expansion's included.
+tuple's sums stay exact while its entries do.  The perturbation expansion
+of L_{m,n}(R + Q) is the same nesting, over 2d components around a stack
+of middles X_0..X_m; ``_binomial_nesting`` serves both.  One function,
+``_combine``, reduces every other weighted sum of matrices.
 
 Every defect is evaluated by a DefectTable, which builds the ingredients
 of one tuple (power ladders, S_l, the B_k around each S_l, M_k) once and
@@ -216,36 +218,34 @@ def _nesting_plan(order):
     return gs, hs, weights, tuple(zip([0] + stops[:-1], stops))
 
 
-def _binomial_nesting(lad_star, lad, mids, order):
-    """B_0(X)..B_order(X) of each middle X in ``mids``, (len, order+1, n, n).
+def _binomial_nesting(lad_star, lad, inner):
+    """Nest the stacks ``inner`` over every component of the ladders.
 
-    B_k(X) = sum_{|gamma|=k} (k!/gamma!) R*^gamma X R^gamma, nested over the
-    components (multinomial theorem): the last component gives
-    B^(d)_k = R_d*^k X R_d^k, and each component j before it
-    B^(j)_k = sum_{g=0..k} C(k,g) R_j*^g B^(j+1)_(k-g) R_j^g.  ``lad_star``
-    and ``lad`` are the (d, >order, n, n) power ladders of R* and R.
+    ``inner`` is (len, order+1, n, n), one stack B_0..B_order per middle;
+    ``lad_star`` and ``lad`` are the (c, >order, n, n) power ladders of the
+    c components' left and right factors L_j and R_j.  Each component,
+    the last first, replaces the stacks by (multinomial theorem)
+
+        B_k <- sum_{g=0..k} C(k,g) L_j^g B_(k-g) R_j^g,
+
+    in place, and ``inner`` is returned.  With commuting factors on each
+    side, B_k then sums k!/(gamma! k'!) L^gamma B_k' R^gamma over every
+    split |gamma| + k' = k.
 
     Each B_k adds its terms in the same order, g = 0, 1, ..., k, whatever
-    ``order`` is, so a table grown to a higher order keeps every lower
+    the order is, so a table grown to a higher order keeps every lower
     B_k bit for bit.
     """
-    last = lad.shape[0] - 1
-    out = np.empty((len(mids), order + 1) + mids.shape[1:], dtype=np.complex128)
-    out[:, 0] = mids
-    out[:, 1:] = lad_star[last, 1:order + 1] @ mids[:, None] \
-        @ lad[last, 1:order + 1]
-    if order == 0:
-        return out
-    gs, hs, weights, blocks = _nesting_plan(order)
-    for j in range(last - 1, -1, -1):
-        terms = lad_star[j].take(gs, axis=0) @ out.take(hs, axis=1) \
+    gs, hs, weights, blocks = _nesting_plan(inner.shape[1] - 1)
+    for j in range(lad.shape[0] - 1, -1, -1):
+        terms = lad_star[j].take(gs, axis=0) @ inner.take(hs, axis=1) \
             @ lad[j].take(gs, axis=0)
         terms *= weights[:, None, None]
         # one slice add per g (np.add.reduceat over the pairs of each
         # degree is 6x slower at dim 64)
         for g, (start, stop) in enumerate(blocks, start=1):
-            out[:, g:] += terms[:, start:stop]
-    return out
+            inner[:, g:] += terms[:, start:stop]
+    return inner
 
 
 def _combine(weights, stack):
@@ -337,11 +337,18 @@ class DefectTable:
                              else np.eye(self.r.dim) for l in short],
                             dtype=np.complex128)
             lad_star, lad = self._powers("R*", order), self._powers("R", order)
+            last = self.r.d - 1
             per_middle = (order + 1) * (order + 2) // 2 * self.r.dim ** 2
             batch = max(1, _NESTING_ENTRIES // per_middle)
             for start in range(0, len(short), batch):
-                sums = _binomial_nesting(lad_star, lad,
-                                         mids[start:start + batch], order)
+                part = mids[start:start + batch]
+                # the last component's R_d*^k X R_d^k is the innermost stack
+                inner = np.empty((len(part), order + 1) + part.shape[1:],
+                                 dtype=np.complex128)
+                inner[:, 0] = part
+                inner[:, 1:] = lad_star[last, 1:order + 1] @ part[:, None] \
+                    @ lad[last, 1:order + 1]
+                sums = _binomial_nesting(lad_star[:last], lad[:last], inner)
                 for l, b in zip(short[start:start + batch], sums):
                     self._sums[l] = _frozen(b)
         return [self._sums[l] for l in middles]
@@ -494,30 +501,6 @@ def nilpotency_residual(r, k):
                    ladders, alphas[start:start + batch]))
 
 
-@lru_cache(maxsize=128)
-def _expansion_terms(m, d):
-    """Per k = 0..m, the read-only (indices, coeffs) of the expansion.
-
-    Each row of ``indices`` is one pair |alpha| + |gamma| = m - k written
-    as a multi-index (alpha, gamma) over 2d components; its coefficient is
-    C(m,k) (m-k)!/(alpha! gamma!) = m!/(alpha! gamma! k!), the largest of
-    them the multinomial of the most even split of m into 2d + 1 parts.
-    """
-    even, rest = divmod(m, 2 * d + 1)
-    split = [even + 1] * rest + [even] * (2 * d + 1 - rest)
-    if multinomial_weight(split) > sys.float_info.max:
-        raise TooLarge(f"the expansion coefficients of order {m} overflow "
-                       "a float")
-    terms = []
-    for k in range(m + 1):
-        rows = multi_indices(2 * d, m - k)
-        indices = np.array(rows, dtype=np.intp).reshape(len(rows), 2 * d)
-        coeffs = np.array([binomial(m, k) * multinomial_weight(row)
-                           for row in rows], dtype=np.float64)
-        terms.append((_frozen(indices), _frozen(coeffs)))
-    return tuple(terms)
-
-
 def perturbation_expansion(r, q, m, n):
     """Expansion of L_{m,n}(r + q) in defects of r and q separately.
 
@@ -527,8 +510,10 @@ def perturbation_expansion(r, q, m, n):
         sum_{|a|+|g|+k=m} m!/(a! g! k!) (R+Q)*^a Q*^g  X_k  Q^a R^g,
         X_k = sum_{j=0..n} C(n,j) L_{k,n-j}(R) S_j(Q),
 
-    which equals L_{m,n}(r + q) within tolerance.  The sum is linear in
-    its middle, so each k sandwiches the one middle X_k.
+    which equals L_{m,n}(r + q) within tolerance.  The sum is multinomial
+    over 2d + 1 parts: the stack X_0..X_m nested over the 2d components
+    ((R_j+Q_j)*, Q_j) and (Q_j*, R_j), whose factors commute on each side
+    under the hypothesis, holds it as its entry m.
     """
     _check_orders(m=m, n=n)
     if r.d != q.d:
@@ -539,12 +524,16 @@ def perturbation_expansion(r, q, m, n):
     if resid > TOL_COMM:
         raise CrossCommutationViolated(
             f"cross-commutation residual {resid:.3e} exceeds {TOL_COMM:.3e}")
-    terms = _expansion_terms(m, r.d)
+    # the largest coefficient is the multinomial of the most even split of
+    # m into 2d + 1 parts
+    even, rest = divmod(m, 2 * r.d + 1)
+    split = [even + 1] * rest + [even] * (2 * r.d + 1 - rest)
+    if multinomial_weight(split) > sys.float_info.max:
+        raise TooLarge(f"the expansion coefficients of order {m} overflow "
+                       "a float")
 
     table_r, table_q = DefectTable(r), DefectTable(q)
     table_r.prepare(m, n)  # one nesting pass for every L_{k,l}(r) read below
-    # the 2d ladders an (a, g) row indexes: (R+Q)*, Q* on the left and
-    # Q, R on the right
     lad_star = np.concatenate((
         _ladder_stack([adjoint(a + b) for a, b in zip(r.matrices, q.matrices)],
                       m),
@@ -557,11 +546,5 @@ def perturbation_expansion(r, q, m, n):
         @ np.array([symmetry_defect_matrix(table_q, n - l)
                     for l in range(n + 1)])
     binomials = np.abs(_alternating_weights(n))
-
-    out = np.zeros((r.dim, r.dim), dtype=np.complex128)
-    for k, (indices, coeffs) in enumerate(terms):
-        mid = _combine(binomials, pairs[k])
-        lefts = kernels.active.gamma_products(lad_star, indices)
-        rights = kernels.active.gamma_products(lad, indices)
-        out += _combine(coeffs, lefts @ mid @ rights)
-    return out
+    inner = np.array([[_combine(binomials, pair) for pair in pairs]])
+    return _binomial_nesting(lad_star, lad, inner)[0, m]

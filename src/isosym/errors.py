@@ -18,7 +18,7 @@ class InvariantViolation(IsosymError):
 
 
 class TooLarge(IsosymError):
-    """An enumeration would exceed its documented size bound."""
+    """A request would exceed a documented size bound or overflow a float."""
 
 
 class CommutationViolated(IsosymError):

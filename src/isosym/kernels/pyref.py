@@ -1,11 +1,11 @@
-"""Pure numpy kernel of the defect evaluations.
+"""Pure numpy kernel of the nilpotency test.
 
 ``gamma_products(ladders, gammas)``: ladders is a (d, L, n, n) stack with
 ladders[j, p] = M_j^p; returns out[t] = prod_j ladders[j, gammas[t, j]],
 factors multiplied left to right in component order.  It is that direct
 formula, bit for bit: one batched matmul per component after the first,
-d - 1 per row.  The weighted sums of these products are reduced in
-``defect``.
+d - 1 per row.  ``defect.nilpotency_residual`` takes the largest norm of
+these products.
 """
 
 import numpy as np

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from isosym import kernels
+from isosym import construct, kernels
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "isosym" / "schemas"
 
@@ -12,6 +12,21 @@ SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "isosym" / "s
 def kernel(request):
     """The kernel module the defects are evaluated with; tags the test id."""
     return request.param
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"construct allocated through np.{name}")
+
+
+@pytest.fixture
+def no_construct_arrays(monkeypatch):
+    """From here on, ``construct`` fails a test if it builds any array."""
+    def refuse(*args):
+        raise AssertionError("construct allocated through kron")
+
+    monkeypatch.setattr(construct, "np", _NoArrays())
+    monkeypatch.setattr(construct, "kron", refuse)
 
 
 @pytest.fixture(scope="session")

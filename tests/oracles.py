@@ -77,6 +77,41 @@ def naive_lambda(mats, m, n):
     return out
 
 
+def expansion_terms(d, m):
+    """Every (alpha, gamma, k) with |alpha| + |gamma| + k = m and its
+    weight m!/(alpha! gamma! k!), alpha and gamma over d components."""
+    terms = []
+    for k in range(m + 1):
+        for a in range(m - k + 1):
+            for alpha in degree_indices(d, a):
+                for gamma in degree_indices(d, m - k - a):
+                    weight = math.factorial(m) // math.factorial(k)
+                    for g in alpha + gamma:
+                        weight //= math.factorial(g)
+                    terms.append((alpha, gamma, k, weight))
+    return terms
+
+
+def naive_expansion(r_mats, q_mats, m, n):
+    """The perturbation expansion of L_{m,n}(R + Q), term by term:
+
+        sum_{|a|+|g|+k=m} m!/(a! g! k!) (R+Q)*^a Q*^g X_k Q^a R^g,
+        X_k = sum_{j=0..n} C(n,j) L_{k,n-j}(R) S_j(Q).
+    """
+    sum_stars = [(a + b).conj().T for a, b in zip(r_mats, q_mats)]
+    q_stars = [b.conj().T for b in q_mats]
+    mids = [sum(math.comb(n, j) * naive_lambda(r_mats, k, n - j)
+                @ naive_s(q_mats, j) for j in range(n + 1))
+            for k in range(m + 1)]
+    out = np.zeros(r_mats[0].shape, dtype=np.complex128)
+    for alpha, gamma, k, weight in expansion_terms(len(r_mats), m):
+        out += weight * (gamma_power(sum_stars, alpha)
+                         @ gamma_power(q_stars, gamma) @ mids[k]
+                         @ gamma_power(q_mats, alpha)
+                         @ gamma_power(r_mats, gamma))
+    return out
+
+
 def random_tuple_mats(d, dim, seed, degree=2):
     """Commuting matrices (polynomials in one matrix), oracle-side."""
     rng = np.random.default_rng(seed)

@@ -444,6 +444,15 @@ def test_malformed_construct_value_exit_2(capsys, tmp_path, reference_file,
     assert not out.exists()
 
 
+def test_construct_result_too_large_exit_2(capsys, tmp_path, reference_file,
+                                          no_construct_arrays):
+    out = tmp_path / "big.json"
+    assert main(["construct", "jordan", "--base", reference_file, "--mu",
+                 "1,1", "--q", "100000", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def fresh_parser():
     """Start and end without a cached parser."""

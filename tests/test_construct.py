@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from isosym import construct
 from isosym.classify import is_isosymmetric, is_m_isometric, is_n_symmetric
-from isosym.construct import (JordanAugmentSpec, ScaledTupleSpec,
+from isosym.construct import (MAX_BUILT_DIM, JordanAugmentSpec,
+                              ScaledTupleSpec, identity_tuple,
                               jordan_augment, jordan_augment_parts,
                               nilpotent_tuple, random_commuting_tuple,
                               reference_pair, scaled_tuple, tensor_sum,
@@ -10,7 +12,8 @@ from isosym.construct import (JordanAugmentSpec, ScaledTupleSpec,
 from isosym.defect import (MultiOperator, cross_commutation_residual,
                            isosymmetry_defect, isosymmetry_defect_matrix,
                            symmetry_defect)
-from isosym.errors import BetaNotNormalized, DMismatch, InvalidParams
+from isosym.errors import BetaNotNormalized, DMismatch, InvalidParams, \
+    TooLarge
 from isosym.linalg import fro_norm
 from isosym.multiindex import multi_indices
 
@@ -130,6 +133,32 @@ class TestJordanAugment:
     def test_mu_length_validated(self):
         with pytest.raises(InvalidParams):
             JordanAugmentSpec(base_tuple=reference_pair(), mu=(1.0,), q=2)
+
+
+class TestBuiltDimLimit:
+    """A jordan or tensor result above MAX_BUILT_DIM is refused before any
+    of its arrays is allocated."""
+
+    def test_jordan_refused(self, request):
+        spec = JordanAugmentSpec(base_tuple=reference_pair(), mu=(1.0, 1.0),
+                                 q=100000)
+        request.getfixturevalue("no_construct_arrays")
+        for build in (jordan_augment, jordan_augment_parts):
+            with pytest.raises(TooLarge):
+                build(spec)
+
+    def test_tensor_refused(self, request):
+        left = identity_tuple(2, 33)
+        right = identity_tuple(2, MAX_BUILT_DIM // 32)
+        request.getfixturevalue("no_construct_arrays")
+        for build in (tensor_sum, tensor_sum_parts):
+            with pytest.raises(TooLarge):
+                build(left, right)
+
+    def test_limit_is_inclusive(self):
+        construct._check_built_dim(MAX_BUILT_DIM, "tuple")
+        with pytest.raises(TooLarge):
+            construct._check_built_dim(MAX_BUILT_DIM + 1, "tuple")
 
 
 class TestNilpotentTuple:

@@ -17,7 +17,8 @@ from isosym.errors import (CommutationViolated, CrossCommutationViolated,
                            TooLarge)
 from isosym.linalg import adjoint, fro_norm
 
-from oracles import degree_indices, gamma_power, naive_lambda, naive_m, naive_s
+from oracles import (degree_indices, gamma_power, naive_expansion,
+                     naive_lambda, naive_m, naive_s)
 
 
 def _noncommuting_pair():
@@ -289,6 +290,18 @@ class TestPerturbationExpansion:
         q = MultiOperator([np.diag([1.0, 2.0])])
         with pytest.raises(CrossCommutationViolated):
             perturbation_expansion(r, q, 1, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_perturbation_expansion_matches_naive_expansion(d):
+    """Against the term-by-term enumeration over (alpha, gamma, k)."""
+    left, right = tensor_sum_parts(random_commuting_tuple(d, 2, 70 + d),
+                                   random_commuting_tuple(d, 2, 80 + d))
+    for m in range(4):
+        for n in range(4):
+            got = perturbation_expansion(left, right, m, n)
+            expect = naive_expansion(left.matrices, right.matrices, m, n)
+            assert fro_norm(got - expect) <= 1e-12 * fro_norm(expect)
 
 
 class TestOrdersTooLarge:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from isosym.defect import _combine, _expansion_terms
+from isosym.defect import _combine
 from isosym.multiindex import multi_indices, trinomial_coeff
-from oracles import degree_indices, gamma_power, graded_weights
+from oracles import degree_indices, expansion_terms, gamma_power, \
+    graded_weights
 
 
 def _stack_setup(seed, d=2, kmax=3, dim=4):
@@ -81,11 +82,14 @@ def test_gamma_products_bit_identical_to_direct_loop(kernel, d, order):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_gamma_products_of_expansion_terms_bit_identical(kernel, d):
-    """Expansion rows run over 2d components and are not in degree order."""
+    """The oracle's expansion rows: 2d components, not in degree order."""
     rng = np.random.default_rng(d)
     m = 4
     ladders = _ladders(rng, 2 * d, m, 6)
-    for indices, _ in _expansion_terms(m, d):
+    for k in range(m + 1):
+        indices = np.array([alpha + gamma for alpha, gamma, kk, _
+                            in expansion_terms(d, m) if kk == k],
+                           dtype=np.intp)
         out = kernel.gamma_products(ladders, indices)
         assert out.tobytes() == _direct_gamma_products(ladders,
                                                        indices).tobytes()
@@ -94,18 +98,16 @@ def test_gamma_products_of_expansion_terms_bit_identical(kernel, d):
 @pytest.mark.parametrize("m", range(5))
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_expansion_terms_are_every_pair_with_its_trinomial_coeff(d, m):
-    terms = _expansion_terms(m, d)
-    assert len(terms) == m + 1
-    for k, (indices, coeffs) in enumerate(terms):
-        assert indices.shape == (len(coeffs), 2 * d)
-        assert not indices.flags.writeable and not coeffs.flags.writeable
-        pairs = [(tuple(row[:d]), tuple(row[d:])) for row in indices.tolist()]
+    """The oracle's expansion enumerates each (alpha, gamma, k) once."""
+    terms = expansion_terms(d, m)
+    for k in range(m + 1):
+        pairs = [(alpha, gamma) for alpha, gamma, kk, _ in terms if kk == k]
         assert sorted(pairs) == sorted(
             (alpha, gamma) for a in range(m - k + 1)
             for alpha in multi_indices(d, a)
             for gamma in multi_indices(d, m - k - a))
-        for (alpha, gamma), coeff in zip(pairs, coeffs):
-            assert coeff == trinomial_coeff(m, alpha, gamma, k)
+    for alpha, gamma, k, weight in terms:
+        assert weight == trinomial_coeff(m, alpha, gamma, k)
 
 
 def test_gamma_products_rejects_exponent_beyond_the_ladder(kernel):
