@@ -81,8 +81,9 @@ def minimal_orders(r, m_max, n_max, tol=None):
     tuple or its DefectTable; a caller that reads more cells afterwards
     passes its table and finds them built.
     """
-    if not (0 <= m_max <= 12 and 0 <= n_max <= 12):
-        raise InvalidParams("scan bounds are capped at 12")
+    for name, bound in (("m_max", m_max), ("n_max", n_max)):
+        if not 0 <= bound <= 12:
+            raise InvalidParams(f"{name} must be in 0..12, got {bound}")
     table = DefectTable.of(r)
     table.prepare(m_max, n_max)
     found = []

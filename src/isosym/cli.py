@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from itertools import pairwise
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .construct import (BETA_TOL, JordanAugmentSpec, ScaledTupleSpec,
                         random_commuting_tuple, reference_pair, scaled_tuple,
                         tensor_sum)
 from .defect import TOL_COMM, DefectTable, MultiOperator, isometry_defect, \
-    isosymmetry_defect, nilpotency_residual, symmetry_defect, zero_test_base
+    isosymmetry_defect, nilpotency_residuals, symmetry_defect, zero_test_base
 from .errors import (BetaNotNormalized, CommutationViolated,
                      ConvergenceFailure, CrossCommutationViolated, DMismatch,
                      FormsDisagree, HypothesisUnmet, InvalidParams,
@@ -218,23 +219,21 @@ def _clamped_predictions(base, q):
 def _nilpotency_order(r):
     """The smallest q with every product of q components numerically 0.
 
-    Scale-free: each component is divided by its spectral norm, and the
-    products of order q count as 0 once the largest is below 1e-12 times
-    the largest of order q - 1 (the identity for q = 1).  That is well
-    above the rounding one more multiplication leaves on a zero product,
-    and below the ratio 1/condition number that any invertible component
-    keeps up, so a tuple with a component of condition number under 1e12
-    is never called nilpotent.  None if no q <= dim qualifies.
+    Scale-free: each component is divided by its spectral norm, and order
+    q counts as 0 once sqrt(tr G_q) of ``nilpotency_residuals`` is below
+    1e-12 times that of q - 1 (sqrt(dim) for q = 1).  That is well above
+    the rounding one more Gram step leaves on a zero sum, and below the
+    ratio 1/condition number that any invertible component keeps up, so a
+    tuple with a component of condition number under 1e12 is never called
+    nilpotent.  None if no q <= dim qualifies.
     """
     # r passed its commutation check at its own scale on reading
     unit = MultiOperator([m / (np.linalg.norm(m, 2) or 1.0)
                           for m in r.matrices], tol_comm=np.inf)
-    previous = np.sqrt(r.dim)
-    for k in range(1, r.dim + 1):
-        residual = nilpotency_residual(unit, k)
+    pairs = pairwise(nilpotency_residuals(unit))
+    for k, (previous, residual) in zip(range(1, r.dim + 1), pairs):
         if residual <= 1e-12 * previous:
             return k
-        previous = residual
     return None
 
 

@@ -54,6 +54,7 @@ hands out are read-only because it keeps them for later reads.
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .errors import (CrossCommutationViolated, CommutationViolated,
                      DimensionMismatch, DMismatch, FormsDisagree,
                      InvalidParams, TooLarge)
 from .linalg import adjoint, as_matrix, checked_tolerance, fro_norm
-from .multiindex import binomial, multi_indices, multinomial_weight
+from .multiindex import binomial, multinomial_weight
 
 #: base tolerance of all defect zero tests
 TOL_ZERO = 1e-8
@@ -487,18 +488,27 @@ def cross_commutation_residual(r, q):
                for qc, nq in sides)
 
 
+def nilpotency_residuals(r):
+    """sqrt(tr G_k) for k = 0, 1, ...: G_0 = I, G_k = sum_j R_j G_(k-1) R_j*.
+
+    For commuting R_j, G_k = sum_{|alpha|=k} (k!/alpha!) R^alpha R^alpha*,
+    so max ||R^alpha|| <= sqrt(tr G_k) <= d^(k/2) max ||R^alpha||, 0 iff
+    every product of k components is.  ``kernels.active.gram_step`` carries
+    a factor G_k = F_k F_k*, read as ||F_k||: G_k would round 0 to sqrt(eps).
+    """
+    factor = np.eye(r.dim, dtype=np.complex128)
+    while True:
+        # scaled by the largest entry, whose square may overflow or underflow
+        big = np.abs(factor).max()
+        yield big * fro_norm(factor / big) if big else 0.0
+        factor = kernels.active.gram_step(r.matrices, factor)
+
+
 def nilpotency_residual(r, k):
-    """max ||R^alpha|| over |alpha| = k; r is k-nilpotent iff this is 0."""
+    """sqrt(tr G_k) of ``nilpotency_residuals``; 0 iff r is k-nilpotent."""
     if k < 0:
         raise InvalidParams(f"order k must be >= 0, got {k}")
-    ladders = _ladder_stack(r.matrices, k)
-    alphas = np.array(multi_indices(r.d, k), dtype=np.intp).reshape(-1, r.d)
-    # CLI `construct tensor` asks for k up to dim, where there can be 10^4
-    # and more products: batches of 2^20 entries keep memory near 50 MB
-    batch = max(1, 2 ** 20 // r.dim ** 2)
-    return max(fro_norm(p) for start in range(0, len(alphas), batch)
-               for p in kernels.active.gamma_products(
-                   ladders, alphas[start:start + batch]))
+    return next(islice(nilpotency_residuals(r), k, None))
 
 
 def perturbation_expansion(r, q, m, n):

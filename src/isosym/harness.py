@@ -471,8 +471,9 @@ def _eval_jordan(tuples, params, tol):
     # BLAS rounding, so police at near-rounding level instead of == 0
     if cross_commutation_residual(left, right) > _EXACTNESS:
         return 1.0
+    # the residual is at most d^(q/2) times the largest product: scale by it
     if nilpotency_residual(right, q) > \
-            _EXACTNESS * (1.0 + right.max_norm()) ** q:
+            _EXACTNESS * (np.sqrt(right.d) * (1.0 + right.max_norm())) ** q:
         return 1.0
     if not isosymmetry_defect(left, m, n, tol).is_zero:
         return 1.0

@@ -1,10 +1,7 @@
-"""The chained products R^alpha of ``defect.nilpotency_residual``.
+"""The Gram step of ``defect.nilpotency_residuals``, the one kernel.
 
-``pyref`` (pure numpy) is the one implementation, and ``gamma_products``
-its one kernel; no defect sum uses it, since every sum nests over the
-components instead.  Modules call ``kernels.active.<fn>`` rather than
-importing the function, so a caller that wants to observe the kernel
-layer (a profiler or tracer) can wrap this one binding.
+Modules call ``kernels.active.gram_step``, the one binding a profiler or
+tracer wraps to observe the kernel layer.
 """
 
 from . import pyref as active

@@ -1,11 +1,6 @@
-"""Pure numpy kernel of the nilpotency test.
-
-``gamma_products(ladders, gammas)``: ladders is a (d, L, n, n) stack with
-ladders[j, p] = M_j^p; returns out[t] = prod_j ladders[j, gammas[t, j]],
-factors multiplied left to right in component order.  It is that direct
-formula, bit for bit: one batched matmul per component after the first,
-d - 1 per row.  ``defect.nilpotency_residual`` takes the largest norm of
-these products.
+"""Pure numpy Gram step of the nilpotency test: ``gram_step(mats, f)`` is a
+square f' with f' f'* = sum_j M_j f f* M_j*.  The stack [M_1 f, ..., M_d f]
+is R* Q* by a QR factorization of its adjoint, and f' = R*.
 """
 
 import numpy as np
@@ -13,10 +8,6 @@ import numpy as np
 NAME = "py"
 
 
-def gamma_products(ladders, gammas):
-    ladders = np.asarray(ladders)
-    gammas = np.asarray(gammas, dtype=np.intp)
-    out = ladders[0][gammas[:, 0]]
-    for j in range(1, ladders.shape[0]):
-        out = out @ ladders[j][gammas[:, j]]
-    return np.ascontiguousarray(out)
+def gram_step(mats, f):
+    adjoint = (np.asarray(mats) @ f).conj().transpose(0, 2, 1)
+    return np.linalg.qr(adjoint.reshape(-1, f.shape[0]), mode="r").conj().T

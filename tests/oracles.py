@@ -1,12 +1,13 @@
 """Naive reference implementations used as independent test oracles.
 
 Everything here is written with plain numpy loops and matrix_power, with
-multi-index enumeration via itertools -- deliberately sharing no code with
-the package's kernel-backed evaluation paths.  The exception is the gamma
-enumeration at the end: the package's former evaluation of the M-style
-sums, built on the ``kernels.gamma_products`` it used, kept as the
-reference for the binomial nesting that replaced it.  Its weighted sums
-are reduced here, by ``np.tensordot``, not by the package.
+multi-index enumeration via itertools -- deliberately sharing no
+evaluation code with the package.  The gamma enumeration at the end is
+the package's former evaluation of the M-style sums, kept as the
+reference for the binomial nesting that replaced it: its chained
+products and its weighted sums (reduced by ``np.tensordot``) are
+computed here, and only the enumeration order, ``multi_indices``, comes
+from the package.
 """
 
 import math
@@ -15,7 +16,6 @@ from itertools import product
 
 import numpy as np
 
-from isosym import kernels
 from isosym.multiindex import multi_indices
 
 
@@ -218,6 +218,15 @@ def _chained_ladders(mats, kmax):
     return out
 
 
+def chained_products(ladders, gammas):
+    """out[t] = prod_j ladders[j, gammas[t, j]], multiplied out left to
+    right in component order, every row on its own."""
+    out = ladders[0][gammas[:, 0]]
+    for j in range(1, ladders.shape[0]):
+        out = out @ ladders[j][gammas[:, j]]
+    return out
+
+
 def _weighted_sandwiches(lefts, mid, rights, weights):
     """sum_t weights[t] lefts[t] mid rights[t]; mid None means identity."""
     prods = lefts @ rights if mid is None else lefts @ mid @ rights
@@ -228,9 +237,9 @@ def gamma_weighted_sum(mats, order, mid=None):
     """sum_{|gamma|<=order} w_gamma R*^gamma mid R^gamma (mid None: I)."""
     mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     gammas, weights = graded_weights(order, len(mats))
-    stars = kernels.active.gamma_products(
+    stars = chained_products(
         _chained_ladders([m.conj().T for m in mats], order), gammas)
-    plain = kernels.active.gamma_products(_chained_ladders(mats, order), gammas)
+    plain = chained_products(_chained_ladders(mats, order), gammas)
     return _weighted_sandwiches(stars, mid, plain, weights)
 
 

@@ -4,8 +4,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from isosym import kernels
 from isosym.cli import main
-from isosym.construct import nilpotent_tuple, reference_pair
+from isosym.construct import (identity_tuple, nilpotent_tuple,
+                              random_commuting_tuple, reference_pair)
 from isosym.defect import MultiOperator, zero_tolerance
 from isosym.tupleio import read_tuple, write_tuple
 
@@ -19,7 +21,6 @@ def reference_file(tmp_path):
 
 @pytest.fixture
 def identity_file(tmp_path):
-    from isosym.construct import identity_tuple
     path = tmp_path / "identity.json"
     write_tuple(path, identity_tuple(1, 2))
     return str(path)
@@ -50,7 +51,6 @@ def test_check_identity_all_hold(capsys, identity_file):
 
 
 def test_check_failing_property_exit_code(capsys, tmp_path):
-    from isosym.construct import random_commuting_tuple
     path = tmp_path / "random.json"
     write_tuple(path, random_commuting_tuple(2, 4, 31))
     code, report = _run(capsys, ["check", str(path), "--m", "1", "--n", "1"])
@@ -172,6 +172,15 @@ def test_minimal_staircase(capsys, reference_file, schemas):
     assert not report["results"]["exhausted"]
 
 
+@pytest.mark.parametrize("flag", ["--m-max", "--n-max"])
+def test_minimal_negative_bound_names_the_bound_and_its_range(
+        capsys, reference_file, flag):
+    code = main(["minimal", reference_file, flag, "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')} must be in 0..12, got -1" in err
+
+
 def test_spectrum_with_classification(capsys, reference_file, schemas):
     code, report = _run(capsys, ["spectrum", reference_file,
                                  "--m", "1", "--n", "1"])
@@ -238,7 +247,6 @@ def test_spectrum_tol_gates_orthogonality_with_one_spectrum(capsys, tmp_path,
 
 
 def test_spectrum_property_fails(capsys, tmp_path):
-    from isosym.construct import random_commuting_tuple
     path = tmp_path / "r.json"
     write_tuple(path, random_commuting_tuple(2, 4, 57))
     code, report = _run(capsys, ["spectrum", str(path), "--m", "1", "--n", "1"])
@@ -482,7 +490,6 @@ def test_parser_is_built_once_per_process(capsys, reference_file, fresh_parser,
 
 def test_repeated_main_calls_match_fresh_calls(capsys, tmp_path, reference_file,
                                                fresh_parser):
-    from isosym.construct import random_commuting_tuple
     generic = str(tmp_path / "random.json")
     write_tuple(generic, random_commuting_tuple(2, 4, 31))
     calls = [["check", reference_file, "--m", "1", "--n", "1", "--tol", "1e-3"],
@@ -561,7 +568,6 @@ def test_construct_tensor_predicted_orders(capsys, tmp_path, reference_file,
 
 def test_construct_tensor_with_a_non_nilpotent_right_predicts_nothing(
         capsys, tmp_path, reference_file):
-    from isosym.construct import random_commuting_tuple
     right = tmp_path / "right.json"
     write_tuple(right, random_commuting_tuple(2, 2, 3))
     code, report = _run(capsys, ["construct", "tensor", "--left", reference_file,
@@ -587,8 +593,10 @@ def _unit(dim, i, j):
     [1e10 * _unit(32, 0, 0)] * 2,
     # a nilpotent component next to a small invertible one
     [_unit(3, 0, 1), 1e-8 * np.eye(3)],
+    # powers fall by 1e-3 a step: by q = 56 their squared entries underflow
+    [1e-3 * np.eye(64) + _unit(64, 0, 1)] * 2,
 ], ids=["small-identity", "identity-20", "identity-32", "large-idempotent",
-        "mixed-scales"])
+        "mixed-scales", "contraction"])
 def test_construct_tensor_with_a_non_nilpotent_right_predicts_nothing_at_any_scale(
         capsys, tmp_path, reference_file, right):
     path = tmp_path / "right.json"
@@ -619,6 +627,34 @@ def test_construct_tensor_finds_the_exact_order_of_a_large_nilpotent_right(
                                  "--out", str(tmp_path / "t.json")])
     assert code == 0
     assert report["results"]["predicted_orders"] == _shifted(q)
+
+
+@pytest.mark.parametrize("right, steps, predicted", [
+    (lambda: random_commuting_tuple(3, 64, 1), 64, None),
+    (lambda: nilpotent_tuple(2, 32, 20, 0), 20, _shifted(20)),
+], ids=["random-d3-dim64", "dim32-order20"])
+def test_construct_tensor_order_search_is_one_gram_pass(
+        capsys, tmp_path, monkeypatch, right, steps, predicted):
+    """Order q costs one Gram step more than order q - 1, not a restart."""
+    right = right()
+    left = reference_pair() if right.d == 2 else identity_tuple(right.d, 1)
+    paths = [str(tmp_path / name) for name in ("left.json", "right.json")]
+    write_tuple(paths[0], left)
+    write_tuple(paths[1], right)
+    step = kernels.active.gram_step
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(kernels.active, "gram_step", counted)
+    code, report = _run(capsys, ["construct", "tensor", "--left", paths[0],
+                                 "--right", paths[1],
+                                 "--out", str(tmp_path / "t.json")])
+    assert code == 0
+    assert len(calls) == steps
+    assert report["results"]["predicted_orders"] == predicted
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])

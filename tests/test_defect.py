@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from isosym.errors import (CommutationViolated, CrossCommutationViolated,
                            DimensionMismatch, FormsDisagree, InvalidParams,
                            TooLarge)
 from isosym.linalg import adjoint, fro_norm
+from isosym.multiindex import multi_indices, trinomial_coeff
 
-from oracles import (degree_indices, gamma_power, naive_expansion,
-                     naive_lambda, naive_m, naive_s)
+from oracles import (degree_indices, expansion_terms, gamma_power,
+                     naive_expansion, naive_lambda, naive_m, naive_s)
 
 
 def _noncommuting_pair():
@@ -304,6 +307,21 @@ def test_perturbation_expansion_matches_naive_expansion(d):
             assert fro_norm(got - expect) <= 1e-12 * fro_norm(expect)
 
 
+@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_expansion_terms_are_every_pair_with_its_trinomial_coeff(d, m):
+    """The oracle's expansion enumerates each (alpha, gamma, k) once."""
+    terms = expansion_terms(d, m)
+    for k in range(m + 1):
+        pairs = [(alpha, gamma) for alpha, gamma, kk, _ in terms if kk == k]
+        assert sorted(pairs) == sorted(
+            (alpha, gamma) for a in range(m - k + 1)
+            for alpha in multi_indices(d, a)
+            for gamma in multi_indices(d, m - k - a))
+    for alpha, gamma, k, weight in terms:
+        assert weight == trinomial_coeff(m, alpha, gamma, k)
+
+
 class TestOrdersTooLarge:
     """An order whose zero-test scale or binomial weights overflow a float
     is refused before any power ladder is built."""
@@ -354,6 +372,25 @@ def test_highest_order_weights_fit_a_float():
     assert np.isfinite(defect._alternating_weights(1029)).all()
 
 
+@pytest.mark.parametrize("with_mid", [False, True])
+def test_combine_of_sandwiches(with_mid):
+    """The one reduction of every defect sum, within rounding of a loop."""
+    rng = np.random.default_rng(2)
+    t, n = 7, 4
+    lefts = rng.standard_normal((t, n, n)) + 1j * rng.standard_normal((t, n, n))
+    rights = rng.standard_normal((t, n, n)) + 1j * rng.standard_normal((t, n, n))
+    weights = rng.standard_normal(t)
+    mid = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+           if with_mid else np.eye(n))
+    out = defect._combine(weights, lefts @ mid @ rights if with_mid
+                          else lefts @ rights)
+    expect = np.zeros((n, n), dtype=complex)
+    for i in range(t):
+        term = lefts[i] @ mid @ rights[i]
+        expect += weights[i] * term
+    assert np.linalg.norm(out - expect) <= 1e-11 * (1 + np.linalg.norm(expect))
+
+
 class TestNilpotencyResidual:
     # products of at most 4 factors of dim <= 6 round to ~1e-15 relative,
     # and the oracle multiplies in another order
@@ -361,17 +398,32 @@ class TestNilpotencyResidual:
 
     @staticmethod
     def _naive(r, k):
+        """sqrt of sum (k!/alpha!) ||R^alpha||^2 over |alpha| = k."""
+        return np.sqrt(sum(
+            math.factorial(k) / math.prod(map(math.factorial, alpha))
+            * np.linalg.norm(gamma_power(r.matrices, alpha)) ** 2
+            for alpha in degree_indices(r.d, k)))
+
+    @staticmethod
+    def _naive_max(r, k):
         return max(np.linalg.norm(gamma_power(r.matrices, alpha))
                    for alpha in degree_indices(r.d, k))
+
+    def _matches(self, r, k):
+        """The oracle's value, inside the bracket by the largest product."""
+        got = nilpotency_residual(r, k)
+        assert got == pytest.approx(self._naive(r, k), rel=self.RTOL)
+        largest = self._naive_max(r, k)
+        assert largest * (1 - self.RTOL) <= got
+        assert got <= r.d ** (k / 2) * largest * (1 + self.RTOL)
+        return got
 
     def _check(self, r, q):
         """r is exactly q-nilpotent: zero at q, the oracle's value below."""
         assert nilpotency_residual(r, q) == 0.0
         assert self._naive(r, q) == 0.0
         for k in range(q):
-            got = nilpotency_residual(r, k)
-            assert got > 0.0
-            assert got == pytest.approx(self._naive(r, k), rel=self.RTOL)
+            assert self._matches(r, k) > 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -392,15 +444,14 @@ class TestNilpotencyResidual:
         r = random_commuting_tuple(int(rng.integers(1, 5)),
                                    int(rng.integers(1, 7)), seed)
         for k in range(4):
-            assert nilpotency_residual(r, k) == pytest.approx(
-                self._naive(r, k), rel=self.RTOL)
+            self._matches(r, k)
 
-    def test_products_beyond_the_first_batch_count(self):
-        # at dim 64 a batch holds 256 products and degree 22 at d = 3 has
-        # 276; the largest, R_1^22, is listed last
+    def test_weighted_sum_of_every_product(self):
+        # G_22 = diag(6^22, 3^22, ..., 3^22): the weights k!/alpha! sum
+        # 4^a1 to (4 + 1 + 1)^22 in the first entry and to 3^22 elsewhere
         r = MultiOperator([np.diag([2.0] + [1.0] * 63), np.eye(64), np.eye(64)])
         assert nilpotency_residual(r, 22) == pytest.approx(
-            np.sqrt(4.0 ** 22 + 63), rel=1e-15)
+            np.sqrt(6.0 ** 22 + 63 * 3.0 ** 22), rel=1e-14)
 
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidParams):
