@@ -28,27 +28,31 @@ sum_k (-1)^(m-k) C(m,k) B_k(X) of
     B_k(X) = sum_{|gamma|=k} (k!/gamma!) R*^gamma X R^gamma
 
 gives M_m (X = I = S_0) and the "iso_outer" form (X = S_n).  B_k is never
-enumerated over gamma: for commuting R_j the multinomial theorem nests it
-over the components, B^(j)_k = sum_{g=0..k} C(k,g) R_j*^g B^(j+1)_(k-g)
-R_j^g, starting from the last component's R_d*^k X R_d^k.  Up to order
-K that is K(K+1) matrix products per component and middle operator X,
-where enumerating gamma takes a chained product per multi-index and side,
-2 C(K+d, d) of them.  The weights C(k,g) are integers, so an integer
-tuple's sums stay exact while its entries do.  The perturbation expansion
-of L_{m,n}(R + Q) is the same nesting, over 2d components around a stack
-of middles X_0..X_m; ``_binomial_nesting`` serves both.  One function,
-``_combine``, reduces every other weighted sum of matrices.
+enumerated over gamma: for commuting R_j the multinomial theorem makes it
+the k-th power of one map,
+
+    B_k(X) = Phi_0^k(X),   Phi_0(X) = sum_j R_j* X R_j,
+
+so B_0..B_K around one middle X cost 2dK matrix products and no power
+ladder of any R_j (an L_{6,6} at d=4 about 130 products in all, where
+nesting the binomial theorem over the components took about 350 and
+enumerating gamma about 1,350).  The perturbation expansion of
+L_{m,n}(R + Q) is the same multinomial sum over 2d components around a
+stack of middles X_0..X_m; ``_multinomial_steps`` evaluates both.  It
+only adds matrix products and scales none, so an integer tuple's sums
+stay exact while its entries do.  One function, ``_combine``, reduces
+every other weighted sum of matrices.
 
 Every defect is evaluated by a DefectTable, which builds the ingredients
-of one tuple (power ladders, S_l, the B_k around each S_l, M_k) once and
-reuses them for every cell it is asked for.  Every function here and in
-``classify`` that reads a defect takes a tuple, for which it builds a
-throwaway table, or its DefectTable, which it reads and grows.  A caller
-reading several defects of one tuple passes one table wherever the tuple
-goes; the table is never stored on the tuple or in this module, so it
-lives exactly as long as its caller keeps it.  Cells are always evaluated
-from the definitions, never from the recurrence, and the arrays a table
-hands out are read-only because it keeps them for later reads.
+of one tuple (the power ladders of T, S_l, the B_k around each S_l, M_k)
+once and reuses them for every cell it is asked for.  Every function here
+and in ``classify`` that reads a defect takes a tuple, for which it builds
+a throwaway table, or its DefectTable, which it reads and grows.  A
+caller reading several defects of one tuple passes one table wherever the
+tuple goes; the table is never stored on the tuple or in this module, so
+it lives exactly as long as its caller keeps it.  Cells are always
+evaluated from the definitions, never from the recurrence, and the arrays
+a table hands out are read-only because it keeps them for later reads.
 """
 
 import sys
@@ -183,13 +187,6 @@ def _ladder(mat, kmax, head=None):
     return out
 
 
-def _ladder_stack(mats, kmax, head=None):
-    """(d, kmax+1, n, n) stack of per-component power ladders."""
-    return np.ascontiguousarray([
-        _ladder(m, kmax, None if head is None else head[j])
-        for j, m in enumerate(mats)])
-
-
 @lru_cache(maxsize=128)
 def _alternating_weights(l):
     """(-1)^(l-k) C(l,k) for k = 0..l, the weights of the S-style sum."""
@@ -197,56 +194,41 @@ def _alternating_weights(l):
                              for k in range(l + 1)]))
 
 
-#: entries of complex128 (32 MB) that one nesting pass's product stack may
-#: hold; a pass over more middle operators is split into passes of this size
+#: entries of complex128 (32 MB) that one step's product stack may hold; a
+#: table's steps over more middle operators are split into runs of this size
 _NESTING_ENTRIES = 2 ** 21
 
 
-@lru_cache(maxsize=32)
-def _nesting_plan(order):
-    """The (g, h) pairs, g >= 1, of one nesting level of order ``order``.
+def _multinomial_steps(lefts, rights, stack, order):
+    """Y_t = sum_k C(t,k) Psi^(t-k)(X_k) for t = 0..order, Psi(X) = sum_c
+    L_c X R_c over the pairs (``lefts[c]``, ``rights[c]``).
 
-    Lists g = 1..order and, for each, h = 0..order-g, so the pairs of one
-    g are a contiguous block landing on degrees g..order.  Returns
-    read-only (g, h, C(g+h, g)) arrays and the (start, stop) of each block.
+    ``stack`` is (b, s, n, n): b stacks X_0..X_(s-1), with X_k = 0 past
+    them; the (b, order+1, n, n) Y_0..Y_order of each are returned.  Each
+    step is one level of Pascal's triangle over the entries y_i still
+    needed, i <= order - t, and nonzero, i < s:
+
+        y_i <- y_(i+1) + Psi(y_i),
+
+    so after t steps y_0 = Y_t.  With commuting factors on each side,
+    Psi^p(X) = sum_{|gamma|=p} (p!/gamma!) L^gamma X R^gamma (multinomial
+    theorem), and Y_t sums t!/(gamma! k!) L^gamma X_k R^gamma over every
+    split |gamma| + k = t.  Every weight comes from adding, none from
+    scaling.  A one-entry stack [X] gives Y_t = Psi^t(X), so steps
+    continued from a kept Y_t repeat the later Y's bit for bit.
     """
-    pairs = [(g, h) for g in range(1, order + 1) for h in range(order - g + 1)]
-    gs = _frozen(np.array([g for g, _ in pairs], dtype=np.intp))
-    hs = _frozen(np.array([h for _, h in pairs], dtype=np.intp))
-    weights = _frozen(np.array([binomial(g + h, g) for g, h in pairs],
-                               dtype=np.float64))
-    stops = np.cumsum(np.arange(order, 0, -1)).tolist()
-    return gs, hs, weights, tuple(zip([0] + stops[:-1], stops))
-
-
-def _binomial_nesting(lad_star, lad, inner):
-    """Nest the stacks ``inner`` over every component of the ladders.
-
-    ``inner`` is (len, order+1, n, n), one stack B_0..B_order per middle;
-    ``lad_star`` and ``lad`` are the (c, >order, n, n) power ladders of the
-    c components' left and right factors L_j and R_j.  Each component,
-    the last first, replaces the stacks by (multinomial theorem)
-
-        B_k <- sum_{g=0..k} C(k,g) L_j^g B_(k-g) R_j^g,
-
-    in place, and ``inner`` is returned.  With commuting factors on each
-    side, B_k then sums k!/(gamma! k'!) L^gamma B_k' R^gamma over every
-    split |gamma| + k' = k.
-
-    Each B_k adds its terms in the same order, g = 0, 1, ..., k, whatever
-    the order is, so a table grown to a higher order keeps every lower
-    B_k bit for bit.
-    """
-    gs, hs, weights, blocks = _nesting_plan(inner.shape[1] - 1)
-    for j in range(lad.shape[0] - 1, -1, -1):
-        terms = lad_star[j].take(gs, axis=0) @ inner.take(hs, axis=1) \
-            @ lad[j].take(gs, axis=0)
-        terms *= weights[:, None, None]
-        # one slice add per g (np.add.reduceat over the pairs of each
-        # degree is 6x slower at dim 64)
-        for g, (start, stop) in enumerate(blocks, start=1):
-            inner[:, g:] += terms[:, start:stop]
-    return inner
+    out = np.empty((stack.shape[0], order + 1) + stack.shape[2:],
+                   dtype=np.complex128)
+    out[:, 0] = stack[:, 0]
+    y = stack
+    for t in range(1, order + 1):
+        live = min(y.shape[1], order - t + 1)
+        step = (lefts @ y[:, :live, None] @ rights).sum(axis=2)
+        carry = y[:, 1:live + 1]
+        step[:, :carry.shape[1]] += carry
+        y = step
+        out[:, t] = y[:, 0]
+    return out
 
 
 def _combine(weights, stack):
@@ -277,14 +259,15 @@ class DefectTable:
     """The defects of one tuple and their shared ingredients, each built once.
 
     Ingredients are built on first use and grown when a higher order needs
-    more: the power ladders of R_j, R_j*, T = sum_j R_j and T*, every S_l,
-    the binomial nesting sums B_0..B_k(S_l) around each S_l that an M-style
-    sum was asked of (S_0 = I, so M_m combines those of S_0), every M_k,
-    and every L_{m,n} cell.  A nesting pass builds every middle operator
-    it is asked for that is missing or too short at once;
-    ``prepare(m_max, n_max)`` asks for a whole box.  A cell is evaluated
-    in both outer forms once; their gap is kept beside it and checked
-    against the caller's tolerance on every read.
+    more: the power ladders of T = sum_j R_j and T*, every S_l, the sums
+    B_k(S_l) = Phi_0^k(S_l), k = 0..K, around each S_l that an M-style sum
+    was asked of (S_0 = I, so M_m combines those of S_0), every M_k, and
+    every L_{m,n} cell.  One run of multinomial steps builds every middle
+    operator's sums it is asked for that are missing or too short, each
+    continued from its last B_k; ``prepare(m_max, n_max)`` asks for a
+    whole box.  A cell is evaluated in both outer forms once; their gap is
+    kept beside it and checked against the caller's tolerance on every
+    read.
 
     The module functions read it in place of the tuple; it offers only
     ``r``, ``of``, ``prepare`` and ``forms``.  The caller owns the table:
@@ -297,7 +280,7 @@ class DefectTable:
 
     def __init__(self, r):
         self.r = r
-        self._ladders = {}   # "R", "R*": (d, k+1, n, n); "T", "T*": (k+1, n, n)
+        self._ladders = {}   # "T", "T*" -> (k+1, n, n)
         self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n)
         self._m = {}         # l -> M_l
         self._s = {}         # l -> S_l
@@ -309,56 +292,53 @@ class DefectTable:
         return r if isinstance(r, cls) else cls(r)
 
     def _powers(self, side, k):
-        """Power ladder of ``side`` ("R", "R*", "T" or "T*") up to power k."""
+        """Power ladder of ``side`` ("T" or "T*") up to power k."""
         have = self._ladders.get(side)
-        if have is not None and have.shape[-3] > k:
+        if have is not None and len(have) > k:
             return have
-        if side in ("T", "T*"):
-            total = op_sum(self.r)
-            out = _ladder(total if side == "T" else adjoint(total), k, have)
-        else:
-            mats = self.r.matrices
-            if side == "R*":
-                mats = [adjoint(a) for a in mats]
-            out = _ladder_stack(mats, k, have)
+        total = op_sum(self.r)
+        out = _ladder(total if side == "T" else adjoint(total), k, have)
         self._ladders[side] = _frozen(out)
         return out
 
     def _nested(self, middles, order):
         """B_0..B_order(S_l) for each l in ``middles``, in that order.
 
-        The missing and the too short ones are built together, in as few
-        nesting passes as _NESTING_ENTRIES allows.
+        B_k(X) = Phi_0^k(X), Phi_0(X) = sum_j R_j* X R_j: the one-entry
+        stack [S_l] (S_0 = I) through ``order`` multinomial steps.  A short
+        stack continues from its last B_k, and the ones that start at the
+        same k are stepped together, in as few runs as _NESTING_ENTRIES
+        allows.
         """
-        short = [l for l in dict.fromkeys(middles)
-                 if len(self._sums.get(l, ())) <= order]
-        if short:
-            # S_0 = I: the sums of M_m need no ladder of T
-            mids = np.array([self._symmetry(l) if l
-                             else np.eye(self.r.dim) for l in short],
-                            dtype=np.complex128)
-            lad_star, lad = self._powers("R*", order), self._powers("R", order)
-            last = self.r.d - 1
-            per_middle = (order + 1) * (order + 2) // 2 * self.r.dim ** 2
-            batch = max(1, _NESTING_ENTRIES // per_middle)
-            for start in range(0, len(short), batch):
-                part = mids[start:start + batch]
-                # the last component's R_d*^k X R_d^k is the innermost stack
-                inner = np.empty((len(part), order + 1) + part.shape[1:],
-                                 dtype=np.complex128)
-                inner[:, 0] = part
-                inner[:, 1:] = lad_star[last, 1:order + 1] @ part[:, None] \
-                    @ lad[last, 1:order + 1]
-                sums = _binomial_nesting(lad_star[:last], lad[:last], inner)
-                for l, b in zip(short[start:start + batch], sums):
-                    self._sums[l] = _frozen(b)
+        pending = {}
+        for l in dict.fromkeys(middles):
+            have = len(self._sums.get(l, ()))
+            if have <= order:
+                pending.setdefault(have, []).append(l)
+        if pending:
+            rights = np.array(self.r.matrices)
+            lefts = np.array([adjoint(a) for a in rights])
+            batch = max(1, _NESTING_ENTRIES // (self.r.d * self.r.dim ** 2))
+            for have, short in pending.items():
+                kept = max(have - 1, 0)
+                for start in range(0, len(short), batch):
+                    part = short[start:start + batch]
+                    stack = np.array([[self._sums[l][-1] if have
+                                       else self._symmetry(l) if l
+                                       else np.eye(self.r.dim)]
+                                      for l in part], dtype=np.complex128)
+                    steps = _multinomial_steps(lefts, rights, stack,
+                                               order - kept)
+                    for l, b in zip(part, steps):
+                        self._sums[l] = _frozen(np.concatenate(
+                            (self._sums[l][:kept], b)) if have else b)
         return [self._sums[l] for l in middles]
 
     def prepare(self, m_max, n_max):
         """Build the M-style sums of every cell (m <= m_max, n <= n_max).
 
-        One nesting pass then serves the whole box, where reading its cells
-        one by one would run a pass per middle operator S_n.
+        One run of steps then serves the whole box, where reading its cells
+        one by one would run one per middle operator S_n.
         """
         _check_orders(m_max=m_max, n_max=n_max)
         self._nested(range(n_max + 1), m_max)
@@ -521,9 +501,10 @@ def perturbation_expansion(r, q, m, n):
         X_k = sum_{j=0..n} C(n,j) L_{k,n-j}(R) S_j(Q),
 
     which equals L_{m,n}(r + q) within tolerance.  The sum is multinomial
-    over 2d + 1 parts: the stack X_0..X_m nested over the 2d components
-    ((R_j+Q_j)*, Q_j) and (Q_j*, R_j), whose factors commute on each side
-    under the hypothesis, holds it as its entry m.
+    over 2d + 1 parts: with Psi(X) = sum_j (R_j+Q_j)* X Q_j + Q_j* X R_j,
+    whose factors commute on each side under the hypothesis, it is
+    sum_k C(m,k) Psi^(m-k)(X_k), the entry Y_m of the multinomial steps
+    over the stack X_0..X_m: 2d m(m+1) matrix products and no ladder.
     """
     _check_orders(m=m, n=n)
     if r.d != q.d:
@@ -543,18 +524,15 @@ def perturbation_expansion(r, q, m, n):
                        "a float")
 
     table_r, table_q = DefectTable(r), DefectTable(q)
-    table_r.prepare(m, n)  # one nesting pass for every L_{k,l}(r) read below
-    lad_star = np.concatenate((
-        _ladder_stack([adjoint(a + b) for a, b in zip(r.matrices, q.matrices)],
-                      m),
-        table_q._powers("R*", m)))
-    lad = np.concatenate((table_q._powers("R", m), table_r._powers("R", m)))
-
+    table_r.prepare(m, n)  # one step run for every L_{k,l}(r) read below
     # L_{k,l}(r) S_(n-l)(q), indexed [k, l] and weighted by C(n, n-l) = C(n, l)
     pairs = np.array([[isosymmetry_defect_matrix(table_r, k, l)
                        for l in range(n + 1)] for k in range(m + 1)]) \
         @ np.array([symmetry_defect_matrix(table_q, n - l)
                     for l in range(n + 1)])
     binomials = np.abs(_alternating_weights(n))
-    inner = np.array([[_combine(binomials, pair) for pair in pairs]])
-    return _binomial_nesting(lad_star, lad, inner)[0, m]
+    stack = np.array([[_combine(binomials, pair) for pair in pairs]])
+    lefts = np.array([adjoint(a + b) for a, b in zip(r.matrices, q.matrices)]
+                     + [adjoint(b) for b in q.matrices])
+    rights = np.array(q.matrices + r.matrices)
+    return _multinomial_steps(lefts, rights, stack, m)[0, m]

@@ -4,7 +4,7 @@ Everything here is written with plain numpy loops and matrix_power, with
 multi-index enumeration via itertools -- deliberately sharing no
 evaluation code with the package.  The gamma enumeration at the end is
 the package's former evaluation of the M-style sums, kept as the
-reference for the binomial nesting that replaced it: its chained
+reference for the powers of Phi_0 that replaced it: its chained
 products and its weighted sums (reduced by ``np.tensordot``) are
 computed here, and only the enumeration order, ``multi_indices``, comes
 from the package.

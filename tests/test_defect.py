@@ -331,7 +331,6 @@ class TestOrdersTooLarge:
         def refuse(*args):
             raise AssertionError("a power ladder was built")
         monkeypatch.setattr(defect, "_ladder", refuse)
-        monkeypatch.setattr(defect, "_ladder_stack", refuse)
 
     def test_zero_test_scale_overflow(self):
         r = reference_pair()

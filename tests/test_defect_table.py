@@ -200,13 +200,13 @@ def test_table_is_read_wherever_the_tuple_is(monkeypatch):
     assert DefectTable.of(r) is not table
 
     calls = []
-    nesting = defect._binomial_nesting
+    steps = defect._multinomial_steps
 
     def counted(*args):
         calls.append(args)
-        return nesting(*args)
+        return steps(*args)
 
-    monkeypatch.setattr(defect, "_binomial_nesting", counted)
+    monkeypatch.setattr(defect, "_multinomial_steps", counted)
     for name, read in READERS.items():
         assert _bytes(read(table)) == _bytes(read(r)), name
         calls.clear()

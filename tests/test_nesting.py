@@ -1,11 +1,12 @@
-"""The binomial nesting of the M-style sums against the gamma enumeration.
+"""The multinomial steps of the M-style sums against the gamma enumeration.
 
 ``oracles.gamma_*`` evaluate every M-style sum the way the package did
-before the nesting: degree-ordered R*^gamma / R^gamma stacks weighted by
-(-1)^(m-|gamma|) C(m,|gamma|) |gamma|!/gamma!, sandwiched and reduced by
-the oracle's own ``np.tensordot``.  The nesting must agree with it within
-the rounding of the terms summed, give the same exact zeros, and find the
-same staircases.
+before it took powers of Phi_0(X) = sum_j R_j* X R_j: degree-ordered
+R*^gamma / R^gamma stacks weighted by (-1)^(m-|gamma|) C(m,|gamma|)
+|gamma|!/gamma!, sandwiched and reduced by the oracle's own
+``np.tensordot``.  The steps must agree with it within the rounding of
+the terms summed, give the same exact zeros and exact integer values, and
+find the same staircases.
 """
 
 import math
@@ -24,7 +25,7 @@ from isosym.defect import DefectTable, MultiOperator, perturbation_expansion, \
 from isosym.linalg import fro_norm
 
 from oracles import gamma_forms, gamma_minimal_orders, gamma_s, \
-    gamma_weighted_sum
+    gamma_weighted_sum, naive_expansion
 
 EPS = np.finfo(float).eps
 MAX_ORDER = 6
@@ -99,6 +100,68 @@ def test_reference_pair_keeps_its_exact_values():
         gamma_weighted_sum(r.matrices, 1)) > 0.0
 
 
+def _shift(q):
+    """J_q: ones on the superdiagonal, q-nilpotent."""
+    return np.eye(q, k=1, dtype=np.complex128)
+
+
+def _gaussian(diagonal, q):
+    """diag(diagonal) (x) I_q + I (x) J_q, a Gaussian-integer matrix."""
+    return np.kron(np.diag(diagonal), np.eye(q)) \
+        + np.kron(np.eye(len(diagonal)), _shift(q))
+
+
+@pytest.mark.parametrize("entries", [
+    ((1, 1j, 2), 2), ((1, 1j, 2), 3), ((1, 2j), 2)])
+def test_gaussian_integer_sums_are_exact(entries):
+    # every entry, weight and partial sum is an integer far below 2^53, so
+    # the steps and the gamma enumeration both give the exact values
+    r = MultiOperator([_gaussian(*entries)])
+    table = DefectTable(r)
+    for m in range(MAX_ORDER + 1):
+        assert np.array_equal(defect.isometry_defect_matrix(table, m),
+                              gamma_weighted_sum(r.matrices, m)), m
+        for n in range(MAX_ORDER + 1):
+            sym, iso = table.forms(m, n)
+            want_sym, want_iso = gamma_forms(r.matrices, m, n)
+            assert np.array_equal(sym, want_sym), (m, n)
+            assert np.array_equal(iso, want_iso), (m, n)
+
+
+def test_gaussian_integer_expansion_is_exact():
+    left = MultiOperator([np.diag([1, 1j, 2]), np.diag([2j, 1, 1 + 1j])])
+    right = MultiOperator([_shift(2), 1j * _shift(2)])
+    r, q = tensor_sum_parts(left, right)
+    for m in range(5):
+        for n in range(5):
+            assert np.array_equal(
+                perturbation_expansion(r, q, m, n),
+                naive_expansion(r.matrices, q.matrices, m, n)), (m, n)
+
+
+def test_split_runs_give_the_unsplit_cells(monkeypatch):
+    r = random_commuting_tuple(3, 8, 19)
+    whole = DefectTable(r)
+    whole.prepare(MAX_ORDER, MAX_ORDER)
+    calls = []
+    steps = defect._multinomial_steps
+
+    def counted(*args):
+        calls.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(defect, "_multinomial_steps", counted)
+    # two middle operators S_l per run: seven middles take four runs
+    monkeypatch.setattr(defect, "_NESTING_ENTRIES", 2 * r.d * r.dim ** 2)
+    split = DefectTable(r)
+    split.prepare(MAX_ORDER, MAX_ORDER)
+    assert [len(args[2]) for args in calls] == [2, 2, 2, 1]
+    for m in range(MAX_ORDER + 1):
+        for n in range(MAX_ORDER + 1):
+            assert defect.isosymmetry_defect_matrix(split, m, n).tobytes() \
+                == defect.isosymmetry_defect_matrix(whole, m, n).tobytes()
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_nilpotent_symmetry_defect_stays_exactly_zero(q):
     nil = nilpotent_tuple(2, 6, q, 40 + q)
@@ -159,16 +222,16 @@ def test_table_reads_never_take_the_recurrence(monkeypatch):
 
 @pytest.mark.parametrize("order", [2, 3])
 def test_perturbation_expansion_makes_one_nesting_pass(monkeypatch, order):
-    # r's (order+1)^2 cells L_{k,l} share one pass; read one by one, each
-    # would run its own.  The expansion itself is one more pass.
+    # r's (order+1)^2 cells L_{k,l} share one step run; read one by one,
+    # each would run its own.  The expansion itself is one more run.
     calls = []
-    nesting = defect._binomial_nesting
+    steps = defect._multinomial_steps
 
     def counted(*args):
         calls.append(args)
-        return nesting(*args)
+        return steps(*args)
 
-    monkeypatch.setattr(defect, "_binomial_nesting", counted)
+    monkeypatch.setattr(defect, "_multinomial_steps", counted)
     r, q = tensor_sum_parts(random_commuting_tuple(2, 3, 5),
                             nilpotent_tuple(2, 2, 2, seed=1))
     prepared = perturbation_expansion(r, q, order, order)
