@@ -9,12 +9,16 @@ finite dimension this is the whole approximate point spectrum as well.
 Each level makes one eigendecomposition of its first component.  A simple
 eigenvalue whose gap, divided by the condition number of the eigenvector
 matrix, provably clears the null-space SVD's rank threshold is certified:
-its eigenvector is the eigenspace, the other coordinates are Rayleigh
-quotients, and no SVD runs.  Clusters of several eigenvalues and the
-simple eigenvalues the certificate declines take the SVD null space.  A
-cluster of several eigenvalues that a later component splits gives each
-of its points that coordinate from the point's own basis W, as
-trace(W* R W)/k, instead of the cluster mean.
+its eigenvector is the eigenspace and no SVD runs.  A level's certified
+eigenvectors are taken as one block of columns W: one product R W per
+remaining component gives every column's coordinate (its Rayleigh
+quotient) and invariance residual, one product carrier @ W every basis,
+and none of them recurses.  Clusters of several eigenvalues and the
+simple eigenvalues the certificate declines take the SVD null space, are
+compressed onto it and recurse.  A cluster of several eigenvalues that a
+later component splits gives each of its points that coordinate from the
+point's own basis W, as trace(W* R W)/k, instead of the cluster mean.
+Every pair is then verified in one pass over the stacked bases.
 
 The spectral checks of an (m,n)-isosymmetric tuple (classification,
 eigenspace orthogonality, zero-coordinate exclusion) all come from one
@@ -25,7 +29,6 @@ check_zero_coordinate_exclusion are views of it.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -148,7 +151,8 @@ def _clusters(dist, radius):
             break
         label = lower
     order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), k]
+    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _certified(a, vals, vecs, dist):
@@ -208,7 +212,42 @@ def _rayleigh(a, w):
     return complex(np.trace(w.conj().T @ (a @ w))) / w.shape[1]
 
 
+def _certified_block(ops, limits, w):
+    """Coordinates of the eigenvector columns of w on every op in ``ops``.
+
+    Each column of w spans its own invariant line, so its coordinate on op
+    is the Rayleigh quotient w_j* (op w_j), read off one product op @ w for
+    all columns at once.  Each column's invariance residual ||op w_j - c_j
+    w_j|| is checked against the op's limit in ``limits``; the worst one
+    over the limit raises.  Returns one (k,) coordinate array per op.
+    """
+    out = []
+    for op, limit in zip(ops, limits):
+        proj = op @ w
+        coords = np.einsum("ij,ij->j", w.conj(), proj)
+        resid = np.linalg.norm(proj - w * coords, axis=0)
+        worst = int(np.argmax(resid))
+        if resid[worst] > limit:
+            raise InvarianceViolation(
+                f"eigenspace not invariant (residual {resid[worst]:.3e}); "
+                "the tuple may not commute")
+        out.append(coords)
+    return out
+
+
 def _recurse(ops, carrier, mu_prefix, out, tol):
+    """Append (mu, basis) for every joint eigenvalue of the tuple ``ops``.
+
+    ``ops`` are the components still to split, compressed onto the
+    subspace whose orthonormal basis, in the original coordinates, is
+    ``carrier``; ``mu_prefix`` holds the coordinates already fixed.  One
+    eigendecomposition of ops[0] per call.  Its certified simple
+    eigenvalues are handled as one block of eigenvector columns: one
+    product per remaining component gives every column's coordinate and
+    invariance residual, one carrier product every basis, and none of them
+    recurses.  Every other cluster takes an SVD null space, is compressed
+    onto it and recurses.  Points come out in cluster order.
+    """
     if not ops or ops[0].shape[0] == 1:
         # a line: every coordinate left is the 1x1 entry (Rayleigh quotient)
         out.append((mu_prefix + tuple(complex(op[0, 0]) for op in ops),
@@ -223,50 +262,86 @@ def _recurse(ops, carrier, mu_prefix, out, tol):
         raise ConvergenceFailure(str(exc)) from exc
     scale = 1.0 + fro_norm(a)
     limits = [10.0 * tol * (1.0 + fro_norm(op)) for op in ops[1:]]
-    for group in _clusters(dist, CLUSTER_TOL * scale):
+    groups = _clusters(dist, CLUSTER_TOL * scale)
+    single = [g[0] for g in groups if len(g) == 1 and certified[g[0]]]
+    lines = {}
+    if single:
+        w = vecs[:, single]
+        w = w / np.linalg.norm(w, axis=0)  # each column spans its eigenspace
+        coords = _certified_block(ops[1:], limits, w)
+        mus = zip(vals[single].tolist(), *(c.tolist() for c in coords))
+        bases = carrier @ w
+        lines = {i: (mu_prefix + mu, bases[:, [j]])  # a copy per column
+                 for j, (i, mu) in enumerate(zip(single, mus))}
+    for group in groups:
+        if group[0] in lines:
+            out.append(lines[group[0]])
+            continue
         members = vals[group]
         lam = complex(np.mean(members))
-        if len(group) == 1 and certified[group[0]]:
-            w = vecs[:, group] / fro_norm(vecs[:, group])  # the eigenspace
-        else:
-            radius = float(np.max(np.abs(members - lam)))
-            w = _null_basis(a - lam * np.eye(a.shape[0]), radius, scale)
-        points = []
+        radius = float(np.max(np.abs(members - lam)))
+        w = _null_basis(a - lam * np.eye(a.shape[0]), radius, scale)
+        found = []
         _recurse(_compress(ops[1:], limits, w), carrier @ w,
-                 mu_prefix + (lam,), points, tol)
-        if len(group) > 1 and len(points) > 1:
+                 mu_prefix + (lam,), found, tol)
+        if len(group) > 1 and len(found) > 1:
             # the cluster split below: the mean is no point's own coordinate
             i = len(mu_prefix)
-            points = [(mu[:i] + (_rayleigh(a, carrier.conj().T @ basis),)
-                       + mu[i + 1:], basis) for mu, basis in points]
-        out.extend(points)
+            found = [(mu[:i] + (_rayleigh(a, carrier.conj().T @ basis),)
+                      + mu[i + 1:], basis) for mu, basis in found]
+        out.extend(found)
+
+
+def _stacked(bases):
+    """(B, owner, blocks) for the list ``bases`` of P orthonormal bases.
+
+    B holds the bases side by side, owner[c] is the index of the basis
+    that column c of B comes from, and blocks[p, q] is the Frobenius norm
+    of the (p, q) block of B* B - I: the orthonormality defect of basis p
+    when p = q, the Gram norm between bases p and q otherwise.
+    """
+    stacked = np.concatenate(bases, axis=1)
+    owner = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+    member = (owner[:, None] == np.arange(len(bases))).astype(float)
+    gram = stacked.conj().T @ stacked - np.eye(len(owner))
+    squares = gram.real ** 2 + gram.imag ** 2
+    return stacked, owner, np.sqrt(member.T @ squares @ member)
 
 
 def joint_point_spectrum(r, tol=TOL_SPECTRA):
     """All mu in C^d with a common eigenvector, with eigenspace bases.
 
     Eigenvalues within CLUSTER_TOL (relative) are merged before null-space
-    extraction.  Results are sorted by (re, im) per coordinate; every
-    returned pair satisfies residual <= tol * (1 + max_j ||R_j||).
+    extraction; the certified simple eigenvalues of each level are taken
+    as one block of eigenvector columns (see _recurse).  Every pair is
+    then verified in one pass over the stacked bases B: its residual is
+    the largest, over l, Frobenius norm of its columns of R_l B - B
+    diag(mu_l), and must be <= tol * (1 + max_j ||R_j||); its diagonal
+    block of B* B must be within 1e-10 of I.  Results are sorted by
+    (re, im) per coordinate.
     """
     checked_tolerance(tol)
     if r.dim > MAX_JOINT_DIM:
         raise InvalidParams(f"dimension {r.dim} exceeds {MAX_JOINT_DIM}")
     raw = []
     _recurse(list(r.matrices), np.eye(r.dim, dtype=np.complex128), (), raw, tol)
+    stacked, owner, blocks = _stacked([basis for _, basis in raw])
+    coords = np.array([mu for mu, _ in raw], dtype=np.complex128)[owner]
+    resid = np.zeros(len(raw))
+    for l, op in enumerate(r.matrices):
+        diff = op @ stacked - stacked * coords[:, l]
+        cols = (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
+        resid = np.maximum(resid, np.sqrt(np.bincount(
+            owner, weights=cols, minlength=len(raw))))
     bound = tol * (1.0 + r.max_norm())
-    pairs = []
-    for mu, basis in raw:
-        resid = 0.0
-        for lam, op in zip(mu, r.matrices):
-            resid = max(resid, fro_norm(op @ basis - lam * basis))
-        if resid > bound:
-            raise ConvergenceFailure(
-                f"joint eigenpair residual {resid:.3e} exceeds {bound:.3e}")
-        gram = basis.conj().T @ basis
-        if fro_norm(gram - np.eye(basis.shape[1])) > 1e-10:
-            raise ConvergenceFailure("eigenspace basis lost orthonormality")
-        pairs.append(JointEigenpair(mu=mu, basis=basis, residual=resid))
+    worst = int(np.argmax(resid))
+    if resid[worst] > bound:
+        raise ConvergenceFailure(
+            f"joint eigenpair residual {resid[worst]:.3e} exceeds {bound:.3e}")
+    if np.any(np.diag(blocks) > 1e-10):
+        raise ConvergenceFailure("eigenspace basis lost orthonormality")
+    pairs = [JointEigenpair(mu=mu, basis=basis, residual=res)
+             for (mu, basis), res in zip(raw, resid.tolist())]
     pairs.sort(key=lambda p: tuple((z.real, z.imag) for z in p.mu))
     return pairs
 
@@ -284,22 +359,36 @@ def _classify(pairs, tol):
 
 
 def _orthogonality(pairs, tol):
-    out = []
-    for p, q in combinations(pairs, 2):
-        mu, mup = p.mu, q.mu
-        g1 = abs(sum(a * b.conjugate() for a, b in zip(mu, mup)) - 1.0)
-        g2 = abs(sum(a - b.conjugate() for a, b in zip(mu, mup)))
-        required = g1 > tol and g2 > tol
-        gram = fro_norm(p.basis.conj().T @ q.basis)
-        out.append(OrthogonalityCheck(
-            mu=mu, mu_prime=mup, gram_norm=gram,
-            required_orthogonal=required,
-            compliant=(not required) or gram <= tol,
-            gate_product=g1, gate_sum=g2))
-    return out
+    """One OrthogonalityCheck per two pairs, in combinations order.
+
+    Every Gram norm is an off-diagonal block norm of one Gram matrix of
+    the stacked bases (_stacked); both gates come from the stacked mu.
+    """
+    if len(pairs) < 2:
+        return []
+    blocks = _stacked([p.basis for p in pairs])[2]
+    i, j = np.triu_indices(len(pairs), 1)
+    mus = np.array([p.mu for p in pairs], dtype=np.complex128)
+    g1 = np.abs((mus[i] * mus[j].conj()).sum(axis=1) - 1.0)
+    g2 = np.abs((mus[i] - mus[j].conj()).sum(axis=1))
+    required = (g1 > tol) & (g2 > tol)
+    norms = blocks[i, j]
+    compliant = ~required | (norms <= tol)
+    return [OrthogonalityCheck(
+        mu=pairs[a].mu, mu_prime=pairs[b].mu, gram_norm=gram_norm,
+        required_orthogonal=req, compliant=ok, gate_product=p, gate_sum=q)
+        for a, b, gram_norm, req, ok, p, q in zip(
+            i.tolist(), j.tolist(), norms.tolist(), required.tolist(),
+            compliant.tolist(), g1.tolist(), g2.tolist())]
 
 
 def _zero_coordinate(r, pairs, tol):
+    """The zero-coordinate report; (sum_l R_l)* is only decomposed when
+    some point's coordinate product is <= tol."""
+    products = [(pair, math.prod(abs(z) for z in pair.mu)) for pair in pairs]
+    hits = [(pair, prod) for pair, prod in products if prod <= tol]
+    if not hits:
+        return ZeroCoordinateReport()
     adj_sum = adjoint(op_sum(r))
     try:
         adj_eigs = np.linalg.eigvals(adj_sum)
@@ -307,10 +396,7 @@ def _zero_coordinate(r, pairs, tol):
         raise ConvergenceFailure(str(exc)) from exc
     scale = 1.0 + fro_norm(adj_sum)
     entries = []
-    for pair in pairs:
-        prod = math.prod(abs(z) for z in pair.mu)
-        if prod > tol:
-            continue
+    for pair, prod in hits:
         total = sum(pair.mu)
         dist = float(np.min(np.abs(adj_eigs - total)))
         entries.append(ZeroCoordinateEntry(

@@ -12,7 +12,7 @@ from the package.
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -176,6 +176,27 @@ def svd_joint_spectrum(mats):
     _svd_recurse(list(mats), np.eye(mats[0].shape[0], dtype=np.complex128),
                  (), out)
     out.sort(key=lambda pair: tuple((z.real, z.imag) for z in pair[0]))
+    return out
+
+
+def pairwise_orthogonality(pairs, tol):
+    """The orthogonality table, one pair of eigenpairs at a time.
+
+    The reference for ``spectra._orthogonality``: for every two (mu,
+    basis) of ``pairs``, in combinations order, the tuple (mu, mu',
+    ||basis* basis'||_F, required, compliant, |sum mu_j conj(mu'_j) - 1|,
+    |sum (mu_j - conj(mu'_j))|), with orthogonality required when both
+    gates exceed tol and compliant when not required or the norm is <= tol.
+    """
+    out = []
+    for (mu, basis), (mup, basisp) in combinations(pairs, 2):
+        product_gate = abs(sum(a * b.conjugate() for a, b in zip(mu, mup))
+                           - 1.0)
+        sum_gate = abs(sum(a - b.conjugate() for a, b in zip(mu, mup)))
+        required = product_gate > tol and sum_gate > tol
+        gram = float(np.linalg.norm(basis.conj().T @ basisp))
+        out.append((mu, mup, gram, required, not required or gram <= tol,
+                    product_gate, sum_gate))
     return out
 
 

@@ -7,7 +7,8 @@ from isosym.construct import (JordanAugmentSpec, jordan_augment,
                               reference_pair, scaled_tuple, ScaledTupleSpec,
                               tensor_sum)
 from isosym.defect import MultiOperator
-from isosym.errors import HypothesisUnmet, InvalidParams, InvarianceViolation
+from isosym.errors import ConvergenceFailure, HypothesisUnmet, \
+    InvalidParams, InvarianceViolation
 from isosym.linalg import TOL_RANK, fro_norm
 from isosym.spectra import (TOL_ORTHOGONALITY, TOL_SPECTRA,
                             check_orthogonality,
@@ -15,7 +16,7 @@ from isosym.spectra import (TOL_ORTHOGONALITY, TOL_SPECTRA,
                             classify_spectrum, joint_point_spectrum,
                             spectral_checks, spectral_tolerance)
 
-from oracles import svd_joint_spectrum
+from oracles import pairwise_orthogonality, svd_joint_spectrum
 
 
 def _diag_tuple(columns):
@@ -224,6 +225,71 @@ class TestAgainstSvdOracle:
         assert [list(g) for g in groups] == [[0, 2, 4], [1, 3], [5]]
 
 
+def _counting(monkeypatch, module, names):
+    """Counts the calls of each named function of ``module``."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestCertifiedBlock:
+    """A level's certified simple eigenvalues are one block of columns."""
+
+    def test_generic_tuple_is_one_level_with_no_compression(self,
+                                                            monkeypatch):
+        counts = _counting(monkeypatch, spectra, ["_compress", "_recurse"])
+        assert len(joint_point_spectrum(random_commuting_tuple(2, 16, 4))) \
+            == 16
+        assert counts == {"_compress": 0, "_recurse": 1}
+
+    def test_one_non_invariant_certified_column_raises(self, monkeypatch):
+        first = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).astype(complex)
+        second = np.diag([0.5, -0.5, 1.5, -1.5, 2.5, -2.5]).astype(complex)
+        second[2, 3] = 1.0  # second @ e_4 leaves span{e_4}; no other does
+        bad = MultiOperator([first, second], tol_comm=10.0)
+        limit = 10.0 * TOL_SPECTRA * (1.0 + fro_norm(second))
+        invariant = np.eye(6, dtype=complex)[:, [0, 1, 2, 4, 5]]
+        assert len(spectra._certified_block([second], [limit],
+                                            invariant)[0]) == 5
+        calls = _Calls(monkeypatch)
+        with pytest.raises(InvarianceViolation, match="residual 1.000e"):
+            joint_point_spectrum(bad)
+        assert calls.certified[0][-1].all() and calls.null_bases == 0
+
+    def test_bases_are_their_own_arrays(self, corpus):
+        for r in corpus:
+            pairs = joint_point_spectrum(r)
+            for i, p in enumerate(pairs):
+                assert not any(np.may_share_memory(p.basis, q.basis)
+                               for q in pairs[i + 1:])
+            for p in pairs:
+                resid = max(fro_norm(op @ p.basis - lam * p.basis)
+                            for lam, op in zip(p.mu, r.matrices))
+                assert abs(p.residual - resid) <= 1e-14 * (1.0 + r.max_norm())
+
+    @pytest.mark.parametrize("plant, match", [
+        (lambda mu, basis: (mu[:-1] + (mu[-1] + 1e-3,), basis), "residual"),
+        (lambda mu, basis: (mu, 1.01 * basis), "orthonormality")],
+        ids=["coordinate", "basis"])
+    def test_every_pair_is_verified(self, monkeypatch, plant, match):
+        recurse = spectra._recurse
+
+        def planted(ops, carrier, mu_prefix, out, tol):
+            recurse(ops, carrier, mu_prefix, out, tol)
+            if not mu_prefix:  # the top level: spoil its last pair only
+                out[-1] = plant(*out[-1])
+
+        monkeypatch.setattr(spectra, "_recurse", planted)
+        with pytest.raises(ConvergenceFailure, match=match):
+            joint_point_spectrum(random_commuting_tuple(2, 16, 4))
+
+
 class TestClassifySpectrum:
     def test_reference_on_sphere(self):
         cls = classify_spectrum(reference_pair(), 1, 1)
@@ -276,6 +342,25 @@ class TestOrthogonality:
             if c.required_orthogonal:
                 assert c.gram_norm <= 1e-8
 
+    def test_matches_the_pairwise_loop(self, corpus):
+        checked = 0
+        for r in corpus:
+            pairs = joint_point_spectrum(r)
+            got = spectra._orthogonality(pairs, TOL_ORTHOGONALITY)
+            ref = pairwise_orthogonality([(p.mu, p.basis) for p in pairs],
+                                         TOL_ORTHOGONALITY)
+            assert len(got) == len(ref)
+            for c, (mu, mup, gram, required, compliant, g1, g2) in zip(got,
+                                                                       ref):
+                assert (c.mu, c.mu_prime) == (mu, mup)
+                assert (c.required_orthogonal, c.compliant) == \
+                    (required, compliant)
+                assert abs(c.gram_norm - gram) <= 1e-14
+                assert abs(c.gate_product - g1) <= 1e-14 * (1.0 + g1)
+                assert abs(c.gate_sum - g2) <= 1e-14 * (1.0 + g2)
+                checked += c.required_orthogonal
+        assert checked > 1000
+
 
 class TestZeroCoordinate:
     def test_reference_consistent(self):
@@ -292,6 +377,16 @@ class TestZeroCoordinate:
         report = check_zero_coordinate_exclusion(r, 1, 1)
         assert report.entries == []
         assert report.consistent
+
+    @pytest.mark.parametrize("r, eigvals_calls", [
+        (reference_pair(), 1), (_diag_tuple([(np.exp(0.4j),), (-1.0,)]), 0)],
+        ids=["zero-coordinate", "none"])
+    def test_adjoint_sum_is_decomposed_only_when_needed(self, monkeypatch, r,
+                                                        eigvals_calls):
+        counts = _counting(monkeypatch, np.linalg, ["eigvals"])
+        report = spectral_checks(r, 1, 1).zero_coordinate
+        assert len(report.entries) == eigvals_calls and report.consistent
+        assert counts == {"eigvals": eigvals_calls}
 
     def test_no_zero_coordinate_points(self):
         r = scaled_tuple(ScaledTupleSpec(base=np.eye(2), beta=(0.6, 0.8)))
@@ -310,18 +405,8 @@ def _isosymmetric_fixtures():
 
 class TestSpectralChecks:
     def test_one_spectrum_and_one_verdict(self, monkeypatch):
-        calls = {"joint_point_spectrum": 0, "is_isosymmetric": 0}
-
-        def counting(name):
-            original = getattr(spectra, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(spectra, name, counting(name))
+        calls = _counting(monkeypatch, spectra,
+                          ["joint_point_spectrum", "is_isosymmetric"])
         checks = spectral_checks(_isosymmetric_fixtures()[2], 1, 1)
         assert len(checks.classifications) == 3
         assert len(checks.orthogonality) == 3
