@@ -44,13 +44,14 @@ stay exact while its entries do.  One function, ``_combine``, reduces
 every other weighted sum of matrices.
 
 Every defect is evaluated by a DefectTable, which builds the ingredients
-of one tuple (the power ladders of T, S_l, the B_k around each S_l, M_k)
-once and reuses them for every cell it is asked for.  Every function here
-and in ``classify`` that reads a defect takes a tuple, for which it builds
-a throwaway table, or its DefectTable, which it reads and grows.  A
-caller reading several defects of one tuple passes one table wherever the
-tuple goes; the table is never stored on the tuple or in this module, so
-it lives exactly as long as its caller keeps it.  Cells are always
+of one tuple (one power ladder of T, whose adjoints are the powers of
+T*, S_l, the B_k around each S_l, M_k) once and reuses them for every
+cell it is asked for.  Every function here and in ``classify`` that
+reads a defect takes a tuple, for which it builds a throwaway table, or
+its DefectTable, which it reads and grows.  A caller reading several
+defects of one tuple passes one table wherever the tuple goes; the table
+is never stored on the tuple or in this module, so it lives exactly as
+long as its caller keeps it.  Cells are always
 evaluated from the definitions, never from the recurrence, and the arrays
 a table hands out are read-only because it keeps them for later reads.
 """
@@ -259,12 +260,13 @@ class DefectTable:
     """The defects of one tuple and their shared ingredients, each built once.
 
     Ingredients are built on first use and grown when a higher order needs
-    more: the power ladders of T = sum_j R_j and T*, every S_l, the sums
-    B_k(S_l) = Phi_0^k(S_l), k = 0..K, around each S_l that an M-style sum
-    was asked of (S_0 = I, so M_m combines those of S_0), every M_k, and
-    every L_{m,n} cell.  One run of multinomial steps builds every middle
-    operator's sums it is asked for that are missing or too short, each
-    continued from its last B_k; ``prepare(m_max, n_max)`` asks for a
+    more: one power ladder of T = sum_j R_j, whose adjoints give the
+    powers T*^k = (T^k)*, every S_l, the sums B_k(S_l) = Phi_0^k(S_l),
+    k = 0..K, around each S_l that an M-style sum was asked of (S_0 = I,
+    so M_m combines those of S_0), every M_k, and every L_{m,n} cell.  One
+    run of multinomial steps builds every middle operator's sums it is
+    asked for that are missing or too short, each continued from its last
+    B_k; ``prepare(m_max, n_max)`` asks for a
     whole box.  A cell is evaluated in both outer forms once; their gap is
     kept beside it and checked against the caller's tolerance on every
     read.
@@ -276,11 +278,11 @@ class DefectTable:
     therefore read-only.
     """
 
-    __slots__ = ("r", "_ladders", "_sums", "_m", "_s", "_cells")
+    __slots__ = ("r", "_t_powers", "_sums", "_m", "_s", "_cells")
 
     def __init__(self, r):
         self.r = r
-        self._ladders = {}   # "T", "T*" -> (k+1, n, n)
+        self._t_powers = None  # [I, T, ..., T^k] as (k+1, n, n)
         self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n)
         self._m = {}         # l -> M_l
         self._s = {}         # l -> S_l
@@ -291,15 +293,12 @@ class DefectTable:
         """``r`` if it is a DefectTable, else a new table of the tuple r."""
         return r if isinstance(r, cls) else cls(r)
 
-    def _powers(self, side, k):
-        """Power ladder of ``side`` ("T" or "T*") up to power k."""
-        have = self._ladders.get(side)
-        if have is not None and len(have) > k:
-            return have
-        total = op_sum(self.r)
-        out = _ladder(total if side == "T" else adjoint(total), k, have)
-        self._ladders[side] = _frozen(out)
-        return out
+    def _powers(self, k):
+        """Power ladder of T = sum_j R_j up to at least power k."""
+        have = self._t_powers
+        if have is None or len(have) <= k:
+            self._t_powers = _frozen(_ladder(op_sum(self.r), k, have))
+        return self._t_powers
 
     def _nested(self, middles, order):
         """B_0..B_order(S_l) for each l in ``middles``, in that order.
@@ -346,8 +345,9 @@ class DefectTable:
     def _sandwich(self, n, mid):
         """The S-style sum_k (-1)^(n-k) C(n,k) T*^k X T^(n-k), X = ``mid``
         (None: I): S_n around I, the sym form of L_{m,n} around M_m."""
-        stars = self._powers("T*", n)[:n + 1]
-        plain = self._powers("T", n)[n::-1]
+        ladder = self._powers(n)
+        stars = ladder[:n + 1].conj().transpose(0, 2, 1)  # T*^k = (T^k)*
+        plain = ladder[n::-1]
         prods = stars @ plain if mid is None else stars @ mid @ plain
         return _combine(_alternating_weights(n), prods)
 

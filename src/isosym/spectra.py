@@ -11,14 +11,13 @@ eigenvalue whose gap, divided by the condition number of the eigenvector
 matrix, provably clears the null-space SVD's rank threshold is certified:
 its eigenvector is the eigenspace and no SVD runs.  A level's certified
 eigenvectors are taken as one block of columns W: one product R W per
-remaining component gives every column's coordinate (its Rayleigh
-quotient) and invariance residual, one product carrier @ W every basis,
-and none of them recurses.  Clusters of several eigenvalues and the
-simple eigenvalues the certificate declines take the SVD null space, are
-compressed onto it and recurse.  A cluster of several eigenvalues that a
-later component splits gives each of its points that coordinate from the
-point's own basis W, as trace(W* R W)/k, instead of the cluster mean.
-Every pair is then verified in one pass over the stacked bases.
+remaining component checks every column's invariance, one product
+carrier @ W gives every basis, and none of them recurses.  Clusters of
+several eigenvalues and the simple eigenvalues the certificate declines
+take the SVD null space, are compressed onto it and recurse.  The
+recursion yields bases only.  Every point's coordinates are read once,
+from its own basis B, as mu_l = trace(B* R_l B)/k, in the one pass over
+the stacked bases that also verifies every pair.
 
 The spectral checks of an (m,n)-isosymmetric tuple (classification,
 eigenspace orthogonality, zero-coordinate exclusion) all come from one
@@ -207,21 +206,15 @@ def _compress(ops, limits, w):
     return out
 
 
-def _rayleigh(a, w):
-    """trace(w* a w) / k for the k orthonormal columns of w."""
-    return complex(np.trace(w.conj().T @ (a @ w))) / w.shape[1]
-
-
 def _certified_block(ops, limits, w):
-    """Coordinates of the eigenvector columns of w on every op in ``ops``.
+    """Check that each column of w spans a line invariant under every op.
 
-    Each column of w spans its own invariant line, so its coordinate on op
-    is the Rayleigh quotient w_j* (op w_j), read off one product op @ w for
-    all columns at once.  Each column's invariance residual ||op w_j - c_j
-    w_j|| is checked against the op's limit in ``limits``; the worst one
-    over the limit raises.  Returns one (k,) coordinate array per op.
+    Each column's invariance residual ||op w_j - c_j w_j||, c_j = w_j* (op
+    w_j) its Rayleigh quotient, is read off one product op @ w for all
+    columns at once and checked against the op's limit in ``limits``; the
+    worst one over the limit raises.  No coordinate is kept: it is read
+    later, from the column's basis, by joint_point_spectrum.
     """
-    out = []
     for op, limit in zip(ops, limits):
         proj = op @ w
         coords = np.einsum("ij,ij->j", w.conj(), proj)
@@ -231,27 +224,23 @@ def _certified_block(ops, limits, w):
             raise InvarianceViolation(
                 f"eigenspace not invariant (residual {resid[worst]:.3e}); "
                 "the tuple may not commute")
-        out.append(coords)
-    return out
 
 
-def _recurse(ops, carrier, mu_prefix, out, tol):
-    """Append (mu, basis) for every joint eigenvalue of the tuple ``ops``.
+def _recurse(ops, carrier, out, tol):
+    """Append the basis of every joint eigenspace of the tuple ``ops``.
 
     ``ops`` are the components still to split, compressed onto the
     subspace whose orthonormal basis, in the original coordinates, is
-    ``carrier``; ``mu_prefix`` holds the coordinates already fixed.  One
-    eigendecomposition of ops[0] per call.  Its certified simple
-    eigenvalues are handled as one block of eigenvector columns: one
-    product per remaining component gives every column's coordinate and
-    invariance residual, one carrier product every basis, and none of them
-    recurses.  Every other cluster takes an SVD null space, is compressed
-    onto it and recurses.  Points come out in cluster order.
+    ``carrier``.  One eigendecomposition of ops[0] per call.  Its
+    certified simple eigenvalues are handled as one block of eigenvector
+    columns: one product per remaining component checks every column's
+    invariance, one carrier product gives every basis, and none of them
+    recurses.  Every other cluster takes an SVD null space around the
+    cluster mean, is compressed onto it and recurses.  Only bases come
+    out; joint_point_spectrum reads every point's coordinates from its own.
     """
     if not ops or ops[0].shape[0] == 1:
-        # a line: every coordinate left is the 1x1 entry (Rayleigh quotient)
-        out.append((mu_prefix + tuple(complex(op[0, 0]) for op in ops),
-                    carrier))
+        out.append(carrier)  # a line, or nothing left to split: one point
         return
     a = ops[0]
     try:
@@ -264,32 +253,20 @@ def _recurse(ops, carrier, mu_prefix, out, tol):
     limits = [10.0 * tol * (1.0 + fro_norm(op)) for op in ops[1:]]
     groups = _clusters(dist, CLUSTER_TOL * scale)
     single = [g[0] for g in groups if len(g) == 1 and certified[g[0]]]
-    lines = {}
     if single:
         w = vecs[:, single]
         w = w / np.linalg.norm(w, axis=0)  # each column spans its eigenspace
-        coords = _certified_block(ops[1:], limits, w)
-        mus = zip(vals[single].tolist(), *(c.tolist() for c in coords))
+        _certified_block(ops[1:], limits, w)
         bases = carrier @ w
-        lines = {i: (mu_prefix + mu, bases[:, [j]])  # a copy per column
-                 for j, (i, mu) in enumerate(zip(single, mus))}
+        out.extend(bases[:, [j]] for j in range(len(single)))  # a copy each
     for group in groups:
-        if group[0] in lines:
-            out.append(lines[group[0]])
+        if len(group) == 1 and certified[group[0]]:
             continue
         members = vals[group]
         lam = complex(np.mean(members))
         radius = float(np.max(np.abs(members - lam)))
         w = _null_basis(a - lam * np.eye(a.shape[0]), radius, scale)
-        found = []
-        _recurse(_compress(ops[1:], limits, w), carrier @ w,
-                 mu_prefix + (lam,), found, tol)
-        if len(group) > 1 and len(found) > 1:
-            # the cluster split below: the mean is no point's own coordinate
-            i = len(mu_prefix)
-            found = [(mu[:i] + (_rayleigh(a, carrier.conj().T @ basis),)
-                      + mu[i + 1:], basis) for mu, basis in found]
-        out.extend(found)
+        _recurse(_compress(ops[1:], limits, w), carrier @ w, out, tol)
 
 
 def _stacked(bases):
@@ -313,35 +290,44 @@ def joint_point_spectrum(r, tol=TOL_SPECTRA):
 
     Eigenvalues within CLUSTER_TOL (relative) are merged before null-space
     extraction; the certified simple eigenvalues of each level are taken
-    as one block of eigenvector columns (see _recurse).  Every pair is
-    then verified in one pass over the stacked bases B: its residual is
-    the largest, over l, Frobenius norm of its columns of R_l B - B
-    diag(mu_l), and must be <= tol * (1 + max_j ||R_j||); its diagonal
-    block of B* B must be within 1e-10 of I.  Results are sorted by
-    (re, im) per coordinate.
+    as one block of eigenvector columns (see _recurse), which yields the
+    eigenspace bases only.  Every pair is verified, and every coordinate
+    read once, in one pass over the stacked bases B.  Point p, with the
+    k_p columns B_p, must have B_p* B_p within 1e-10 of I; it then gets
+    mu_l = trace(B_p* R_l B_p)/k_p, the scalar that minimises its
+    residual.  That residual, the largest over l of the Frobenius norm of
+    R_l B_p - mu_l B_p, must be <= tol * (1 + max_j ||R_j||).  Results
+    are sorted by (re, im) per coordinate.
     """
     checked_tolerance(tol)
     if r.dim > MAX_JOINT_DIM:
         raise InvalidParams(f"dimension {r.dim} exceeds {MAX_JOINT_DIM}")
-    raw = []
-    _recurse(list(r.matrices), np.eye(r.dim, dtype=np.complex128), (), raw, tol)
-    stacked, owner, blocks = _stacked([basis for _, basis in raw])
-    coords = np.array([mu for mu, _ in raw], dtype=np.complex128)[owner]
-    resid = np.zeros(len(raw))
+    bases = []
+    _recurse(list(r.matrices), np.eye(r.dim, dtype=np.complex128), bases, tol)
+    stacked, owner, blocks = _stacked(bases)
+    if np.any(np.diag(blocks) > 1e-10):
+        raise ConvergenceFailure("eigenspace basis lost orthonormality")
+
+    def per_point(cols):  # sums over each basis's columns
+        return np.bincount(owner, weights=cols)
+
+    sizes = per_point(None)  # k_p
+    mus = np.empty((len(bases), r.d), dtype=np.complex128)
+    resid = np.zeros(len(bases))
     for l, op in enumerate(r.matrices):
-        diff = op @ stacked - stacked * coords[:, l]
-        cols = (diff.real ** 2 + diff.imag ** 2).sum(axis=0)
-        resid = np.maximum(resid, np.sqrt(np.bincount(
-            owner, weights=cols, minlength=len(raw))))
+        prod = op @ stacked
+        quot = np.einsum("ij,ij->j", stacked.conj(), prod)
+        mus[:, l] = (per_point(quot.real) + 1j * per_point(quot.imag)) / sizes
+        diff = prod - stacked * mus[owner, l]
+        resid = np.maximum(resid, np.sqrt(per_point(
+            (diff.real ** 2 + diff.imag ** 2).sum(axis=0))))
     bound = tol * (1.0 + r.max_norm())
     worst = int(np.argmax(resid))
     if resid[worst] > bound:
         raise ConvergenceFailure(
             f"joint eigenpair residual {resid[worst]:.3e} exceeds {bound:.3e}")
-    if np.any(np.diag(blocks) > 1e-10):
-        raise ConvergenceFailure("eigenspace basis lost orthonormality")
-    pairs = [JointEigenpair(mu=mu, basis=basis, residual=res)
-             for (mu, basis), res in zip(raw, resid.tolist())]
+    pairs = [JointEigenpair(mu=tuple(mu), basis=basis, residual=res)
+             for mu, basis, res in zip(mus.tolist(), bases, resid.tolist())]
     pairs.sort(key=lambda p: tuple((z.real, z.imag) for z in p.mu))
     return pairs
 

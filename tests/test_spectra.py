@@ -198,8 +198,10 @@ class TestAgainstSvdOracle:
         assert not any(mask.any() for *_, mask in calls.certified)
         assert calls.null_bases == null_bases
         ref = svd_joint_spectrum(r.matrices)
-        assert [p.mu for p in pairs] == [mu for mu, _ in ref]
-        for pair, (_, basis) in zip(pairs, ref):
+        assert len(pairs) == len(ref)
+        for pair, (mu, basis) in zip(pairs, ref):
+            assert max(abs(a - b) for a, b in zip(pair.mu, mu)) \
+                <= 1e-12 * (1.0 + r.max_norm())
             assert np.array_equal(pair.basis, basis)
 
     def test_generic_tuple_needs_no_null_space_svd(self, monkeypatch):
@@ -255,8 +257,7 @@ class TestCertifiedBlock:
         bad = MultiOperator([first, second], tol_comm=10.0)
         limit = 10.0 * TOL_SPECTRA * (1.0 + fro_norm(second))
         invariant = np.eye(6, dtype=complex)[:, [0, 1, 2, 4, 5]]
-        assert len(spectra._certified_block([second], [limit],
-                                            invariant)[0]) == 5
+        spectra._certified_block([second], [limit], invariant)
         calls = _Calls(monkeypatch)
         with pytest.raises(InvarianceViolation, match="residual 1.000e"):
             joint_point_spectrum(bad)
@@ -274,20 +275,51 @@ class TestCertifiedBlock:
                 assert abs(p.residual - resid) <= 1e-14 * (1.0 + r.max_norm())
 
     @pytest.mark.parametrize("plant, match", [
-        (lambda mu, basis: (mu[:-1] + (mu[-1] + 1e-3,), basis), "residual"),
-        (lambda mu, basis: (mu, 1.01 * basis), "orthonormality")],
-        ids=["coordinate", "basis"])
+        # a unit column orthogonal to every other basis, not an eigenvector
+        (lambda bases: np.linalg.svd(np.concatenate(bases[:-1], axis=1))[0]
+         [:, -1:], "residual"),
+        (lambda bases: 1.01 * bases[-1], "orthonormality")],
+        ids=["not-an-eigenvector", "basis"])
     def test_every_pair_is_verified(self, monkeypatch, plant, match):
-        recurse = spectra._recurse
+        recurse, calls = spectra._recurse, []
 
-        def planted(ops, carrier, mu_prefix, out, tol):
-            recurse(ops, carrier, mu_prefix, out, tol)
-            if not mu_prefix:  # the top level: spoil its last pair only
-                out[-1] = plant(*out[-1])
+        def planted(ops, carrier, out, tol):
+            calls.append(None)
+            top = len(calls) == 1
+            recurse(ops, carrier, out, tol)
+            if top:  # the top level: spoil its last basis only
+                out[-1] = plant(out)
 
         monkeypatch.setattr(spectra, "_recurse", planted)
         with pytest.raises(ConvergenceFailure, match=match):
             joint_point_spectrum(random_commuting_tuple(2, 16, 4))
+
+
+def _split_cluster_tuple():
+    """First coordinates 2e-7 apart, which merge into one cluster of R_1,
+    that R_2 separates: the split-cluster fixture."""
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    first = np.array([1.0, 1.0 + 2e-7, -1.0])
+    second = np.array([0.0, 1.0, 2.0])
+    r = MultiOperator([q @ np.diag(v) @ q.conj().T for v in (first, second)])
+    return r, first, second
+
+
+class TestCoordinatesFromTheBasis:
+    """Every point's coordinates are read from its own basis."""
+
+    def test_every_coordinate_is_the_trace_quotient_of_its_basis(self,
+                                                                 corpus):
+        tuples = corpus + [_conjugated_jordan_block(), reference_pair(),
+                           _split_cluster_tuple()[0]]
+        for r in tuples:
+            for p in joint_point_spectrum(r):
+                k = p.basis.shape[1]
+                for mu, op in zip(p.mu, r.matrices):
+                    quotient = np.trace(p.basis.conj().T @ op @ p.basis) / k
+                    assert abs(mu - quotient) <= 1e-14 * (1.0 + r.max_norm())
 
 
 class TestClassifySpectrum:
@@ -481,14 +513,9 @@ def test_spectral_tolerance_is_floored(tol, floored):
 
 
 def test_split_cluster_points_keep_their_own_first_coordinate():
-    # first coordinates 2e-7 apart merge into one cluster of R_1; R_2
-    # separates the two points, each of which must get its own value
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3))
-                        + 1j * rng.standard_normal((3, 3)))
-    first = np.array([1.0, 1.0 + 2e-7, -1.0])
-    second = np.array([0.0, 1.0, 2.0])
-    r = MultiOperator([q @ np.diag(v) @ q.conj().T for v in (first, second)])
+    # R_2 separates the two points of R_1's merged cluster, each of which
+    # must get its own first coordinate
+    r, first, second = _split_cluster_tuple()
     pairs = spectra.joint_point_spectrum(r)
     got = sorted((p.mu[1].real, p.mu[0]) for p in pairs)
     assert [b for b, _ in got] == pytest.approx(list(second), abs=1e-12)
