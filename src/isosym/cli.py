@@ -275,7 +275,7 @@ def _cmd_construct(args):
         params = {"left": args.left, "right": args.right}
     elif kind == "nilpotent":
         op = nilpotent_tuple(args.d, args.dim, args.order, seed)
-        predicted = [[0, 2 * args.order]]
+        predicted = [[0, 2 * args.order - 1]]
         params = {"d": args.d, "dim": args.dim, "order": args.order,
                   "seed": seed}
     else:  # random, the last of the kinds the parser accepts

@@ -43,17 +43,19 @@ only adds matrix products and scales none, so an integer tuple's sums
 stay exact while its entries do.  One function, ``_combine``, reduces
 every other weighted sum of matrices.
 
-Every defect is evaluated by a DefectTable, which builds the ingredients
-of one tuple (one power ladder of T, whose adjoints are the powers of
-T*, S_l, the B_k around each S_l, M_k) once and reuses them for every
-cell it is asked for.  Every function here and in ``classify`` that
-reads a defect takes a tuple, for which it builds a throwaway table, or
-its DefectTable, which it reads and grows.  A caller reading several
-defects of one tuple passes one table wherever the tuple goes; the table
-is never stored on the tuple or in this module, so it lives exactly as
-long as its caller keeps it.  Cells are always
-evaluated from the definitions, never from the recurrence, and the arrays
-a table hands out are read-only because it keeps them for later reads.
+Every defect is evaluated by a DefectTable, which keeps three stores of
+one tuple and grows them as higher orders need: one power ladder of T,
+whose adjoints are the powers of T*; the M-style sums B_0..B_k(S_l),
+whose B_0 is S_l itself; and the checked L_{m,n} cells.  M_l is one
+weighted sum of the B_k around S_0 = I, formed when read.
+Every function here and in ``classify`` that reads a defect takes a
+tuple, for which it builds a throwaway table, or its DefectTable, which
+it reads and grows.  A caller reading several defects of one tuple
+passes one table wherever the tuple goes; the table is never stored on
+the tuple or in this module, so it lives exactly as long as its caller
+keeps it.  Cells are always evaluated from the definitions, never from
+the recurrence, and the arrays a table hands out are read-only because
+it keeps them for later reads.
 """
 
 import sys
@@ -86,7 +88,8 @@ class MultiOperator:
 
     Commutation is enforced at construction: for every i < j the residual
     ||R_i R_j - R_j R_i|| must stay within
-    tol_comm * (1 + ||R_i||) * (1 + ||R_j||), else CommutationViolated.
+    tol_comm * (1 + ||R_i||) * (1 + ||R_j||), else CommutationViolated; a
+    component whose norm overflows a float is refused (TooLarge).
     Matrices are stored read-only; instances are immutable and safe to
     share between threads.
     """
@@ -102,11 +105,16 @@ class MultiOperator:
             if m.shape != (dim, dim):
                 raise DimensionMismatch(
                     f"components must all be {dim}x{dim}, got {m.shape}")
-        norms = [fro_norm(m) for m in mats]
-        worst = max((_commutator_residual(mats[i], mats[j], norms[i], norms[j])
-                     for i in range(len(mats))
-                     for j in range(i + 1, len(mats))), default=0.0)
-        if worst > tol_comm:
+        # an overflow is refused here, not raised as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = [fro_norm(m) for m in mats]
+            if max(norms) == np.inf:
+                raise TooLarge("a component's norm overflows a float")
+            worst = max((_commutator_residual(mats[i], mats[j], norms[i],
+                                              norms[j])
+                         for i in range(len(mats))
+                         for j in range(i + 1, len(mats))), default=0.0)
+        if not worst <= tol_comm:  # a NaN residual fails too
             raise CommutationViolated(
                 f"commutation residual {worst:.3e} exceeds {tol_comm:.3e}")
         object.__setattr__(self, "matrices", mats)
@@ -168,24 +176,6 @@ def _frozen(a):
     """Mark ``a`` read-only and return it."""
     a.setflags(write=False)
     return a
-
-
-def _ladder(mat, kmax, head=None):
-    """Stack of powers [I, M, M^2, ..., M^kmax].
-
-    ``head``, a shorter such stack of the same M, is copied, not recomputed.
-    """
-    n = mat.shape[0]
-    out = np.empty((kmax + 1, n, n), dtype=np.complex128)
-    if head is None:
-        out[0] = np.eye(n)
-        start = 1
-    else:
-        start = len(head)
-        out[:start] = head
-    for p in range(start, kmax + 1):
-        out[p] = out[p - 1] @ mat
-    return out
 
 
 @lru_cache(maxsize=128)
@@ -259,17 +249,18 @@ def _report(kind, orders, matrix, tolerance_used):
 class DefectTable:
     """The defects of one tuple and their shared ingredients, each built once.
 
-    Ingredients are built on first use and grown when a higher order needs
-    more: one power ladder of T = sum_j R_j, whose adjoints give the
-    powers T*^k = (T^k)*, every S_l, the sums B_k(S_l) = Phi_0^k(S_l),
-    k = 0..K, around each S_l that an M-style sum was asked of (S_0 = I,
-    so M_m combines those of S_0), every M_k, and every L_{m,n} cell.  One
+    Three stores are built on first use and grown when a higher order
+    needs more: ``_t_powers``, the one power ladder of T = sum_j R_j,
+    whose adjoints give the powers T*^k = (T^k)*; ``_sums``, the sums
+    B_k(S_l) = Phi_0^k(S_l), k = 0..K, around each S_l that an M-style
+    sum was asked of; and ``_cells``, every L_{m,n} read.  S_l is the
+    B_0 of its sums when it has them, else one sandwich, and M_m one
+    weighted sum of those around S_0 = I; neither is stored apart.  One
     run of multinomial steps builds every middle operator's sums it is
     asked for that are missing or too short, each continued from its last
-    B_k; ``prepare(m_max, n_max)`` asks for a
-    whole box.  A cell is evaluated in both outer forms once; their gap is
-    kept beside it and checked against the caller's tolerance on every
-    read.
+    B_k; ``prepare(m_max, n_max)`` asks for a whole box.  A cell is
+    evaluated in both outer forms once; their gap is kept beside it and
+    checked against the caller's tolerance on every read.
 
     The module functions read it in place of the tuple; it offers only
     ``r``, ``of``, ``prepare`` and ``forms``.  The caller owns the table:
@@ -278,14 +269,13 @@ class DefectTable:
     therefore read-only.
     """
 
-    __slots__ = ("r", "_t_powers", "_sums", "_m", "_s", "_cells")
+    __slots__ = ("r", "_t_powers", "_sums", "_cells")
 
     def __init__(self, r):
         self.r = r
-        self._t_powers = None  # [I, T, ..., T^k] as (k+1, n, n)
-        self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n)
-        self._m = {}         # l -> M_l
-        self._s = {}         # l -> S_l
+        # [I, T, ..., T^k] as (k+1, n, n)
+        self._t_powers = _frozen(np.eye(r.dim, dtype=np.complex128)[None])
+        self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n), B_0 = S_l
         self._cells = {}     # (m, n) -> (L_{m,n}, gap between its two forms)
 
     @classmethod
@@ -295,9 +285,12 @@ class DefectTable:
 
     def _powers(self, k):
         """Power ladder of T = sum_j R_j up to at least power k."""
-        have = self._t_powers
-        if have is None or len(have) <= k:
-            self._t_powers = _frozen(_ladder(op_sum(self.r), k, have))
+        if len(self._t_powers) <= k:
+            total = op_sum(self.r)
+            ladder = list(self._t_powers)
+            while len(ladder) <= k:
+                ladder.append(ladder[-1] @ total)
+            self._t_powers = _frozen(np.array(ladder))
         return self._t_powers
 
     def _nested(self, middles, order):
@@ -323,9 +316,8 @@ class DefectTable:
                 for start in range(0, len(short), batch):
                     part = short[start:start + batch]
                     stack = np.array([[self._sums[l][-1] if have
-                                       else self._symmetry(l) if l
-                                       else np.eye(self.r.dim)]
-                                      for l in part], dtype=np.complex128)
+                                       else self._sandwich(l, None)]
+                                      for l in part])
                     steps = _multinomial_steps(lefts, rights, stack,
                                                order - kept)
                     for l, b in zip(part, steps):
@@ -352,19 +344,17 @@ class DefectTable:
         return _combine(_alternating_weights(n), prods)
 
     def _symmetry(self, l):
-        """S_l as a raw matrix."""
+        """S_l as a raw matrix: B_0 of its M-style sums if it has them."""
         _check_orders(l=l)
-        if l not in self._s:
-            self._s[l] = _frozen(self._sandwich(l, None))
-        return self._s[l]
+        if l in self._sums:
+            return self._sums[l][0]
+        return _frozen(self._sandwich(l, None))
 
     def _isometry(self, l):
-        """M_l as a raw matrix."""
+        """M_l as a raw matrix: the M-style sum around S_0 = I."""
         _check_orders(l=l)
-        if l not in self._m:
-            sums, = self._nested((0,), l)
-            self._m[l] = _frozen(_combine(_alternating_weights(l), sums))
-        return self._m[l]
+        sums, = self._nested((0,), l)
+        return _frozen(_combine(_alternating_weights(l), sums))
 
     def forms(self, m, n):
         """L_{m,n} through both of its forms, as read-only (sym, iso) arrays.
@@ -375,9 +365,10 @@ class DefectTable:
         neither: ``isosymmetry_defect_matrix`` is the checked, stored read.
         """
         _check_orders(m=m, n=n)
-        _, around = self._nested((0, n), m)  # one pass for M_m and iso
-        sym = self._sandwich(n, self._isometry(m))
-        iso = _combine(_alternating_weights(m), around)
+        zero, around = self._nested((0, n), m)  # one pass for M_m and iso
+        weights = _alternating_weights(m)
+        sym = self._sandwich(n, _combine(weights, zero))
+        iso = _combine(weights, around)
         return _frozen(sym), _frozen(iso)
 
     def _checked_cell(self, m, n, tol):

@@ -8,7 +8,7 @@ from isosym import kernels
 from isosym.cli import main
 from isosym.construct import (identity_tuple, nilpotent_tuple,
                               random_commuting_tuple, reference_pair)
-from isosym.defect import MultiOperator, zero_tolerance
+from isosym.defect import MultiOperator, symmetry_defect, zero_tolerance
 from isosym.tupleio import read_tuple, write_tuple
 
 
@@ -435,12 +435,14 @@ def test_unwritable_output_exit_2(capsys, tmp_path, reference_file, argv):
     ["scaled", "--base", "{single}", "--beta", "nan,1"],
     ["jordan", "--base", "{ref}", "--mu", "x,y", "--q", "2"],
     ["jordan", "--base", "{ref}", "--mu", "nan,1", "--q", "2"],
+    # finite entries whose norm overflows a float
+    ["jordan", "--base", "{ref}", "--mu", "1e200,1e200", "--q", "2"],
     ["random", "--d", "2", "--dim", "0"],
     ["random", "--d", "2", "--dim", "-3"],
     ["random", "--d", "2", "--dim", "3", "--seed", "-1"],
     ["nilpotent", "--d", "2", "--dim", "3", "--order", "2", "--seed", "-1"],
-], ids=["beta-text", "beta-nan", "mu-text", "mu-nan", "dim-0", "dim-negative",
-        "random-seed-negative", "nilpotent-seed-negative"])
+], ids=["beta-text", "beta-nan", "mu-text", "mu-nan", "mu-overflow", "dim-0",
+        "dim-negative", "random-seed-negative", "nilpotent-seed-negative"])
 def test_malformed_construct_value_exit_2(capsys, tmp_path, reference_file,
                                           argv):
     single = tmp_path / "single.json"
@@ -543,6 +545,33 @@ def test_bad_count_exit_2(capsys, tmp_path, counts):
                     % counts)
     assert main(["check", str(path), "--m", "1", "--n", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_spectrum_of_overflowing_norms_exit_2(capsys, tmp_path):
+    # 1e160 E_12 and 1e160 E_21 do not commute, but their norms overflow
+    path = tmp_path / "big.json"
+    path.write_text('{"d": 2, "dim": 2, "matrices": ['
+                    '[[[0, 0], [1e160, 0]], [[0, 0], [0, 0]]], '
+                    '[[[0, 0], [0, 0]], [[1e160, 0], [0, 0]]]]}')
+    assert main(["spectrum", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_construct_nilpotent_predicts_s_of_twice_order_less_one(
+        capsys, tmp_path, order):
+    out = tmp_path / "nil.json"
+    code, report = _run(capsys, ["construct", "nilpotent", "--d", "2",
+                                 "--dim", "3", "--order", str(order),
+                                 "--out", str(out)])
+    assert code == 0
+    assert report["results"]["predicted_orders"] == [[0, 2 * order - 1]]
+    op, meta = read_tuple(out)
+    assert meta["construction"]["predicted_orders"] == [[0, 2 * order - 1]]
+    assert symmetry_defect(op, 2 * order - 1).is_zero
+    assert not symmetry_defect(op, 2 * order - 2).is_zero
 
 
 def _shifted(q):

@@ -39,6 +39,13 @@ class TestMultiOperator:
         op = MultiOperator(_noncommuting_pair(), tol_comm=1.0)
         assert op.commutation_residual > 1e-2
 
+    @pytest.mark.parametrize("tol_comm", [defect.TOL_COMM, np.inf])
+    def test_rejects_overflowing_norms(self, tol_comm):
+        # ||A|| = ||B|| = 1e160 overflow once squared; AB != BA
+        a = np.array([[0.0, 1e160], [0.0, 0.0]])
+        with pytest.raises(TooLarge):
+            MultiOperator([a, a.T], tol_comm=tol_comm)
+
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimensionMismatch):
             MultiOperator([np.eye(2), np.eye(3)])
@@ -91,6 +98,7 @@ class TestSymmetryDefect:
     def test_nilpotent_vanishes_at_twice_order(self):
         for q in (1, 2, 3):
             r = nilpotent_tuple(2, 2 * q, q, seed=q)
+            assert symmetry_defect(r, 2 * q - 1).norm == 0.0
             assert symmetry_defect(r, 2 * q).norm == 0.0
             assert symmetry_defect(r, 2 * q + 1).norm == 0.0
 
@@ -324,13 +332,14 @@ def test_expansion_terms_are_every_pair_with_its_trinomial_coeff(d, m):
 
 class TestOrdersTooLarge:
     """An order whose zero-test scale or binomial weights overflow a float
-    is refused before any power ladder is built."""
+    is refused before any power ladder is grown or M-style step run."""
 
     @pytest.fixture(autouse=True)
     def no_ladders(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a power ladder was built")
-        monkeypatch.setattr(defect, "_ladder", refuse)
+            raise AssertionError("a power ladder or M-style step was built")
+        monkeypatch.setattr(DefectTable, "_powers", refuse)
+        monkeypatch.setattr(defect, "_multinomial_steps", refuse)
 
     def test_zero_test_scale_overflow(self):
         r = reference_pair()
