@@ -110,9 +110,7 @@ def jordan_augment_parts(spec):
     a = spec.base_tuple
     _check_built_dim(spec.q * a.dim, "Jordan augmentation")
     eye_q = np.eye(spec.q, dtype=np.complex128)
-    shift = np.zeros((spec.q, spec.q), dtype=np.complex128)
-    for i in range(spec.q - 1):
-        shift[i, i + 1] = 1.0
+    shift = _block_shift(spec.q, spec.q)
     eye_dim = np.eye(a.dim, dtype=np.complex128)
     diag = MultiOperator([kron(eye_q, m) for m in a.matrices])
     nil = MultiOperator([mu * kron(shift, eye_dim) for mu in spec.mu])

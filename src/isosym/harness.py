@@ -36,8 +36,6 @@ from .linalg import checked_tolerance, fro_norm
 from .spectra import spectral_checks
 from .tupleio import tuple_from_dict, tuple_to_dict
 
-_SEED_MASK = (1 << 64) - 1
-
 #: bound for "exact by construction" checks; the constructions introduce no
 #: residual of their own but measuring them goes through rounded products
 _EXACTNESS = 1e-13
@@ -60,6 +58,9 @@ class SuiteConfig:
             raise InvalidParams(f"unknown suite {self.suite!r}")
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidParams(
+                f"seed must be an integer >= 0, got {self.seed!r}")
         checked_tolerance(self.tol)
 
 
@@ -84,7 +85,7 @@ class SuiteReport:
 
 
 def _trial_rng(cfg, idx):
-    return np.random.default_rng([cfg.seed & _SEED_MASK, idx])
+    return np.random.default_rng([cfg.seed, idx])
 
 
 def _child_seed(rng):

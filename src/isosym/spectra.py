@@ -10,14 +10,15 @@ Each level makes one eigendecomposition of its first component.  A simple
 eigenvalue whose gap, divided by the condition number of the eigenvector
 matrix, provably clears the null-space SVD's rank threshold is certified:
 its eigenvector is the eigenspace and no SVD runs.  A level's certified
-eigenvectors are taken as one block of columns W: one product R W per
-remaining component checks every column's invariance, one product
+eigenvectors are taken as one block of columns W: one product
 carrier @ W gives every basis, and none of them recurses.  Clusters of
 several eigenvalues and the simple eigenvalues the certificate declines
-take the SVD null space, are compressed onto it and recurse.  The
-recursion yields bases only.  Every point's coordinates are read once,
-from its own basis B, as mu_l = trace(B* R_l B)/k, in the one pass over
-the stacked bases that also verifies every pair.
+take the SVD null space, are compressed onto it and recurse; the one
+invariance limit 10 tol (1 + max_j ||R_j||) guards each such subspace.
+The recursion yields bases only.  Every point's coordinates are read
+once, from its own basis B, as mu_l = trace(B* R_l B)/k, in the one pass
+over the stacked bases that also checks every pair against the bound
+tol (1 + max_j ||R_j||): the only check an output point gets.
 
 The spectral checks of an (m,n)-isosymmetric tuple (classification,
 eigenspace orthogonality, zero-coordinate exclusion) all come from one
@@ -189,13 +190,13 @@ def _null_basis(shifted, cluster_radius, ambient_scale):
     return np.ascontiguousarray(vh[keep:].conj().T)
 
 
-def _compress(ops, limits, w):
+def _compress(ops, limit, w):
     """Each op restricted to the invariant subspace spanned by w's columns.
 
-    ``limits`` holds, per op, the largest invariance residual accepted.
+    ``limit`` is the largest invariance residual accepted for any op.
     """
     out = []
-    for op, limit in zip(ops, limits):
+    for op in ops:
         proj = op @ w
         resid = fro_norm(proj - w @ (w.conj().T @ proj))
         if resid > limit:
@@ -206,38 +207,18 @@ def _compress(ops, limits, w):
     return out
 
 
-def _certified_block(ops, limits, w):
-    """Check that each column of w spans a line invariant under every op.
-
-    Each column's invariance residual ||op w_j - c_j w_j||, c_j = w_j* (op
-    w_j) its Rayleigh quotient, is read off one product op @ w for all
-    columns at once and checked against the op's limit in ``limits``; the
-    worst one over the limit raises.  No coordinate is kept: it is read
-    later, from the column's basis, by joint_point_spectrum.
-    """
-    for op, limit in zip(ops, limits):
-        proj = op @ w
-        coords = np.einsum("ij,ij->j", w.conj(), proj)
-        resid = np.linalg.norm(proj - w * coords, axis=0)
-        worst = int(np.argmax(resid))
-        if resid[worst] > limit:
-            raise InvarianceViolation(
-                f"eigenspace not invariant (residual {resid[worst]:.3e}); "
-                "the tuple may not commute")
-
-
-def _recurse(ops, carrier, out, tol):
+def _recurse(ops, carrier, out, limit):
     """Append the basis of every joint eigenspace of the tuple ``ops``.
 
     ``ops`` are the components still to split, compressed onto the
     subspace whose orthonormal basis, in the original coordinates, is
     ``carrier``.  One eigendecomposition of ops[0] per call.  Its
     certified simple eigenvalues are handled as one block of eigenvector
-    columns: one product per remaining component checks every column's
-    invariance, one carrier product gives every basis, and none of them
+    columns: one carrier product gives every basis, and none of them
     recurses.  Every other cluster takes an SVD null space around the
-    cluster mean, is compressed onto it and recurses.  Only bases come
-    out; joint_point_spectrum reads every point's coordinates from its own.
+    cluster mean, is compressed onto it, within the invariance residual
+    ``limit``, and recurses.  Only bases come out; joint_point_spectrum
+    reads every point's coordinates from its own and checks its residual.
     """
     if not ops or ops[0].shape[0] == 1:
         out.append(carrier)  # a line, or nothing left to split: one point
@@ -250,13 +231,11 @@ def _recurse(ops, carrier, out, tol):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     scale = 1.0 + fro_norm(a)
-    limits = [10.0 * tol * (1.0 + fro_norm(op)) for op in ops[1:]]
     groups = _clusters(dist, CLUSTER_TOL * scale)
     single = [g[0] for g in groups if len(g) == 1 and certified[g[0]]]
     if single:
         w = vecs[:, single]
         w = w / np.linalg.norm(w, axis=0)  # each column spans its eigenspace
-        _certified_block(ops[1:], limits, w)
         bases = carrier @ w
         out.extend(bases[:, [j]] for j in range(len(single)))  # a copy each
     for group in groups:
@@ -266,7 +245,7 @@ def _recurse(ops, carrier, out, tol):
         lam = complex(np.mean(members))
         radius = float(np.max(np.abs(members - lam)))
         w = _null_basis(a - lam * np.eye(a.shape[0]), radius, scale)
-        _recurse(_compress(ops[1:], limits, w), carrier @ w, out, tol)
+        _recurse(_compress(ops[1:], limit, w), carrier @ w, out, limit)
 
 
 def _stacked(bases):
@@ -291,19 +270,24 @@ def joint_point_spectrum(r, tol=TOL_SPECTRA):
     Eigenvalues within CLUSTER_TOL (relative) are merged before null-space
     extraction; the certified simple eigenvalues of each level are taken
     as one block of eigenvector columns (see _recurse), which yields the
-    eigenspace bases only.  Every pair is verified, and every coordinate
+    eigenspace bases only.  Each subspace the recursion continues from
+    must be invariant within 10 tol (1 + max_j ||R_j||), else
+    InvarianceViolation.  Every pair is verified, and every coordinate
     read once, in one pass over the stacked bases B.  Point p, with the
-    k_p columns B_p, must have B_p* B_p within 1e-10 of I; it then gets
-    mu_l = trace(B_p* R_l B_p)/k_p, the scalar that minimises its
-    residual.  That residual, the largest over l of the Frobenius norm of
-    R_l B_p - mu_l B_p, must be <= tol * (1 + max_j ||R_j||).  Results
-    are sorted by (re, im) per coordinate.
+    k_p columns B_p, must have B_p* B_p within 1e-10 of I, else
+    ConvergenceFailure; it then gets mu_l = trace(B_p* R_l B_p)/k_p, the
+    scalar that minimises its residual.  That residual, the largest over
+    l of the Frobenius norm of R_l B_p - mu_l B_p, must be
+    <= tol * (1 + max_j ||R_j||), else InvarianceViolation.  Results are
+    sorted by (re, im) per coordinate.
     """
     checked_tolerance(tol)
     if r.dim > MAX_JOINT_DIM:
         raise InvalidParams(f"dimension {r.dim} exceeds {MAX_JOINT_DIM}")
+    bound = tol * (1.0 + r.max_norm())
     bases = []
-    _recurse(list(r.matrices), np.eye(r.dim, dtype=np.complex128), bases, tol)
+    _recurse(list(r.matrices), np.eye(r.dim, dtype=np.complex128), bases,
+             10.0 * bound)
     stacked, owner, blocks = _stacked(bases)
     if np.any(np.diag(blocks) > 1e-10):
         raise ConvergenceFailure("eigenspace basis lost orthonormality")
@@ -321,11 +305,11 @@ def joint_point_spectrum(r, tol=TOL_SPECTRA):
         diff = prod - stacked * mus[owner, l]
         resid = np.maximum(resid, np.sqrt(per_point(
             (diff.real ** 2 + diff.imag ** 2).sum(axis=0))))
-    bound = tol * (1.0 + r.max_norm())
     worst = int(np.argmax(resid))
     if resid[worst] > bound:
-        raise ConvergenceFailure(
-            f"joint eigenpair residual {resid[worst]:.3e} exceeds {bound:.3e}")
+        raise InvarianceViolation(
+            f"joint eigenpair residual {resid[worst]:.3e} exceeds "
+            f"{bound:.3e}; the tuple may not commute")
     pairs = [JointEigenpair(mu=tuple(mu), basis=basis, residual=res)
              for mu, basis, res in zip(mus.tolist(), bases, resid.tolist())]
     pairs.sort(key=lambda p: tuple((z.real, z.imag) for z in p.mu))

@@ -454,6 +454,12 @@ def test_malformed_construct_value_exit_2(capsys, tmp_path, reference_file,
     assert not out.exists()
 
 
+def test_verify_seed_below_zero_exit_2(capsys):
+    assert main(["verify", "--suite", "forms", "--trials", "1",
+                 "--seed", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_construct_result_too_large_exit_2(capsys, tmp_path, reference_file,
                                           no_construct_arrays):
     out = tmp_path / "big.json"

@@ -57,6 +57,19 @@ def test_unknown_suite_rejected():
         SuiteConfig(suite="forms", trials=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(InvalidParams, match="seed"):
+        SuiteConfig(suite="forms", seed=seed)
+
+
+def test_a_seed_of_2_to_the_64_is_its_own_seed():
+    # no seed wraps round onto another: 2^64 draws other trials than 0
+    draws = [_trial_rng(SuiteConfig(suite="forms", seed=seed), 0).random()
+             for seed in (0, 2 ** 64, 2 ** 64 - 1)]
+    assert len(set(draws)) == 3
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
 def test_unusable_tolerance_rejected(tol):
     with pytest.raises(InvalidParams, match="tol"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isosym import harness, spectra
+from isosym.cli import main
 from isosym.construct import (JordanAugmentSpec, jordan_augment,
                               nilpotent_tuple, random_commuting_tuple,
                               reference_pair, scaled_tuple, ScaledTupleSpec,
@@ -10,6 +11,7 @@ from isosym.defect import MultiOperator
 from isosym.errors import ConvergenceFailure, HypothesisUnmet, \
     InvalidParams, InvarianceViolation
 from isosym.linalg import TOL_RANK, fro_norm
+from isosym.tupleio import read_tuple, write_tuple
 from isosym.spectra import (TOL_ORTHOGONALITY, TOL_SPECTRA,
                             check_orthogonality,
                             check_zero_coordinate_exclusion,
@@ -95,6 +97,27 @@ class TestJointPointSpectrum:
         big = MultiOperator([np.eye(129)])
         with pytest.raises(InvalidParams):
             joint_point_spectrum(big)
+
+
+@pytest.mark.parametrize("dim, coupled", [(3, (0, 1)), (4, (2, 0))],
+                         ids=["E_12", "E_31"])
+def test_one_invariance_bound_at_the_tuple_scale(tmp_path, capsys, dim,
+                                                 coupled):
+    # R_1 has one eigenvalue 1e4 beside small ones; R_2 is diagonal but
+    # for one entry 1e-4, which commutes within TOL_COMM at that scale and
+    # leaves a point with residual 1e-4, inside the bound 1e-7 (1 + 1e4)
+    first = np.diag([0.0] * (dim - 2) + [5e-3, 1e4])
+    second = np.diag(1e-3 * np.arange(1, dim + 1))
+    second[coupled] = 1e-4
+    path = tmp_path / "pair.json"
+    write_tuple(path, MultiOperator([first, second]))
+    r, _ = read_tuple(path)  # loading checks commutation at TOL_COMM
+    pairs = joint_point_spectrum(r)
+    assert len(pairs) == dim
+    bound = TOL_SPECTRA * (1.0 + r.max_norm())
+    assert all(p.residual <= bound for p in pairs)
+    assert main(["spectrum", str(path)]) == 0
+    capsys.readouterr()
 
 
 @pytest.fixture(scope="module")
@@ -255,9 +278,6 @@ class TestCertifiedBlock:
         second = np.diag([0.5, -0.5, 1.5, -1.5, 2.5, -2.5]).astype(complex)
         second[2, 3] = 1.0  # second @ e_4 leaves span{e_4}; no other does
         bad = MultiOperator([first, second], tol_comm=10.0)
-        limit = 10.0 * TOL_SPECTRA * (1.0 + fro_norm(second))
-        invariant = np.eye(6, dtype=complex)[:, [0, 1, 2, 4, 5]]
-        spectra._certified_block([second], [limit], invariant)
         calls = _Calls(monkeypatch)
         with pytest.raises(InvarianceViolation, match="residual 1.000e"):
             joint_point_spectrum(bad)
@@ -274,24 +294,25 @@ class TestCertifiedBlock:
                             for lam, op in zip(p.mu, r.matrices))
                 assert abs(p.residual - resid) <= 1e-14 * (1.0 + r.max_norm())
 
-    @pytest.mark.parametrize("plant, match", [
+    @pytest.mark.parametrize("plant, error, match", [
         # a unit column orthogonal to every other basis, not an eigenvector
         (lambda bases: np.linalg.svd(np.concatenate(bases[:-1], axis=1))[0]
-         [:, -1:], "residual"),
-        (lambda bases: 1.01 * bases[-1], "orthonormality")],
+         [:, -1:], InvarianceViolation, "residual"),
+        (lambda bases: 1.01 * bases[-1], ConvergenceFailure,
+         "orthonormality")],
         ids=["not-an-eigenvector", "basis"])
-    def test_every_pair_is_verified(self, monkeypatch, plant, match):
+    def test_every_pair_is_verified(self, monkeypatch, plant, error, match):
         recurse, calls = spectra._recurse, []
 
-        def planted(ops, carrier, out, tol):
+        def planted(ops, carrier, out, limit):
             calls.append(None)
             top = len(calls) == 1
-            recurse(ops, carrier, out, tol)
+            recurse(ops, carrier, out, limit)
             if top:  # the top level: spoil its last basis only
                 out[-1] = plant(out)
 
         monkeypatch.setattr(spectra, "_recurse", planted)
-        with pytest.raises(ConvergenceFailure, match=match):
+        with pytest.raises(error, match=match):
             joint_point_spectrum(random_commuting_tuple(2, 16, 4))
 
 
