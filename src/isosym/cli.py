@@ -107,7 +107,7 @@ def _emit(payload, args):
     if args.format == "text":
         rendered = "\n".join(_text_lines(payload)) + "\n"
     else:
-        rendered = json.dumps(payload, indent=2) + "\n"
+        rendered = json.dumps(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)

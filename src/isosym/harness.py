@@ -44,6 +44,11 @@ _EXACTNESS = 1e-13
 D_MAX, DIM_MAX, M_MAX, N_MAX = 3, 8, 3, 3
 
 
+def _is_int(value):
+    """Is ``value`` an int?  A boolean is not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Parameters of one suite run."""
@@ -56,9 +61,10 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
             raise InvalidParams(f"unknown suite {self.suite!r}")
-        if self.trials < 1:
-            raise InvalidParams("trials must be >= 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.trials) or self.trials < 1:
+            raise InvalidParams(
+                f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
             raise InvalidParams(
                 f"seed must be an integer >= 0, got {self.seed!r}")
         checked_tolerance(self.tol)
@@ -584,8 +590,7 @@ def run_suite(cfg):
 def dump_counterexample(instance, path):
     """Write one counterexample payload as JSON; returns the path."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(instance) + "\n")
     return path
 
 

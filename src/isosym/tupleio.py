@@ -1,6 +1,7 @@
 """Tuple file format: JSON with complex entries as finite [re, im] pairs.
 
-Layout:
+Layout (indented here to show the structure; files are written as one
+compact line, and a file in any JSON layout reads):
 
     {
       "d": 2,
@@ -27,8 +28,8 @@ FORMAT_KEYS = {"d", "dim", "matrices", "metadata"}
 
 def matrix_to_json(mat):
     """Nested-list [re, im] encoding of one matrix."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    mat = np.ascontiguousarray(mat, dtype=np.complex128)
+    return mat.view(np.float64).reshape(mat.shape + (2,)).tolist()
 
 
 def matrix_from_json(rows, dim):
@@ -112,8 +113,7 @@ def tuple_from_dict(data):
 
 def write_tuple(path, op, metadata=None):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tuple_to_dict(op, metadata), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(tuple_to_dict(op, metadata)) + "\n")
 
 
 def read_tuple(path):
@@ -122,6 +122,8 @@ def read_tuple(path):
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from exc
     return tuple_from_dict(data)

@@ -299,3 +299,10 @@ def gamma_minimal_orders(mats, m_max, n_max, tolerance):
             if np.linalg.norm(sym) <= tolerance(m, n):
                 found.append((m, n))
     return sorted(found)
+
+
+def matrix_to_json_entrywise(mat):
+    """The [re, im] nested-list encoding of one matrix, entry by entry:
+    the reference for ``tupleio.matrix_to_json``."""
+    mat = np.asarray(mat, dtype=np.complex128)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]

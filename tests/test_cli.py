@@ -8,8 +8,9 @@ from isosym import kernels
 from isosym.cli import main
 from isosym.construct import (identity_tuple, nilpotent_tuple,
                               random_commuting_tuple, reference_pair)
-from isosym.defect import MultiOperator, symmetry_defect, zero_tolerance
-from isosym.tupleio import read_tuple, write_tuple
+from isosym.defect import (MultiOperator, isosymmetry_defect, symmetry_defect,
+                           zero_tolerance)
+from isosym.tupleio import matrix_from_json, read_tuple, write_tuple
 
 
 @pytest.fixture
@@ -81,6 +82,38 @@ def test_defect_matrix_payload(capsys, reference_file, schemas):
     assert results["norm"] == 1.0 and not results["is_zero"]
     assert results["matrix"][0][0] == [1.0, 0.0]
     assert results["matrix"][1][1] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv, schema", [
+    (["check", "{ref}", "--m", "1", "--n", "1"], "report"),
+    (["defect", "{ref}", "--kind", "Lambda", "--m", "1", "--n", "1"], "report"),
+    (["minimal", "{ref}", "--m-max", "2", "--n-max", "2"], "report"),
+    (["spectrum", "{ref}", "--m", "1", "--n", "1"], "report"),
+    (["construct", "example22", "--out", "{out}"], "report"),
+    (["verify", "--suite", "forms", "--trials", "2", "--seed", "1"],
+     "suite_report"),
+], ids=["check", "defect", "minimal", "spectrum", "construct", "verify"])
+def test_json_report_is_one_line_in_its_schema(capsys, tmp_path, monkeypatch,
+                                               reference_file, schemas, argv,
+                                               schema):
+    monkeypatch.chdir(tmp_path)
+    main([a.format(ref=reference_file, out=tmp_path / "c.json") for a in argv])
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    jsonschema.validate(json.loads(out), schemas[schema])
+
+
+def test_defect_matrix_of_a_dim_16_tuple_reads_back_bit_exact(capsys,
+                                                              tmp_path):
+    path = tmp_path / "r16.json"
+    write_tuple(path, random_commuting_tuple(2, 16, 7))
+    code, report = _run(capsys, ["defect", str(path), "--kind", "Lambda",
+                                 "--m", "2", "--n", "2"])
+    assert code == 0
+    expect = isosymmetry_defect(read_tuple(path)[0], 2, 2).matrix
+    got = matrix_from_json(report["results"]["matrix"], 16)
+    assert np.array_equal(got, expect)
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
 
 def test_defect_lambda_zero(capsys, reference_file):
@@ -550,6 +583,19 @@ def test_bad_count_exit_2(capsys, tmp_path, counts):
     path.write_text('{%s, "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}'
                     % counts)
     assert main(["check", str(path), "--m", "1", "--n", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["check", "--m", "1", "--n", "1"],
+                                  ["minimal"]], ids=["check", "minimal"])
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"d": 1}',
+    b'{"d": 1, "dim": 1, "matrices": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+], ids=["not-utf-8", "nested-5000-deep"])
+def test_malformed_file_exit_2(capsys, tmp_path, argv, content):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -57,10 +57,16 @@ def test_unknown_suite_rejected():
         SuiteConfig(suite="forms", trials=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, False])
 def test_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(InvalidParams, match="seed"):
         SuiteConfig(suite="forms", seed=seed)
+
+
+@pytest.mark.parametrize("trials", [0, -1, 1.5, 2.0, True, "3", None])
+def test_trials_must_be_a_positive_integer(trials):
+    with pytest.raises(InvalidParams, match="trials"):
+        SuiteConfig(suite="forms", trials=trials)
 
 
 def test_a_seed_of_2_to_the_64_is_its_own_seed():

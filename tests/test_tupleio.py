@@ -7,8 +7,10 @@ import pytest
 from isosym.construct import random_commuting_tuple, reference_pair
 from isosym.defect import MultiOperator
 from isosym.errors import CommutationViolated, ParseError
-from isosym.tupleio import (read_tuple, tuple_from_dict, tuple_to_dict,
-                            write_tuple)
+from isosym.tupleio import (matrix_to_json, read_tuple, tuple_from_dict,
+                            tuple_to_dict, write_tuple)
+
+from oracles import matrix_to_json_entrywise
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -161,5 +163,56 @@ def test_unreadable_path():
 def test_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
+    with pytest.raises(ParseError):
+        read_tuple(path)
+
+
+def _edge_matrix(big):
+    """A 4x4 complex matrix holding -0.0, the smallest subnormal and +-big."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    x[0, 0] = complex(-0.0, -0.0)
+    x[0, 1] = complex(5e-324, -5e-324)
+    x[1, 0] = complex(big, -big)
+    x[2, 1] = complex(-big, 0.0)
+    return x
+
+
+_VIEWS = {
+    "contiguous": lambda x: x,
+    "transposed": lambda x: x.T,
+    "conjugate-transposed": lambda x: x.conj().T,
+    "sliced": lambda x: x[1:, :3],
+    "strided": lambda x: x[::2, ::2],
+    "real": lambda x: x.real,
+    "integer": lambda x: np.arange(-8, 8).reshape(4, 4),
+}
+
+
+@pytest.mark.parametrize("view", _VIEWS.values(), ids=_VIEWS.keys())
+def test_matrix_encoding_matches_the_entrywise_one(view):
+    mat = view(_edge_matrix(1e308))
+    assert json.dumps(matrix_to_json(mat)) == json.dumps(
+        matrix_to_json_entrywise(mat))
+
+
+@pytest.mark.parametrize("view", _VIEWS.values(), ids=_VIEWS.keys())
+def test_written_matrix_reads_back_bit_exact(tmp_path, view):
+    # at 1e308 the norm overflows and MultiOperator refuses the tuple
+    mat = np.ascontiguousarray(view(_edge_matrix(1e150)), dtype=np.complex128)
+    path = tmp_path / "edge.json"
+    write_tuple(path, MultiOperator([mat]))
+    loaded = read_tuple(path)[0].matrices[0]
+    assert np.array_equal(loaded, mat)
+    assert np.array_equal(loaded.view(np.uint64), mat.view(np.uint64))
+
+
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"d": 1}',
+    b'{"d": 1, "dim": 1, "matrices": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+], ids=["not-utf-8", "nested-5000-deep"])
+def test_malformed_file_fails_to_parse(tmp_path, content):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
     with pytest.raises(ParseError):
         read_tuple(path)
