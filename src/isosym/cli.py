@@ -6,7 +6,6 @@ written), 3 numerical failure.
 """
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -34,7 +33,7 @@ from .harness import SUITE_NAMES, SuiteConfig, dump_counterexample, run_suite
 from .linalg import TOL_RANK
 from .spectra import (TOL_SPECTRA, joint_point_spectrum, spectral_checks,
                       spectral_tolerance)
-from .tupleio import matrix_to_json, read_tuple, write_tuple
+from .tupleio import dumps, matrix_to_json, read_tuple, write_tuple
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -44,19 +43,6 @@ EXIT_NUMERICAL = 3
 _INPUT_ERRORS = (ParseError, CommutationViolated, CrossCommutationViolated,
                  FormsDisagree, InvalidParams, DMismatch, BetaNotNormalized,
                  TooLarge, InvariantViolation)
-
-
-def _json(value):
-    """A report value as JSON: a dataclass by its fields, in order, a
-    complex number as [re, im], a tuple or list as a list."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _json(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, complex):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (list, tuple)):
-        return [_json(item) for item in value]
-    return value
 
 
 def _digest(path):
@@ -82,6 +68,8 @@ def _envelope(command, results, file_path=None, op=None, extra_args=None,
 
 
 def _text_lines(value, indent=0):
+    """A decoded JSON object or list as indented lines; each scalar is
+    written as its JSON (``dumps`` without the closing newline)."""
     pad = "  " * indent
     lines = []
     if isinstance(value, dict):
@@ -90,24 +78,21 @@ def _text_lines(value, indent=0):
                 lines.append(f"{pad}{key}:")
                 lines.extend(_text_lines(item, indent + 1))
             else:
-                lines.append(f"{pad}{key}: {json.dumps(item)}")
+                lines.append(f"{pad}{key}: {dumps(item)[:-1]}")
     elif isinstance(value, list):
         for item in value:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_text_lines(item, indent + 1))
             else:
-                lines.append(f"{pad}- {json.dumps(item)}")
-    else:
-        lines.append(f"{pad}{json.dumps(value)}")
+                lines.append(f"{pad}- {dumps(item)[:-1]}")
     return lines
 
 
 def _emit(payload, args):
-    if args.format == "text":
-        rendered = "\n".join(_text_lines(payload)) + "\n"
-    else:
-        rendered = json.dumps(payload) + "\n"
+    rendered = dumps(payload)
+    if args.format == "text":  # the same document, rendered as lines
+        rendered = "\n".join(_text_lines(json.loads(rendered))) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
@@ -125,8 +110,7 @@ def _cmd_check(args):
     sym = is_n_symmetric(table, args.n, args.tol)
     isosym = is_isosymmetric(table, args.m, args.n, args.tol)
     results = {"commutation_residual": op.commutation_residual,
-               "isometric": _json(iso), "symmetric": _json(sym),
-               "isosymmetric": _json(isosym)}
+               "isometric": iso, "symmetric": sym, "isosymmetric": isosym}
     _emit(_envelope("check", results, args.file, op,
                     {"m": args.m, "n": args.n}, args.tol), args)
     return EXIT_OK if isosym.holds else EXIT_PROPERTY_FAILS
@@ -154,10 +138,7 @@ def _cmd_defect(args):
 def _cmd_minimal(args):
     op, _ = read_tuple(args.file)
     found = minimal_orders(op, args.m_max, args.n_max, args.tol)
-    results = {"staircase": [list(p) for p in found.staircase],
-               "search_bounds": list(found.search_bounds),
-               "exhausted": found.exhausted}
-    _emit(_envelope("minimal", results, args.file, op,
+    _emit(_envelope("minimal", found, args.file, op,
                     {"m_max": args.m_max, "n_max": args.n_max}, args.tol), args)
     return EXIT_OK
 
@@ -174,15 +155,15 @@ def _cmd_spectrum(args):
         checks = spectral_checks(op, args.m, args.n, args.tol)
         tol, pairs = checks.tol_spectra, checks.pairs
     results = {"eigenpairs": [
-        {"mu": _json(p.mu), "multiplicity": int(p.basis.shape[1]),
+        {"mu": p.mu, "multiplicity": int(p.basis.shape[1]),
          "residual": p.residual} for p in pairs]}
     exit_code = EXIT_OK
     if checks is not None:
-        results["isosymmetric"] = _json(checks.verdict)
+        results["isosymmetric"] = checks.verdict
         if checks.verdict.holds:
-            results["classifications"] = _json(checks.classifications)
-            results["orthogonality"] = _json(checks.orthogonality)
-            results["zero_coordinate"] = _json(checks.zero_coordinate)
+            results["classifications"] = checks.classifications
+            results["orthogonality"] = checks.orthogonality
+            results["zero_coordinate"] = checks.zero_coordinate
         else:
             exit_code = EXIT_PROPERTY_FAILS
     _emit(_envelope("spectrum", results, args.file, op,
@@ -265,7 +246,7 @@ def _cmd_construct(args):
         op = jordan_augment(JordanAugmentSpec(base_tuple=base_op, mu=mu,
                                               q=args.q))
         predicted = _clamped_predictions(base_op, args.q)
-        params = {"mu": _json(mu), "q": args.q}
+        params = {"mu": mu, "q": args.q}
     elif kind == "tensor":
         left, _ = read_tuple(args.left)
         right, _ = read_tuple(args.right)

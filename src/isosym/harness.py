@@ -13,8 +13,6 @@ magnitude otherwise.  A trial passes iff its residual is <= the
 configured tolerance.
 """
 
-import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ from .errors import CommutationViolated, HypothesisUnmet, InvalidParams, \
     IsosymError
 from .linalg import checked_tolerance, fro_norm
 from .spectra import spectral_checks
-from .tupleio import tuple_from_dict, tuple_to_dict
+from .tupleio import dumps, load, tuple_from_dict, tuple_to_dict
 
 #: bound for "exact by construction" checks; the constructions introduce no
 #: residual of their own but measuring them goes through rounded products
@@ -590,7 +588,7 @@ def run_suite(cfg):
 def dump_counterexample(instance, path):
     """Write one counterexample payload as JSON; returns the path."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(instance) + "\n")
+        fh.write(dumps(instance))
     return path
 
 
@@ -598,13 +596,12 @@ def replay_counterexample(source):
     """Recompute the residual of a dumped counterexample.
 
     ``source`` is a path or an already-loaded payload dict.  The same
-    build reproduces the dumped residual bit for bit.
+    build reproduces the dumped residual bit for bit.  A file that does
+    not read as JSON raises ParseError, an unknown suite InvalidParams.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = source
+    payload = source if isinstance(source, dict) else load(source)
+    if payload["suite"] not in _SUITES:
+        raise InvalidParams(f"unknown suite {payload['suite']!r}")
     tuples = {k: tuple_from_dict(v)[0] for k, v in payload["tuples"].items()}
     params = dict(payload["params"])
     tol = params.pop("tol", TOL_ZERO)

@@ -16,9 +16,9 @@ TOL_RANK = 1e-9
 
 
 def checked_tolerance(tol):
-    """``tol`` if it is a finite number > 0, else InvalidParams: a tolerance
-    <= 0 fails every test it is put to, and NaN or infinity decides nothing."""
-    if not 0.0 < tol < np.inf:
+    """``tol`` if it is a finite non-boolean number > 0, else InvalidParams: a
+    tolerance <= 0 fails every test, and NaN or infinity decides nothing."""
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
         raise InvalidParams(f"tol must be a finite number > 0, got {tol!r}")
     return tol
 

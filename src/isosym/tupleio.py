@@ -1,7 +1,7 @@
-"""Tuple file format: JSON with complex entries as finite [re, im] pairs.
-
-Layout (indented here to show the structure; files are written as one
-compact line, and a file in any JSON layout reads):
+"""The program's JSON: ``dumps`` encodes tuple files, reports and
+counterexamples, ``load`` decodes every file read.  A tuple file holds
+complex entries as finite [re, im] pairs; its layout (indented here to show
+the structure; files are one compact line, and a file in any layout reads):
 
     {
       "d": 2,
@@ -15,6 +15,7 @@ write -> read is bit-exact on the numeric payload.  A file that parses
 structurally but fails the commutation invariant does not load.
 """
 
+import dataclasses
 import json
 import numbers
 
@@ -24,6 +25,34 @@ from .defect import MultiOperator
 from .errors import ParseError
 
 FORMAT_KEYS = {"d", "dim", "matrices", "metadata"}
+
+
+def _plain(value):
+    """A complex number as [re, im], a dataclass record as its fields."""
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name)
+                for f in dataclasses.fields(value)}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def dumps(value):
+    """``value`` as one line of compact JSON, newline included."""
+    return json.dumps(value, default=_plain) + "\n"
+
+
+def load(path):
+    """The JSON document in the UTF-8 file ``path``, else ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
 def matrix_to_json(mat):
@@ -113,17 +142,8 @@ def tuple_from_dict(data):
 
 def write_tuple(path, op, metadata=None):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(tuple_to_dict(op, metadata)) + "\n")
+        fh.write(dumps(tuple_to_dict(op, metadata)))
 
 
 def read_tuple(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"invalid JSON in {path}: nested too deeply") from exc
-    return tuple_from_dict(data)
+    return tuple_from_dict(load(path))

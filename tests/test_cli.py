@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import jsonschema
 import numpy as np
 import pytest
 
-from isosym import kernels
+from isosym import cli, kernels
 from isosym.cli import main
 from isosym.construct import (identity_tuple, nilpotent_tuple,
                               random_commuting_tuple, reference_pair)
@@ -84,23 +85,55 @@ def test_defect_matrix_payload(capsys, reference_file, schemas):
     assert results["matrix"][1][1] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("argv, schema", [
-    (["check", "{ref}", "--m", "1", "--n", "1"], "report"),
-    (["defect", "{ref}", "--kind", "Lambda", "--m", "1", "--n", "1"], "report"),
-    (["minimal", "{ref}", "--m-max", "2", "--n-max", "2"], "report"),
-    (["spectrum", "{ref}", "--m", "1", "--n", "1"], "report"),
-    (["construct", "example22", "--out", "{out}"], "report"),
-    (["verify", "--suite", "forms", "--trials", "2", "--seed", "1"],
-     "suite_report"),
-], ids=["check", "defect", "minimal", "spectrum", "construct", "verify"])
+#: one command line of each command -> the schema of its report
+COMMANDS = {
+    "check": (["check", "{ref}", "--m", "1", "--n", "1"], "report"),
+    "defect": (["defect", "{ref}", "--kind", "Lambda", "--m", "1", "--n", "1"],
+               "report"),
+    "minimal": (["minimal", "{ref}", "--m-max", "2", "--n-max", "2"], "report"),
+    "spectrum": (["spectrum", "{ref}", "--m", "1", "--n", "1"], "report"),
+    "construct": (["construct", "example22", "--out", "{out}"], "report"),
+    "verify": (["verify", "--suite", "forms", "--trials", "2", "--seed", "1"],
+               "suite_report"),
+}
+EVERY_COMMAND = pytest.mark.parametrize("argv, schema", COMMANDS.values(),
+                                        ids=COMMANDS)
+
+
+def _stdout(capsys, argv, reference_file, tmp_path):
+    main([a.format(ref=reference_file, out=tmp_path / "c.json") for a in argv])
+    return capsys.readouterr().out
+
+
+@EVERY_COMMAND
 def test_json_report_is_one_line_in_its_schema(capsys, tmp_path, monkeypatch,
                                                reference_file, schemas, argv,
                                                schema):
     monkeypatch.chdir(tmp_path)
-    main([a.format(ref=reference_file, out=tmp_path / "c.json") for a in argv])
-    out = capsys.readouterr().out
+    out = _stdout(capsys, argv, reference_file, tmp_path)
     assert out.endswith("\n") and out.count("\n") == 1
     jsonschema.validate(json.loads(out), schemas[schema])
+
+
+@EVERY_COMMAND
+def test_text_report_renders_the_json_report(capsys, tmp_path, monkeypatch,
+                                             reference_file, argv, schema):
+    monkeypatch.chdir(tmp_path)
+    as_json = _stdout(capsys, argv, reference_file, tmp_path)
+    as_text = _stdout(capsys, argv + ["--format", "text"], reference_file,
+                      tmp_path)
+    assert as_text == "\n".join(cli._text_lines(json.loads(as_json))) + "\n"
+
+
+@pytest.mark.parametrize("command", [c for c, (_, schema) in COMMANDS.items()
+                                     if schema == "report"])
+def test_inputs_sha256_is_the_digest_of_the_file_read(capsys, tmp_path,
+                                                      reference_file, command):
+    argv = COMMANDS[command][0]
+    report = json.loads(_stdout(capsys, argv, reference_file, tmp_path))
+    expect = None if command == "construct" else hashlib.sha256(
+        (tmp_path / "reference.json").read_bytes()).hexdigest()
+    assert report["inputs"]["sha256"] == expect
 
 
 def test_defect_matrix_of_a_dim_16_tuple_reads_back_bit_exact(capsys,

@@ -219,6 +219,12 @@ class TestIsosymmetryDefect:
         with pytest.raises(InvalidParams):
             isosymmetry_defect(reference_pair(), 1, 1, tol=-1)
 
+    @pytest.mark.parametrize("tol", [True, np.True_])
+    def test_boolean_tolerance_rejected(self, tol):
+        # not read as the tolerance 1
+        with pytest.raises(InvalidParams, match="tol"):
+            isosymmetry_defect(reference_pair(), 1, 1, tol=tol)
+
     def test_forms_disagree_on_corrupted_input(self):
         bad = MultiOperator(_noncommuting_pair(), tol_comm=1.0)
         with pytest.raises(FormsDisagree):

@@ -2,12 +2,13 @@ import json
 from dataclasses import fields
 
 import jsonschema
+import numpy as np
 import pytest
 
 from isosym.construct import random_commuting_tuple, tensor_sum, \
     tensor_sum_parts
 from isosym.defect import isosymmetry_defect_matrix, zero_tolerance
-from isosym.errors import InvalidParams, IsosymError
+from isosym.errors import InvalidParams, IsosymError, ParseError
 from isosym.harness import (_SUITES, SUITE_NAMES, SuiteConfig,
                             _shifted_residual, _trial_rng,
                             dump_counterexample, replay_counterexample,
@@ -76,7 +77,8 @@ def test_a_seed_of_2_to_the_64_is_its_own_seed():
     assert len(set(draws)) == 3
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), True,
+                                 np.True_])
 def test_unusable_tolerance_rejected(tol):
     with pytest.raises(InvalidParams, match="tol"):
         SuiteConfig(suite="forms", tol=tol)
@@ -135,6 +137,25 @@ class TestCounterexamples:
             except IsosymError:
                 replayed = float("inf")  # what run_suite records for a raise
             assert replayed == ce["residual"]
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", "truncated"],
+                             ids=["missing", "not-utf-8", "truncated"])
+    def test_replaying_an_unreadable_file_is_a_parse_error(self, tmp_path,
+                                                           content):
+        path = tmp_path / "ce.json"
+        if content == "truncated":
+            dump_counterexample(self._failing_report().counterexamples[0],
+                                path)
+            content = path.read_bytes()[:100]
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ParseError):
+            replay_counterexample(path)
+
+    def test_replaying_an_unknown_suite_is_invalid(self, tmp_path):
+        ce = dict(self._failing_report().counterexamples[0], suite="nope")
+        with pytest.raises(InvalidParams, match="nope"):
+            replay_counterexample(dump_counterexample(ce, tmp_path / "ce.json"))
 
     def test_schema_with_counterexamples(self, schemas):
         from referencing import Registry, Resource

@@ -510,7 +510,8 @@ class TestSpectralChecks:
                 view(r, 1, 1)
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), True,
+                                 np.True_])
 @pytest.mark.parametrize("check", [
     lambda tol: joint_point_spectrum(random_commuting_tuple(2, 4, 1), tol),
     lambda tol: classify_spectrum(reference_pair(), 1, 1, tol),
@@ -522,7 +523,8 @@ class TestSpectralChecks:
         "zero_coordinate", "spectral_checks", "spectral_tolerance"])
 def test_unusable_tolerance_rejected(check, tol):
     # unchecked, nan skips every residual check, -1 and 0 fail commuting
-    # input as non-invariant, and inf calls every point compliant
+    # input as non-invariant, inf calls every point compliant, and a
+    # boolean would be read as the tolerance 1
     with pytest.raises(InvalidParams, match="tol"):
         check(tol)
 

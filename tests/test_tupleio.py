@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from isosym.construct import random_commuting_tuple, reference_pair
 from isosym.defect import MultiOperator
 from isosym.errors import CommutationViolated, ParseError
-from isosym.tupleio import (matrix_to_json, read_tuple, tuple_from_dict,
-                            tuple_to_dict, write_tuple)
+from isosym.tupleio import (dumps, matrix_to_json, read_tuple,
+                            tuple_from_dict, tuple_to_dict, write_tuple)
 
 from oracles import matrix_to_json_entrywise
 
@@ -216,3 +217,30 @@ def test_malformed_file_fails_to_parse(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ParseError):
         read_tuple(path)
+
+
+@dataclass(frozen=True)
+class _Record:
+    z: complex
+    a: tuple
+    inner: object = None
+
+
+def test_dumps_writes_a_record_by_its_fields_in_declaration_order():
+    record = _Record(z=1 + 2j, a=(3, "x"), inner=_Record(z=0j, a=()))
+    assert dumps(record) == ('{"z": [1.0, 2.0], "a": [3, "x"], "inner": '
+                             '{"z": [0.0, 0.0], "a": [], "inner": null}}\n')
+
+
+@pytest.mark.parametrize("kind", [complex, np.complex128],
+                         ids=["complex", "complex128"])
+def test_dumps_writes_a_complex_number_as_re_im_keeping_the_sign_of_zero(kind):
+    z = kind(complex(-0.0, -0.0))
+    assert dumps([z, kind(1.5 - 2.5j)]) == "[[-0.0, -0.0], [1.5, -2.5]]\n"
+
+
+@pytest.mark.parametrize("value", [object(), np.True_, np.zeros(2), _Record],
+                         ids=["object", "numpy-bool", "array", "record-class"])
+def test_dumps_refuses_what_it_does_not_know(value):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps({"value": value})
