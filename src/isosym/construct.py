@@ -16,7 +16,8 @@ from .linalg import as_matrix, fro_norm, kron
 
 #: rounding allowance on |sum(beta_j^2) - 1| and on a vanishing sum(beta_j)
 BETA_TOL = 1e-12
-#: largest dim of a jordan or tensor result: one component is then 16 MB
+#: largest dim of a built result: one component is then 16 MB, and so is a
+#: whole random or nilpotent tuple of at most MAX_BUILT_DIM ** 2 entries
 MAX_BUILT_DIM = 1024
 
 
@@ -25,6 +26,14 @@ def _check_built_dim(dim, what):
     if dim > MAX_BUILT_DIM:
         raise TooLarge(f"the {what} would be {dim}x{dim}, above the "
                        f"{MAX_BUILT_DIM}x{MAX_BUILT_DIM} limit")
+
+
+def _check_built_entries(d, dim, what):
+    """Refuse a tuple of more than MAX_BUILT_DIM ** 2 entries in all before
+    it is allocated."""
+    if d * dim ** 2 > MAX_BUILT_DIM ** 2:
+        raise TooLarge(f"the {what} would hold {d} x {dim}x{dim} entries, "
+                       f"above the {MAX_BUILT_DIM ** 2} limit")
 
 
 @dataclass(frozen=True)
@@ -143,6 +152,8 @@ def nilpotent_tuple(d, dim, order, seed):
     """
     if order < 1 or order > dim:
         raise InvalidParams(f"need 1 <= order <= dim, got order={order}")
+    _check_built_dim(dim, "nilpotent tuple")
+    _check_built_entries(d, dim, "nilpotent tuple")
     rng = np.random.default_rng(seed)
     shift = _block_shift(dim, order)
     powers = [np.linalg.matrix_power(shift, p) for p in range(order)]
@@ -169,6 +180,7 @@ def random_commuting_tuple(d, dim, seed):
     """
     if not 1 <= dim <= 64:
         raise InvalidParams(f"random tuples need 1 <= dim <= 64, got {dim}")
+    _check_built_entries(d, dim, "random tuple")
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     t = t / max(1.0, fro_norm(t))

@@ -34,9 +34,7 @@ the k-th power of one map,
     B_k(X) = Phi_0^k(X),   Phi_0(X) = sum_j R_j* X R_j,
 
 so B_0..B_K around one middle X cost 2dK matrix products and no power
-ladder of any R_j (an L_{6,6} at d=4 about 130 products in all, where
-nesting the binomial theorem over the components took about 350 and
-enumerating gamma about 1,350).  The perturbation expansion of
+ladder of any R_j.  The perturbation expansion of
 L_{m,n}(R + Q) is the same multinomial sum over 2d components around a
 stack of middles X_0..X_m; ``_multinomial_steps`` evaluates both.  It
 only adds matrix products and scales none, so an integer tuple's sums
@@ -46,8 +44,9 @@ every other weighted sum of matrices.
 Every defect is evaluated by a DefectTable, which keeps three stores of
 one tuple and grows them as higher orders need: one power ladder of T,
 whose adjoints are the powers of T*; the M-style sums B_0..B_k(S_l),
-whose B_0 is S_l itself; and the checked L_{m,n} cells.  M_l is one
-weighted sum of the B_k around S_0 = I, formed when read.
+whose B_0 is S_l itself, re-stepped from it when an order needs more;
+and the checked L_{m,n} cells.  M_l is one weighted sum of the B_k
+around S_0 = I, formed when read.
 Every function here and in ``classify`` that reads a defect takes a
 tuple, for which it builds a throwaway table, or its DefectTable, which
 it reads and grows.  A caller reading several defects of one tuple
@@ -252,15 +251,15 @@ class DefectTable:
     Three stores are built on first use and grown when a higher order
     needs more: ``_t_powers``, the one power ladder of T = sum_j R_j,
     whose adjoints give the powers T*^k = (T^k)*; ``_sums``, the sums
-    B_k(S_l) = Phi_0^k(S_l), k = 0..K, around each S_l that an M-style
-    sum was asked of; and ``_cells``, every L_{m,n} read.  S_l is the
-    B_0 of its sums when it has them, else one sandwich, and M_m one
-    weighted sum of those around S_0 = I; neither is stored apart.  One
-    run of multinomial steps builds every middle operator's sums it is
-    asked for that are missing or too short, each continued from its last
-    B_k; ``prepare(m_max, n_max)`` asks for a whole box.  A cell is
-    evaluated in both outer forms once; their gap is kept beside it and
-    checked against the caller's tolerance on every read.
+    B_k(S_l) = Phi_0^k(S_l), k = 0..K, around each S_l read; and
+    ``_cells``, every L_{m,n} read.  S_l is made by one sandwich the
+    first time it is read and kept as the sums [S_l], whose B_0 it stays;
+    M_m is one weighted sum of the B_k around S_0 = I, formed when read.
+    One run of multinomial steps re-steps every middle operator's sums
+    that are too short for the order asked, each from its stored S_l;
+    ``prepare(m_max, n_max)`` asks for a whole box.  A cell is evaluated
+    in both outer forms once; their gap is kept beside it and checked
+    against the caller's tolerance on every read.
 
     The module functions read it in place of the tuple; it offers only
     ``r``, ``of``, ``prepare`` and ``forms``.  The caller owns the table:
@@ -297,32 +296,23 @@ class DefectTable:
         """B_0..B_order(S_l) for each l in ``middles``, in that order.
 
         B_k(X) = Phi_0^k(X), Phi_0(X) = sum_j R_j* X R_j: the one-entry
-        stack [S_l] (S_0 = I) through ``order`` multinomial steps.  A short
-        stack continues from its last B_k, and the ones that start at the
-        same k are stepped together, in as few runs as _NESTING_ENTRIES
-        allows.
+        stack [S_l] (S_0 = I) through ``order`` multinomial steps.  Every
+        middle whose sums stop short of ``order`` is stepped again from its
+        stored S_l, all of them together, in as few runs as
+        _NESTING_ENTRIES allows.
         """
-        pending = {}
-        for l in dict.fromkeys(middles):
-            have = len(self._sums.get(l, ()))
-            if have <= order:
-                pending.setdefault(have, []).append(l)
-        if pending:
+        short = [l for l in dict.fromkeys(middles)
+                 if len(self._sums.get(l, ())) <= order]
+        if short:
             rights = np.array(self.r.matrices)
             lefts = np.array([adjoint(a) for a in rights])
             batch = max(1, _NESTING_ENTRIES // (self.r.d * self.r.dim ** 2))
-            for have, short in pending.items():
-                kept = max(have - 1, 0)
-                for start in range(0, len(short), batch):
-                    part = short[start:start + batch]
-                    stack = np.array([[self._sums[l][-1] if have
-                                       else self._sandwich(l, None)]
-                                      for l in part])
-                    steps = _multinomial_steps(lefts, rights, stack,
-                                               order - kept)
-                    for l, b in zip(part, steps):
-                        self._sums[l] = _frozen(np.concatenate(
-                            (self._sums[l][:kept], b)) if have else b)
+            for start in range(0, len(short), batch):
+                part = short[start:start + batch]
+                stack = np.array([[self._symmetry(l)] for l in part])
+                steps = _multinomial_steps(lefts, rights, stack, order)
+                for l, b in zip(part, steps):
+                    self._sums[l] = _frozen(b)
         return [self._sums[l] for l in middles]
 
     def prepare(self, m_max, n_max):
@@ -344,11 +334,12 @@ class DefectTable:
         return _combine(_alternating_weights(n), prods)
 
     def _symmetry(self, l):
-        """S_l as a raw matrix: B_0 of its M-style sums if it has them."""
+        """S_l as a raw matrix: the B_0 of its sums, which one sandwich
+        starts as [S_l] the first time S_l is read."""
         _check_orders(l=l)
-        if l in self._sums:
-            return self._sums[l][0]
-        return _frozen(self._sandwich(l, None))
+        if l not in self._sums:
+            self._sums[l] = _frozen(self._sandwich(l, None)[None])
+        return self._sums[l][0]
 
     def _isometry(self, l):
         """M_l as a raw matrix: the M-style sum around S_0 = I."""

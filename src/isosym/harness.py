@@ -29,7 +29,7 @@ from .defect import (TOL_ZERO, DefectTable, MultiOperator,
                      perturbation_expansion, raise_isometry_order,
                      raise_symmetry_order, zero_tolerance)
 from .errors import CommutationViolated, HypothesisUnmet, InvalidParams, \
-    IsosymError
+    IsosymError, ParseError
 from .linalg import checked_tolerance, fro_norm
 from .spectra import spectral_checks
 from .tupleio import dumps, load, tuple_from_dict, tuple_to_dict
@@ -597,12 +597,23 @@ def replay_counterexample(source):
 
     ``source`` is a path or an already-loaded payload dict.  The same
     build reproduces the dumped residual bit for bit.  A file that does
-    not read as JSON raises ParseError, an unknown suite InvalidParams.
+    not read as JSON, or a payload that is not an object with a string
+    ``suite``, object ``tuples`` and object ``params`` holding what its
+    suite reads, raises ParseError; an unknown suite InvalidParams.
     """
     payload = source if isinstance(source, dict) else load(source)
+    if not (isinstance(payload, dict)
+            and isinstance(payload.get("suite"), str)
+            and isinstance(payload.get("tuples"), dict)
+            and isinstance(payload.get("params"), dict)):
+        raise ParseError("a counterexample is an object with a string suite, "
+                         "object tuples and object params")
     if payload["suite"] not in _SUITES:
         raise InvalidParams(f"unknown suite {payload['suite']!r}")
     tuples = {k: tuple_from_dict(v)[0] for k, v in payload["tuples"].items()}
     params = dict(payload["params"])
     tol = params.pop("tol", TOL_ZERO)
-    return _SUITES[payload["suite"]][1](tuples, params, tol)
+    try:
+        return _SUITES[payload["suite"]][1](tuples, params, tol)
+    except KeyError as exc:
+        raise ParseError(f"the counterexample lacks {exc}") from exc

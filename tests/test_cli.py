@@ -535,6 +535,19 @@ def test_construct_result_too_large_exit_2(capsys, tmp_path, reference_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["nilpotent", "--d", "2", "--dim", "100000", "--order", "2"],
+    ["nilpotent", "--d", "100000", "--dim", "1000", "--order", "2"],
+    ["random", "--d", "100000", "--dim", "64"],
+], ids=["nilpotent-dim", "nilpotent-d", "random-d"])
+def test_construct_seeded_tuple_too_large_exit_2(capsys, tmp_path, args,
+                                                 no_construct_arrays):
+    out = tmp_path / "big.json"
+    assert main(["construct", *args, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def fresh_parser():
     """Start and end without a cached parser."""

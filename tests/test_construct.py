@@ -136,8 +136,9 @@ class TestJordanAugment:
 
 
 class TestBuiltDimLimit:
-    """A jordan or tensor result above MAX_BUILT_DIM is refused before any
-    of its arrays is allocated."""
+    """A jordan or tensor result above MAX_BUILT_DIM, or a seeded tuple of
+    more than MAX_BUILT_DIM ** 2 entries, is refused before any of its
+    arrays is allocated."""
 
     def test_jordan_refused(self, request):
         spec = JordanAugmentSpec(base_tuple=reference_pair(), mu=(1.0, 1.0),
@@ -155,10 +156,26 @@ class TestBuiltDimLimit:
             with pytest.raises(TooLarge):
                 build(left, right)
 
+    @pytest.mark.parametrize("build", [
+        lambda: nilpotent_tuple(2, 100000, 2, 0),
+        lambda: nilpotent_tuple(100000, 64, 2, 0),
+        lambda: nilpotent_tuple(257, 64, 2, 0),
+        lambda: random_commuting_tuple(100000, 64, 0),
+        lambda: random_commuting_tuple(257, 64, 0),
+    ], ids=["nilpotent-dim", "nilpotent-d", "nilpotent-entries", "random-d",
+            "random-entries"])
+    def test_seeded_tuple_refused(self, request, build):
+        request.getfixturevalue("no_construct_arrays")
+        with pytest.raises(TooLarge):
+            build()
+
     def test_limit_is_inclusive(self):
         construct._check_built_dim(MAX_BUILT_DIM, "tuple")
         with pytest.raises(TooLarge):
             construct._check_built_dim(MAX_BUILT_DIM + 1, "tuple")
+        construct._check_built_entries(256, 64, "tuple")  # 1024 ** 2 entries
+        with pytest.raises(TooLarge):
+            construct._check_built_entries(257, 64, "tuple")
 
 
 class TestNilpotentTuple:

@@ -212,3 +212,21 @@ def test_table_is_read_wherever_the_tuple_is(monkeypatch):
         calls.clear()
         read(table)  # a second read finds every ingredient built
         assert calls == [], name
+
+
+def test_symmetry_defect_is_made_once_for_the_cell_that_reads_it(monkeypatch):
+    table = DefectTable(random_commuting_tuple(2, 4, 3))
+    made = []
+    sandwich = DefectTable._sandwich
+
+    def counted(self, n, mid):
+        if mid is None:
+            made.append(n)
+        return sandwich(self, n, mid)
+
+    monkeypatch.setattr(DefectTable, "_sandwich", counted)
+    s = symmetry_defect(table, 3)  # the order ``cli check`` reads them in
+    isosymmetry_defect(table, 2, 3)
+    isosymmetry_defect(table, 4, 3)  # longer sums, re-stepped from S_3
+    assert symmetry_defect(table, 3).matrix.tobytes() == s.matrix.tobytes()
+    assert made.count(3) == 1

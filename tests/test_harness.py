@@ -152,6 +152,23 @@ class TestCounterexamples:
         with pytest.raises(ParseError):
             replay_counterexample(path)
 
+    @pytest.mark.parametrize("payload", [
+        lambda ce: [],
+        lambda ce: {"suite": "forms"},
+        lambda ce: {"suite": ["forms"]},
+        lambda ce: dict(ce, tuples=[]),
+        lambda ce: {k: v for k, v in ce.items() if k != "params"},
+        lambda ce: dict(ce, params={"n": ce["params"]["n"]}),
+    ], ids=["list", "suite-only", "list-suite", "list-tuples", "no-params",
+            "no-m"])
+    def test_replaying_a_payload_that_is_no_counterexample_is_a_parse_error(
+            self, tmp_path, payload):
+        ce = json.loads(json.dumps(self._failing_report().counterexamples[0]))
+        path = tmp_path / "ce.json"
+        path.write_text(json.dumps(payload(ce)))
+        with pytest.raises(ParseError):
+            replay_counterexample(path)
+
     def test_replaying_an_unknown_suite_is_invalid(self, tmp_path):
         ce = dict(self._failing_report().counterexamples[0], suite="nope")
         with pytest.raises(InvalidParams, match="nope"):
