@@ -280,8 +280,7 @@ def _cmd_verify(args):
     cfg = SuiteConfig(suite=args.suite, trials=args.trials, seed=args.seed,
                       tol=zero_test_base(args.tol))
     report = run_suite(cfg)
-    payload = report.to_dict()
-    _emit(payload, args)
+    _emit(report, args)
     if report.counterexamples:
         os.makedirs(args.counterexample_dir, exist_ok=True)
         for ce in report.counterexamples:

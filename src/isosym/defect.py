@@ -78,8 +78,18 @@ TOL_COMM = 1e-10
 
 
 def _commutator_residual(a, b, norm_a, norm_b):
-    """||AB - BA|| / ((1 + ||A||)(1 + ||B||)), given the two norms."""
-    return fro_norm(a @ b - b @ a) / ((1.0 + norm_a) * (1.0 + norm_b))
+    """||AB - BA|| / ((1 + ||A||)(1 + ||B||)), given the two norms.
+
+    Where the squares of the commutator's entries overflow a float, its
+    norm is taken on it scaled by its largest entry.  Call under
+    ``np.errstate(over="ignore")``.
+    """
+    comm = a @ b - b @ a
+    norm = fro_norm(comm)
+    if norm == np.inf:
+        big = float(np.abs(comm).max())
+        norm = big * fro_norm(comm / big)
+    return norm / ((1.0 + norm_a) * (1.0 + norm_b))
 
 
 class MultiOperator:
@@ -443,11 +453,12 @@ def raise_symmetry_order(r, m, n):
 
 def cross_commutation_residual(r, q):
     """Worst relative residual of [R_j, Q_i] and [R_j, Q_i*] over all i, j."""
-    sides = [(qc, fro_norm(qi)) for qi in q.matrices
-             for qc in (qi, adjoint(qi))]
-    return max(_commutator_residual(rj, qc, nr, nq)
-               for rj, nr in zip(r.matrices, map(fro_norm, r.matrices))
-               for qc, nq in sides)
+    with np.errstate(over="ignore"):
+        sides = [(qc, fro_norm(qi)) for qi in q.matrices
+                 for qc in (qi, adjoint(qi))]
+        return max(_commutator_residual(rj, qc, nr, nq)
+                   for rj, nr in zip(r.matrices, map(fro_norm, r.matrices))
+                   for qc, nq in sides)
 
 
 def nilpotency_residuals(r):

@@ -13,7 +13,7 @@ magnitude otherwise.  A trial passes iff its residual is <= the
 configured tolerance.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .defect import (TOL_ZERO, DefectTable, MultiOperator,
                      isosymmetry_defect_matrix, nilpotency_residual,
                      perturbation_expansion, raise_isometry_order,
                      raise_symmetry_order, zero_tolerance)
-from .errors import CommutationViolated, HypothesisUnmet, InvalidParams, \
-    IsosymError, ParseError
+from .errors import HypothesisUnmet, InvalidParams, IsosymError, ParseError
 from .linalg import checked_tolerance, fro_norm
 from .spectra import spectral_checks
 from .tupleio import dumps, load, tuple_from_dict, tuple_to_dict
@@ -68,24 +67,17 @@ class SuiteConfig:
         checked_tolerance(self.tol)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteReport:
-    """Aggregated outcome of a suite run."""
+    """Outcome of a suite run; a residual whose evaluation raised is None."""
 
     suite: str
     trials_run: int
     trials_passed: int
-    worst_residual: float
+    worst_residual: float | None
     counterexamples: list
     config: SuiteConfig
-
-    def to_dict(self):
-        return {"suite": self.suite, "trials_run": self.trials_run,
-                "trials_passed": self.trials_passed,
-                "worst_residual": self.worst_residual,
-                "counterexamples": self.counterexamples,
-                "config": asdict(self.config),
-                "tool_version": __version__}
+    tool_version: str = field(default=__version__, init=False)
 
 
 def _trial_rng(cfg, idx):
@@ -529,57 +521,52 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _shrink(tuples, params, evaluate, tol):
+def _shrink(tuples, residual, params, evaluate, tol):
     """Compress a failing single-tuple instance to leading principal blocks.
 
-    Only shrinks while the block tuple still commutes and still fails."""
+    Only shrinks while the block tuple still commutes and still fails.
+    Returns the instance and the residual measured on it."""
     if len(tuples) != 1:
-        return tuples
+        return tuples, residual
     (label, r), = tuples.items()
-    original = r
+    shrunk = tuples
     while r.dim > 1:
         h = (r.dim + 1) // 2
-        if h == r.dim:
-            break
         try:
-            cand = MultiOperator([m[:h, :h] for m in r.matrices])
-        except (CommutationViolated, IsosymError):
-            break
-        try:
-            still_failing = evaluate({label: cand}, params, tol) > tol
+            cand = {label: MultiOperator([m[:h, :h] for m in r.matrices])}
+            cand_residual = evaluate(cand, params, tol)
         except IsosymError:
             break
-        if not still_failing:
+        if not cand_residual > tol:
             break
-        r = cand
-    return tuples if r is original else {label: r}
+        shrunk, residual, r = cand, cand_residual, cand[label]
+    return shrunk, residual
 
 
 def run_suite(cfg):
     """Run one suite; failures are data (counterexamples), not exceptions."""
     gen, evaluate = _SUITES[cfg.suite]
     passed = 0
-    worst = 0.0
+    residuals = []
     counterexamples = []
     for idx in range(cfg.trials):
         tuples, params = gen(idx, _trial_rng(cfg, idx))
         try:
             residual = evaluate(tuples, params, cfg.tol)
         except IsosymError:
-            residual = float("inf")
-        worst = max(worst, residual)
-        if residual <= cfg.tol:
+            residual = None
+        residuals.append(residual)
+        if residual is not None and residual <= cfg.tol:
             passed += 1
             continue
-        shrunk = _shrink(tuples, params, evaluate, cfg.tol)
-        if shrunk is not tuples:
-            residual = evaluate(shrunk, params, cfg.tol)
+        tuples, residual = _shrink(tuples, residual, params, evaluate, cfg.tol)
         counterexamples.append({
             "suite": cfg.suite, "trial": idx,
             "params": dict(params, tol=cfg.tol),
             "residual": residual,
-            "tuples": {k: tuple_to_dict(v) for k, v in shrunk.items()},
+            "tuples": {k: tuple_to_dict(v) for k, v in tuples.items()},
         })
+    worst = None if None in residuals else max(0.0, *residuals)
     return SuiteReport(suite=cfg.suite, trials_run=cfg.trials,
                        trials_passed=passed, worst_residual=worst,
                        counterexamples=counterexamples, config=cfg)
@@ -615,5 +602,6 @@ def replay_counterexample(source):
     tol = params.pop("tol", TOL_ZERO)
     try:
         return _SUITES[payload["suite"]][1](tuples, params, tol)
-    except KeyError as exc:
-        raise ParseError(f"the counterexample lacks {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"the counterexample's params do not hold what its "
+                         f"suite reads: {exc!r}") from exc

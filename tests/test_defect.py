@@ -46,6 +46,29 @@ class TestMultiOperator:
         with pytest.raises(TooLarge):
             MultiOperator([a, a.T], tol_comm=tol_comm)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_commuting_tuple_at_a_large_scale_loads(self, scale):
+        # ||AB - BA|| overflows once squared, its relative size is rounding
+        r = MultiOperator([scale * m for m in
+                           random_commuting_tuple(2, 4, 1).matrices])
+        assert type(r.commutation_residual) is float
+        assert r.commutation_residual <= 1e-15
+
+    def test_commuting_tuple_whose_norms_overflow_is_too_large(self):
+        with pytest.raises(TooLarge):
+            MultiOperator([1e160 * m for m in
+                           random_commuting_tuple(2, 4, 1).matrices])
+
+    def test_cross_commutation_residual_is_relative_at_any_scale(self):
+        # [R_1, R_2*] != 0: the same relative residual where its norm
+        # overflows once squared (1e100) as where it does not (1e50)
+        base = random_commuting_tuple(2, 4, 1).matrices
+        small, large = (MultiOperator([s * m for m in base])
+                        for s in (1e50, 1e100))
+        assert defect.cross_commutation_residual(large, large) == \
+            pytest.approx(defect.cross_commutation_residual(small, small),
+                          rel=1e-12)
+
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimensionMismatch):
             MultiOperator([np.eye(2), np.eye(3)])

@@ -5,15 +5,18 @@ import jsonschema
 import numpy as np
 import pytest
 
+from isosym import cli, harness
 from isosym.construct import random_commuting_tuple, tensor_sum, \
     tensor_sum_parts
-from isosym.defect import isosymmetry_defect_matrix, zero_tolerance
+from isosym.defect import (MultiOperator, isosymmetry_defect_matrix,
+                           zero_tolerance)
 from isosym.errors import InvalidParams, IsosymError, ParseError
 from isosym.harness import (_SUITES, SUITE_NAMES, SuiteConfig,
                             _shifted_residual, _trial_rng,
                             dump_counterexample, replay_counterexample,
                             run_suite)
 from isosym.linalg import fro_norm
+from isosym.tupleio import dumps
 
 
 SMALL = dict(trials=12, seed=42)
@@ -28,8 +31,9 @@ def test_every_suite_passes_small(suite):
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_determinism(suite):
-    a = run_suite(SuiteConfig(suite=suite, trials=8, seed=5)).to_dict()
-    b = run_suite(SuiteConfig(suite=suite, trials=8, seed=5)).to_dict()
+    cfg = SuiteConfig(suite=suite, trials=8, seed=5)
+    a = json.loads(dumps(run_suite(cfg)))
+    b = json.loads(dumps(run_suite(cfg)))
     assert a == b  # includes worst_residual, bit for bit
 
 
@@ -86,7 +90,7 @@ def test_unusable_tolerance_rejected(tol):
 
 def test_report_schema(schemas):
     report = run_suite(SuiteConfig(suite="scaled", trials=6, seed=3))
-    jsonschema.validate(report.to_dict(), schemas["suite_report"])
+    jsonschema.validate(json.loads(dumps(report)), schemas["suite_report"])
 
 
 def _failing_config(suite, trials):
@@ -135,7 +139,7 @@ class TestCounterexamples:
             try:
                 replayed = replay_counterexample(payload)
             except IsosymError:
-                replayed = float("inf")  # what run_suite records for a raise
+                replayed = None  # what run_suite records for a raise
             assert replayed == ce["residual"]
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", "truncated"],
@@ -159,8 +163,12 @@ class TestCounterexamples:
         lambda ce: dict(ce, tuples=[]),
         lambda ce: {k: v for k, v in ce.items() if k != "params"},
         lambda ce: dict(ce, params={"n": ce["params"]["n"]}),
+        lambda ce: dict(ce, params=dict(ce["params"], m="x")),
+        lambda ce: dict(ce, params=dict(ce["params"], m=1.5)),
+        lambda ce: dict(ce, params=dict(ce["params"], m=None)),
+        lambda ce: dict(ce, params=dict(ce["params"], m=[1])),
     ], ids=["list", "suite-only", "list-suite", "list-tuples", "no-params",
-            "no-m"])
+            "no-m", "string-m", "float-m", "null-m", "list-m"])
     def test_replaying_a_payload_that_is_no_counterexample_is_a_parse_error(
             self, tmp_path, payload):
         ce = json.loads(json.dumps(self._failing_report().counterexamples[0]))
@@ -175,13 +183,59 @@ class TestCounterexamples:
             replay_counterexample(dump_counterexample(ce, tmp_path / "ce.json"))
 
     def test_schema_with_counterexamples(self, schemas):
-        from referencing import Registry, Resource
-        report = self._failing_report()
-        registry = Registry().with_resource(
-            "isosym/tuple.schema.json", Resource.from_contents(schemas["tuple"]))
-        validator = jsonschema.Draft202012Validator(
-            schemas["suite_report"], registry=registry)
-        validator.validate(report.to_dict())
+        _report_validator(schemas).validate(
+            json.loads(dumps(self._failing_report())))
+
+    def test_every_instance_is_evaluated_once(self, monkeypatch):
+        gen, evaluate = _SUITES["forms"]
+        evaluated, built = [], []
+
+        def counting_evaluate(tuples, params, tol):
+            evaluated.append(tuples)
+            return evaluate(tuples, params, tol)
+
+        def counting_build(matrices):  # only shrinking builds through here
+            r = MultiOperator(matrices)
+            built.append(r)
+            return r
+
+        monkeypatch.setitem(_SUITES, "forms", (gen, counting_evaluate))
+        monkeypatch.setattr(harness, "MultiOperator", counting_build)
+        report = run_suite(_failing_config("forms", 3))
+        assert built  # some trial shrank
+        assert len(evaluated) == report.trials_run + len(built)
+
+
+def _report_validator(schemas):
+    from referencing import Registry, Resource
+    registry = Registry().with_resource(
+        "isosym/tuple.schema.json", Resource.from_contents(schemas["tuple"]))
+    return jsonschema.Draft202012Validator(schemas["suite_report"],
+                                           registry=registry)
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON proper: Infinity and NaN are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_raising_trial_is_written_as_null(capsys, tmp_path, monkeypatch,
+                                            schemas):
+    # trials 0 and 5 of seed 1 raise FormsDisagree at this tolerance
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["verify", "--suite", "ascent", "--trials", "6",
+                     "--seed", "1", "--tol", "1e-300"])
+    assert code == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["worst_residual"] is None
+    files = sorted((tmp_path / "counterexamples").glob("*.json"))
+    assert [f.name for f in files] == ["ascent_trial0.json",
+                                       "ascent_trial5.json"]
+    written = [_strict_json(f.read_text()) for f in files]
+    assert [ce["residual"] for ce in written] == [None, None]
+    _report_validator(schemas).validate(dict(report, counterexamples=written))
 
 
 def test_config_holds_only_the_settings_callers_set():
