@@ -28,8 +28,8 @@ class MinimalOrders:
 
     staircase: list        # [(m, n), ...], no pair dominating another
     search_bounds: tuple   # (m_max, n_max)
-    exhausted: bool        # True when every cell of the box was evaluated
-                           # and none vanished: the search ran out of box
+    exhausted: bool        # True when no cell of the box vanished: the
+                           # search ran out of box
 
 
 @dataclass(frozen=True)
@@ -72,31 +72,27 @@ def is_isosymmetric(r, m, n, tol=None):
 def minimal_orders(r, m_max, n_max, tol=None):
     """Minimal (m, n) pairs with vanishing defect inside a box.
 
-    Scans diagonals of the (m, n) lattice in increasing m + n.  Once a zero
-    cell is found, everything it dominates is zero too (one recurrence step
-    maps a vanishing defect to a vanishing defect), so dominated cells are
-    pruned rather than evaluated; what remains of the zero set is exactly
-    the minimal antichain.  The table builds the M-style sums of the whole
-    box in one pass first, so each cell only combines them.  ``r`` is a
-    tuple or its DefectTable; a caller that reads more cells afterwards
-    passes its table and finds them built.
+    Raising either order keeps a vanishing defect zero, so the zero cells
+    form an up-set; its minimal antichain is a staircase falling as m grows.
+    The walk keeps n at the lowest zero row of the column before and steps
+    it down while the cell below is zero; each column where n fell adds one
+    pair, so at most m_max + n_max + 2 cells are read.  The table builds the
+    M-style sums of the whole box first, so each cell only combines them.
+    ``r`` is a tuple or its DefectTable; a caller that reads more cells
+    afterwards passes its table and finds them built.
     """
     for name, bound in (("m_max", m_max), ("n_max", n_max)):
         if not 0 <= bound <= 12:
             raise InvalidParams(f"{name} must be in 0..12, got {bound}")
     table = DefectTable.of(r)
     table.prepare(m_max, n_max)
-    found = []
-    for total in range(m_max + n_max + 1):
-        for m in range(min(m_max, total), -1, -1):
-            n = total - m
-            if n < 0 or n > n_max:
-                continue
-            if any(m >= zm and n >= zn for zm, zn in found):
-                continue
-            if isosymmetry_defect(table, m, n, tol).is_zero:
-                found.append((m, n))
-    found.sort()
+    found, n = [], n_max + 1  # n: the lowest zero row of the column before
+    for m in range(m_max + 1):
+        top = n
+        while n > 0 and isosymmetry_defect(table, m, n - 1, tol).is_zero:
+            n -= 1
+        if n < top:
+            found.append((m, n))
     return MinimalOrders(staircase=found, search_bounds=(m_max, n_max),
                          exhausted=not found)
 

@@ -33,7 +33,8 @@ from .harness import SUITE_NAMES, SuiteConfig, dump_counterexample, run_suite
 from .linalg import TOL_RANK
 from .spectra import (TOL_SPECTRA, joint_point_spectrum, spectral_checks,
                       spectral_tolerance)
-from .tupleio import dumps, matrix_to_json, read_tuple, write_tuple
+from .tupleio import (dumps, load, matrix_to_json, read_tuple,
+                      tuple_from_dict, write_tuple)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -45,17 +46,15 @@ _INPUT_ERRORS = (ParseError, CommutationViolated, CrossCommutationViolated,
                  TooLarge, InvariantViolation)
 
 
-def _digest(path):
-    sha = hashlib.sha256()
-    with open(path, "rb") as fh:
-        sha.update(fh.read())
-    return sha.hexdigest()
+def _read_input(path):
+    """The tuple in ``path`` and (path, SHA-256 of the bytes parsed)."""
+    document, raw = load(path)
+    return tuple_from_dict(document)[0], (path, hashlib.sha256(raw).hexdigest())
 
 
-def _envelope(command, results, file_path=None, op=None, extra_args=None,
+def _envelope(command, results, source=(None, None), op=None, extra_args=None,
               tol=None, tol_spectra=TOL_SPECTRA, tol_orthogonality=None):
-    inputs = {"file": file_path,
-              "sha256": _digest(file_path) if file_path else None,
+    inputs = {"file": source[0], "sha256": source[1],
               "d": op.d if op is not None else None,
               "dim": op.dim if op is not None else None,
               "args": extra_args or {}}
@@ -104,14 +103,14 @@ def _emit(payload, args):
 # commands
 
 def _cmd_check(args):
-    op, _ = read_tuple(args.file)
+    op, source = _read_input(args.file)
     table = DefectTable(op)  # L_{m,n} reuses M_m and S_n
     iso = is_m_isometric(table, args.m, args.tol)
     sym = is_n_symmetric(table, args.n, args.tol)
     isosym = is_isosymmetric(table, args.m, args.n, args.tol)
     results = {"commutation_residual": op.commutation_residual,
                "isometric": iso, "symmetric": sym, "isosymmetric": isosym}
-    _emit(_envelope("check", results, args.file, op,
+    _emit(_envelope("check", results, source, op,
                     {"m": args.m, "n": args.n}, args.tol), args)
     return EXIT_OK if isosym.holds else EXIT_PROPERTY_FAILS
 
@@ -121,7 +120,7 @@ def _cmd_defect(args):
     if [o for o in ("l", "m", "n") if getattr(args, o) is not None] != wanted:
         raise InvalidParams(f"--kind {args.kind} takes exactly "
                             + " and ".join(f"--{o}" for o in wanted))
-    op, _ = read_tuple(args.file)
+    op, source = _read_input(args.file)
     read = {"S": symmetry_defect, "M": isometry_defect,
             "Lambda": isosymmetry_defect}[args.kind]
     report = read(op, *(getattr(args, o) for o in wanted), args.tol)
@@ -129,22 +128,22 @@ def _cmd_defect(args):
                "norm": report.norm, "tolerance": report.tolerance_used,
                "is_zero": report.is_zero,
                "matrix": matrix_to_json(report.matrix)}
-    _emit(_envelope("defect", results, args.file, op,
+    _emit(_envelope("defect", results, source, op,
                     {"kind": args.kind, "l": args.l, "m": args.m, "n": args.n},
                     args.tol), args)
     return EXIT_OK
 
 
 def _cmd_minimal(args):
-    op, _ = read_tuple(args.file)
+    op, source = _read_input(args.file)
     found = minimal_orders(op, args.m_max, args.n_max, args.tol)
-    _emit(_envelope("minimal", found, args.file, op,
+    _emit(_envelope("minimal", found, source, op,
                     {"m_max": args.m_max, "n_max": args.n_max}, args.tol), args)
     return EXIT_OK
 
 
 def _cmd_spectrum(args):
-    op, _ = read_tuple(args.file)
+    op, source = _read_input(args.file)
     if (args.m is None) != (args.n is None):
         raise InvalidParams("give both --m and --n, or neither")
     if args.m is None:
@@ -166,7 +165,7 @@ def _cmd_spectrum(args):
             results["zero_coordinate"] = checks.zero_coordinate
         else:
             exit_code = EXIT_PROPERTY_FAILS
-    _emit(_envelope("spectrum", results, args.file, op,
+    _emit(_envelope("spectrum", results, source, op,
                     {"m": args.m, "n": args.n}, tol_spectra=tol,
                     tol_orthogonality=None if checks is None
                     else checks.tol_orthogonality), args)
@@ -272,7 +271,8 @@ def _cmd_construct(args):
     results = {"kind": kind, "out": args.out, "d": op.d, "dim": op.dim,
                "predicted_orders": predicted}
     args.out = None  # the report goes to stdout
-    _emit(_envelope("construct", results, None, op, {"kind": kind}), args)
+    _emit(_envelope("construct", results, op=op,
+                    extra_args={"kind": kind}), args)
     return EXIT_OK
 
 

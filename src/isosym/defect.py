@@ -57,6 +57,7 @@ the recurrence, and the arrays a table hands out are read-only because
 it keeps them for later reads.
 """
 
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -240,6 +241,8 @@ def _combine(weights, stack):
 
 def _check_orders(**orders):
     for name, value in orders.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"defect order {name} is not an int: {value!r}")
         if value < 0:
             raise InvalidParams(f"defect order {name} must be >= 0, got {value}")
         # C(l, l // 2), the largest weight of order l, first fails at 1030

@@ -488,8 +488,6 @@ def _eval_tensor(tuples, params, tol):
     base, nil = tuples["left"], tuples["right"]
     m, n, q = params["m"], params["n"], params["q"]
     left, right = tensor_sum_parts(base, nil)
-    if left.dim != base.dim * nil.dim:
-        return 1.0
     if cross_commutation_residual(left, right) > _EXACTNESS:
         return 1.0
     # the lifted factor inherits the base defect: L(base (x) I) = L(base) (x) I
@@ -588,7 +586,7 @@ def replay_counterexample(source):
     ``suite``, object ``tuples`` and object ``params`` holding what its
     suite reads, raises ParseError; an unknown suite InvalidParams.
     """
-    payload = source if isinstance(source, dict) else load(source)
+    payload = source if isinstance(source, dict) else load(source)[0]
     if not (isinstance(payload, dict)
             and isinstance(payload.get("suite"), str)
             and isinstance(payload.get("tuples"), dict)

@@ -43,10 +43,11 @@ def dumps(value):
 
 
 def load(path):
-    """The JSON document in the UTF-8 file ``path``, else ParseError."""
+    """(document, bytes) of the UTF-8 JSON file ``path``, else ParseError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw.decode("utf-8")), raw
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -146,4 +147,4 @@ def write_tuple(path, op, metadata=None):
 
 
 def read_tuple(path):
-    return tuple_from_dict(load(path))
+    return tuple_from_dict(load(path)[0])

@@ -282,7 +282,8 @@ def gamma_forms(mats, m, n):
 
 
 def gamma_minimal_orders(mats, m_max, n_max, tolerance):
-    """The minimal-order scan of ``classify.minimal_orders`` on gamma cells.
+    """A diagonal minimal-order scan on gamma cells: a second algorithm,
+    over a second cell evaluator, for ``classify.minimal_orders``' walk.
 
     ``tolerance(m, n)`` is the zero-test threshold of cell (m, n); a cell
     is zero when its sym form's Frobenius norm is at most that.

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from isosym import classify
 from isosym.classify import (defect_family_rank, is_isosymmetric,
                              is_m_isometric, is_n_symmetric, minimal_orders)
-from isosym.construct import (identity_tuple, reference_pair,
+from isosym.construct import (identity_tuple, nilpotent_tuple, reference_pair,
                               random_commuting_tuple)
 from isosym.defect import MultiOperator
-from isosym.errors import HypothesisUnmet, InvalidParams
+from isosym.errors import HypothesisUnmet, InvalidParams, TooLarge
 
 
 def _jordan(lam):
@@ -101,6 +102,43 @@ class TestMinimalOrders:
                 assert not is_isosymmetric(r, m - 1, n).holds
             if n > 0 and m + n > 1:
                 assert not is_isosymmetric(r, m, n - 1).holds
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """The cells minimal_orders reads from now on, in order."""
+        cells, read = [], classify.isosymmetry_defect
+
+        def counted(table, m, n, tol=None):
+            cells.append((m, n))
+            return read(table, m, n, tol)
+
+        monkeypatch.setattr(classify, "isosymmetry_defect", counted)
+        return cells
+
+    @pytest.mark.parametrize("box, count", [(3, 4), (6, 11)])
+    def test_walk_reads_one_cell_per_step(self, monkeypatch, box, count):
+        # the diagonal scan read 16 and 43 cells here
+        cells = self._counted(monkeypatch)
+        minimal_orders(random_commuting_tuple(2, 5, 11), box, box)
+        assert len(cells) == count
+        assert cells[0] == (0, box)
+
+    @pytest.mark.parametrize("box", [(0, 0), (2, 5), (5, 2), (4, 4), (12, 12)])
+    def test_walk_reads_at_most_the_box_perimeter(self, monkeypatch, box):
+        cells = self._counted(monkeypatch)
+        found = minimal_orders(reference_pair(), *box)
+        assert len(cells) <= box[0] + box[1] + 2
+        assert len(set(cells)) == len(cells)
+        assert set(found.staircase) <= set(cells)
+
+    def test_overflowing_corner_is_too_large(self):
+        # the walk reads (0, 6) first, whose zero-test scale overflows; the
+        # diagonal scan answered [(0, 1), (2, 0)] from false zeros, where
+        # the unscaled tuple's staircase is [(0, 3)]
+        r = nilpotent_tuple(2, 4, 2, 3)
+        assert minimal_orders(r, 6, 6).staircase == [(0, 3)]
+        with pytest.raises(TooLarge, match=r"\(0,6\)"):
+            minimal_orders(MultiOperator([1e27 * m for m in r.matrices]), 6, 6)
 
     def test_bounds_cap(self):
         with pytest.raises(InvalidParams):

@@ -136,6 +136,21 @@ def test_inputs_sha256_is_the_digest_of_the_file_read(capsys, tmp_path,
     assert report["inputs"]["sha256"] == expect
 
 
+@pytest.mark.parametrize("command", ["check", "defect", "minimal", "spectrum"])
+def test_each_query_opens_its_input_once(capsys, tmp_path, monkeypatch,
+                                         reference_file, command):
+    # the digest is taken from the bytes that were parsed, not a re-read
+    opened, real_open = [], open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    _stdout(capsys, COMMANDS[command][0], reference_file, tmp_path)
+    assert opened.count(reference_file) == 1
+
+
 def test_defect_matrix_of_a_dim_16_tuple_reads_back_bit_exact(capsys,
                                                               tmp_path):
     path = tmp_path / "r16.json"

@@ -248,6 +248,24 @@ class TestIsosymmetryDefect:
         with pytest.raises(InvalidParams, match="tol"):
             isosymmetry_defect(reference_pair(), 1, 1, tol=tol)
 
+    @pytest.mark.parametrize("order", [True, np.True_, 1.0],
+                             ids=["bool", "np-bool", "float"])
+    @pytest.mark.parametrize("read", [
+        lambda r, k: isosymmetry_defect(r, k, 1),
+        lambda r, k: isosymmetry_defect(r, 1, k),
+        isometry_defect, symmetry_defect,
+    ], ids=["m", "n", "M", "S"])
+    def test_order_that_is_no_integer_rejected(self, read, order):
+        # a boolean is not read as the order 1
+        with pytest.raises(TypeError, match="not an int"):
+            read(reference_pair(), order)
+
+    def test_numpy_integer_order_accepted(self):
+        r = reference_pair()
+        got = isosymmetry_defect(r, np.int64(2), np.int64(1))
+        assert got.orders == (2, 1)
+        assert np.array_equal(got.matrix, isosymmetry_defect(r, 2, 1).matrix)
+
     def test_forms_disagree_on_corrupted_input(self):
         bad = MultiOperator(_noncommuting_pair(), tol_comm=1.0)
         with pytest.raises(FormsDisagree):

@@ -167,8 +167,9 @@ class TestCounterexamples:
         lambda ce: dict(ce, params=dict(ce["params"], m=1.5)),
         lambda ce: dict(ce, params=dict(ce["params"], m=None)),
         lambda ce: dict(ce, params=dict(ce["params"], m=[1])),
+        lambda ce: dict(ce, params=dict(ce["params"], m=True)),
     ], ids=["list", "suite-only", "list-suite", "list-tuples", "no-params",
-            "no-m", "string-m", "float-m", "null-m", "list-m"])
+            "no-m", "string-m", "float-m", "null-m", "list-m", "bool-m"])
     def test_replaying_a_payload_that_is_no_counterexample_is_a_parse_error(
             self, tmp_path, payload):
         ce = json.loads(json.dumps(self._failing_report().counterexamples[0]))

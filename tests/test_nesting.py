@@ -197,11 +197,33 @@ def test_staircases_equal_the_gamma_enumerations(seed):
             r = MultiOperator([3.0 * m for m in r.matrices])
         tuples.append(r)
     for r in tuples:
-        got = minimal_orders(r, MAX_ORDER, MAX_ORDER).staircase
+        table = DefectTable(r)
+        got = minimal_orders(table, MAX_ORDER, MAX_ORDER).staircase
         expect = gamma_minimal_orders(
             r.matrices, MAX_ORDER, MAX_ORDER,
             lambda m, n, r=r: zero_tolerance(r, m, n))
-        assert got == expect, r
+        assert got == expect == _minimal_zeros(table, MAX_ORDER, MAX_ORDER), r
+
+
+def _minimal_zeros(table, m_max, n_max):
+    """The minimal zero cells of the box, every cell read, in increasing m.
+    Asserts the premise of the staircase walk: the zeros form an up-set."""
+    zero = {(m, n) for m in range(m_max + 1) for n in range(n_max + 1)
+            if defect.isosymmetry_defect(table, m, n).is_zero}
+    assert all((m + 1, n) in zero for m, n in zero if m < m_max)
+    assert all((m, n + 1) in zero for m, n in zero if n < n_max)
+    return sorted((m, n) for m, n in zero
+                  if (m - 1, n) not in zero and (m, n - 1) not in zero)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_staircase_is_the_brute_force_minimal_zeros(seed):
+    for r in _corpus([5, seed], 12):
+        table = DefectTable(r)
+        for box in [(0, 0), (3, 3), (2, 5), (5, 2), (0, 4), (4, 0),
+                    (MAX_ORDER, MAX_ORDER)]:
+            assert minimal_orders(table, *box).staircase \
+                == _minimal_zeros(table, *box), (r, box)
 
 
 def test_table_reads_never_take_the_recurrence(monkeypatch):
