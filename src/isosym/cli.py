@@ -236,8 +236,10 @@ def _cmd_construct(args):
         predicted = [list(p) for p in
                      minimal_orders(base_op, 3, 3).staircase] or None
         if abs(sum(beta)) <= BETA_TOL:
-            predicted = sorted({tuple(p) for p in (predicted or [])} | {(0, 1)})
-            predicted = [list(p) for p in predicted]
+            # (0, 1) joins the staircase and drops the pairs it dominates,
+            # those with n >= 1, unless (0, 0) dominates it in turn
+            rows = [p for p in predicted or [] if p[1] == 0]
+            predicted = rows if [0, 0] in rows else [[0, 1]] + rows
         params = {"beta": list(beta)}
     elif kind == "jordan":
         base_op, _ = read_tuple(args.base)

@@ -239,14 +239,20 @@ def _combine(weights, stack):
     return np.dot(weights, flat).view(np.complex128).reshape(stack.shape[1:])
 
 
+@lru_cache(maxsize=None)
+def _weights_overflow(l):
+    """Whether C(l, l // 2), the largest weight of order l, overflows a
+    float; it first does at 1030."""
+    return binomial(l, l // 2) > sys.float_info.max
+
+
 def _check_orders(**orders):
     for name, value in orders.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"defect order {name} is not an int: {value!r}")
         if value < 0:
             raise InvalidParams(f"defect order {name} must be >= 0, got {value}")
-        # C(l, l // 2), the largest weight of order l, first fails at 1030
-        if binomial(value, value // 2) > sys.float_info.max:
+        if _weights_overflow(value):
             raise TooLarge(f"the binomial weights of order {name} = {value} "
                            "overflow a float")
 
@@ -265,14 +271,16 @@ class DefectTable:
     needs more: ``_t_powers``, the one power ladder of T = sum_j R_j,
     whose adjoints give the powers T*^k = (T^k)*; ``_sums``, the sums
     B_k(S_l) = Phi_0^k(S_l), k = 0..K, around each S_l read; and
-    ``_cells``, every L_{m,n} read.  S_l is made by one sandwich the
-    first time it is read and kept as the sums [S_l], whose B_0 it stays;
+    ``_cells``, every L_{m,n} read.  S_0 is the identity itself, the
+    ladder's first entry; any other S_l is made by one sandwich, the first
+    time it is read.  Each is kept as the sums [S_l], whose B_0 it stays;
     M_m is one weighted sum of the B_k around S_0 = I, formed when read.
     One run of multinomial steps re-steps every middle operator's sums
-    that are too short for the order asked, each from its stored S_l;
-    ``prepare(m_max, n_max)`` asks for a whole box.  A cell is evaluated
-    in both outer forms once; their gap is kept beside it and checked
-    against the caller's tolerance on every read.
+    that are too short for the order asked, each from its stored S_l,
+    with the stacks of the R_j and the R_j* that the first run builds and
+    ``_components`` keeps; ``prepare(m_max, n_max)`` asks for a whole box.
+    A cell is evaluated in both outer forms once; their gap is kept beside
+    it and checked against the caller's tolerance on every read.
 
     The module functions read it in place of the tuple; it offers only
     ``r``, ``of``, ``prepare`` and ``forms``.  The caller owns the table:
@@ -281,7 +289,7 @@ class DefectTable:
     therefore read-only.
     """
 
-    __slots__ = ("r", "_t_powers", "_sums", "_cells")
+    __slots__ = ("r", "_t_powers", "_sums", "_cells", "_components")
 
     def __init__(self, r):
         self.r = r
@@ -289,6 +297,7 @@ class DefectTable:
         self._t_powers = _frozen(np.eye(r.dim, dtype=np.complex128)[None])
         self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n), B_0 = S_l
         self._cells = {}     # (m, n) -> (L_{m,n}, gap between its two forms)
+        self._components = None  # (R_j* stack, R_j stack) from the 1st run
 
     @classmethod
     def of(cls, r):
@@ -317,8 +326,11 @@ class DefectTable:
         short = [l for l in dict.fromkeys(middles)
                  if len(self._sums.get(l, ())) <= order]
         if short:
-            rights = np.array(self.r.matrices)
-            lefts = np.array([adjoint(a) for a in rights])
+            if self._components is None:
+                rights = np.array(self.r.matrices)
+                self._components = (np.array([adjoint(a) for a in rights]),
+                                    rights)
+            lefts, rights = self._components
             batch = max(1, _NESTING_ENTRIES // (self.r.d * self.r.dim ** 2))
             for start in range(0, len(short), batch):
                 part = short[start:start + batch]
@@ -347,11 +359,13 @@ class DefectTable:
         return _combine(_alternating_weights(n), prods)
 
     def _symmetry(self, l):
-        """S_l as a raw matrix: the B_0 of its sums, which one sandwich
-        starts as [S_l] the first time S_l is read."""
+        """S_l as a raw matrix: the B_0 of its sums, which start as [S_l]
+        the first time S_l is read: [T^0] = [I] for l = 0, else one
+        sandwich."""
         _check_orders(l=l)
         if l not in self._sums:
-            self._sums[l] = _frozen(self._sandwich(l, None)[None])
+            self._sums[l] = (_frozen(self._sandwich(l, None)[None]) if l
+                             else self._t_powers[:1])
         return self._sums[l][0]
 
     def _isometry(self, l):

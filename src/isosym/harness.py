@@ -29,7 +29,7 @@ from .defect import (TOL_ZERO, DefectTable, MultiOperator,
                      perturbation_expansion, raise_isometry_order,
                      raise_symmetry_order, zero_tolerance)
 from .errors import HypothesisUnmet, InvalidParams, IsosymError, ParseError
-from .linalg import checked_tolerance, fro_norm
+from .linalg import checked_tolerance, fro_norm, kron
 from .spectra import spectral_checks
 from .tupleio import dumps, load, tuple_from_dict, tuple_to_dict
 
@@ -492,8 +492,8 @@ def _eval_tensor(tuples, params, tol):
         return 1.0
     # the lifted factor inherits the base defect: L(base (x) I) = L(base) (x) I
     lifted = isosymmetry_defect_matrix(left, m, n)
-    inherited = np.kron(isosymmetry_defect_matrix(base, m, n),
-                        np.eye(nil.dim, dtype=np.complex128))
+    inherited = kron(isosymmetry_defect_matrix(base, m, n),
+                     np.eye(nil.dim, dtype=np.complex128))
     if _normalized(lifted - inherited, left, m, n) > tol:
         return 1.0
     return _shifted_residual(left, right, m, n, q)

@@ -28,7 +28,7 @@ def as_matrix(entries):
     m = np.array(entries, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m.view(np.float64)).all():
         raise ValueError("matrix entries must be finite")
     m.setflags(write=False)
     return m
@@ -40,8 +40,18 @@ def adjoint(m):
 
 
 def kron(a, b):
-    """Kronecker product; out[(i*p)+k, (j*p)+l] = a[i,j] * b[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product of two matrices; out[i*p + k, j*q + l] = a[i,j] *
+    b[k,l] for a p x q ``b``.
+
+    One broadcast product forms the same products ``np.kron`` forms, bit
+    for bit, without its dispatch and shape equalisation.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatch(
+            f"kron takes two 2-D arrays, got ndim {a.ndim} and {b.ndim}")
+    (n, m), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * p, m * q)
 
 
 def fro_norm(m):

@@ -384,6 +384,26 @@ def test_construct_scaled(capsys, tmp_path):
     assert op.d == 2
 
 
+@pytest.mark.parametrize("base, expect", [
+    ([[1, 1], [0, 1]], [[0, 1], [3, 0]]),
+    ([[1]], [[0, 1], [1, 0]]),
+], ids=["jordan-2", "identity-1"])
+def test_construct_scaled_with_betas_summing_to_0_predicts_the_staircase(
+        capsys, tmp_path, base, expect):
+    # (0, 1) joins the base's staircase, and the pairs it dominates go
+    path = tmp_path / "base.json"
+    write_tuple(path, MultiOperator([base]))
+    out = tmp_path / "scaled.json"
+    code, report = _run(capsys, ["construct", "scaled", "--base", str(path),
+                                 "--beta=0.7071067811865476,"
+                                 "-0.7071067811865476", "--out", str(out)])
+    assert code == 0
+    assert report["results"]["predicted_orders"] == expect
+    code, found = _run(capsys, ["minimal", str(out)])
+    assert code == 0
+    assert found["results"]["staircase"] == expect
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "FILE", "--m", "400", "--n", "1"],
     ["defect", "FILE", "--kind", "S", "--l", "2000"],

@@ -416,6 +416,15 @@ class TestOrdersTooLarge:
         with pytest.raises(TooLarge):
             perturbation_expansion(zero, zero, 1030, 0)
 
+    def test_order_check_caches_its_weight_test(self):
+        defect._weights_overflow.cache_clear()
+        for _ in range(2):
+            defect._check_orders(m=1029)
+            with pytest.raises(TooLarge):
+                defect._check_orders(n=1030)
+        info = defect._weights_overflow.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
     def test_expansion_coefficient_overflow(self):
         # d = 1: every C(700, k) fits, but 700!/(a! g! k!) reaches 3^700
         zero = MultiOperator([np.zeros((2, 2))])

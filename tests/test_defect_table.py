@@ -230,3 +230,29 @@ def test_symmetry_defect_is_made_once_for_the_cell_that_reads_it(monkeypatch):
     isosymmetry_defect(table, 4, 3)  # longer sums, re-stepped from S_3
     assert symmetry_defect(table, 3).matrix.tobytes() == s.matrix.tobytes()
     assert made.count(3) == 1
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+def test_order_0_defects_are_the_identity_with_no_sandwich(monkeypatch,
+                                                            shared):
+    r = random_commuting_tuple(2, 4, 9)
+    made = []
+    sandwich = DefectTable._sandwich
+
+    def counted(self, n, mid):
+        if mid is None:
+            made.append(n)
+        return sandwich(self, n, mid)
+
+    monkeypatch.setattr(DefectTable, "_sandwich", counted)
+    source = r
+    if shared:
+        source = DefectTable(r)
+        isosymmetry_defect_matrix(source, 2, 2)  # ladder and sums grown first
+    eye = np.eye(r.dim, dtype=np.complex128)
+    for matrix in (symmetry_defect_matrix(source, 0),
+                   isometry_defect_matrix(source, 0),
+                   isosymmetry_defect_matrix(source, 0, 0)):
+        assert matrix.shape == eye.shape
+        assert matrix.tobytes() == eye.tobytes()
+    assert 0 not in made

@@ -40,6 +40,43 @@ def test_kron_shape_and_scalar():
     assert np.allclose(kron(np.array([[2.0]]), b), 2.0 * b)
 
 
+def _signed_zeros():
+    z = np.array([[-0.0, 1.0], [0.0, -0.0]], dtype=complex)
+    z[0, 1] = complex(-0.0, 2.0)
+    z[1, 0] = complex(3.0, -0.0)
+    return z
+
+
+@pytest.mark.parametrize("a, b", [
+    (_random(3, 1), np.eye(2, dtype=complex)),
+    (np.eye(2, dtype=complex), _random(3, 1)),
+    (_random(2, 3).real, _random(3, 4)),
+    (_random(2, 5, rect=3), _random(4, 6, rect=1)),
+    (np.array([[2.5 - 1j]]), _random(3, 7)),
+    (_random(3, 8), np.array([[-0.5j]])),
+    (np.array([[1j]]), np.array([[-0.0]])),
+    (_signed_zeros(), _signed_zeros()),
+    (_signed_zeros(), np.array([[-1.0, 0.0, 2.0]])),
+], ids=["complex-identity", "identity-complex", "real-complex", "non-square",
+        "1x1-left", "1x1-right", "1x1-both", "signed-zeros",
+        "signed-zeros-real-row"])
+def test_kron_is_np_kron_bit_for_bit(a, b):
+    out, expect = kron(a, b), np.kron(a, b)
+    assert out.shape == expect.shape
+    assert out.dtype == expect.dtype
+    assert out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.ones(2), np.eye(2)),
+    (np.eye(2), np.ones((2, 2, 2))),
+    (np.array(1.0), np.eye(2)),
+], ids=["1-D", "3-D", "0-D"])
+def test_kron_takes_matrices_only(a, b):
+    with pytest.raises(DimensionMismatch):
+        kron(a, b)
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=25)
 def test_kron_mixed_product(seed):
