@@ -188,12 +188,16 @@ def _clamped_predictions(base, q):
     """Theorem arithmetic from the base's minimal vanishing orders.
 
     Each minimal pair is clamped up to (>=1, >=1) first (raising orders
-    preserves vanishing), then shifted by the nilpotent order.
+    preserves vanishing), then shifted by the nilpotent order.  Clamping
+    can make one pair dominate another, so only the minimal pairs are
+    kept: an antichain, in increasing m.
     """
     found = minimal_orders(base, 3, 3).staircase
-    preds = sorted({(max(m, 1) + 2 * q - 2, max(n, 1) + 2 * q - 1)
-                    for m, n in found})
-    return [list(p) for p in preds] or None
+    preds = {(max(m, 1) + 2 * q - 2, max(n, 1) + 2 * q - 1)
+             for m, n in found}
+    return [list(p) for p in sorted(preds)
+            if not any(o != p and o[0] <= p[0] and o[1] <= p[1]
+                       for o in preds)] or None
 
 
 def _nilpotency_order(r):

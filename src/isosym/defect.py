@@ -22,8 +22,10 @@ before any matrix is formed.
 
 Two sums around a middle operator X make every defect: the S-style
 sandwich sum_k (-1)^(n-k) C(n,k) T*^k X T^(n-k), T = sum_j R_j, gives S_n
-(X = I = M_0) and the "sym_outer" form (X = M_m); the M-style sum
-sum_k (-1)^(m-k) C(m,k) B_k(X) of
+(X = I = M_0) and the "sym_outer" form (X = M_m).  Both middles are
+Hermitian, so term n-k is (-1)^n times the adjoint of term k: only the
+terms k <= n/2 are formed, 2(n//2 + 1) matrix products, and their sum P
+gives P + (-1)^n P*.  The M-style sum sum_k (-1)^(m-k) C(m,k) B_k(X) of
 
     B_k(X) = sum_{|gamma|=k} (k!/gamma!) R*^gamma X R^gamma
 
@@ -33,8 +35,10 @@ the k-th power of one map,
 
     B_k(X) = Phi_0^k(X),   Phi_0(X) = sum_j R_j* X R_j,
 
-so B_0..B_K around one middle X cost 2dK matrix products and no power
-ladder of any R_j.  The perturbation expansion of
+so B_0..B_K around one middle X cost 2K matrix products and no power
+ladder of any R_j: each application of Phi_0 is [R_1*; ...; R_d*] @ X,
+d blocks tall, then its blocks side by side times [R_1; ...; R_d], whose
+inner dimension sums the d terms.  The perturbation expansion of
 L_{m,n}(R + Q) is the same multinomial sum over 2d components around a
 stack of middles X_0..X_m; ``_multinomial_steps`` evaluates both.  It
 only adds matrix products and scales none, so an integer tuple's sums
@@ -195,6 +199,17 @@ def _alternating_weights(l):
                              for k in range(l + 1)]))
 
 
+@lru_cache(maxsize=128)
+def _paired_weights(l):
+    """The S-style weights of k = 0..l // 2, the middle one of an even l
+    halved: the sum over k <= l/2 and its (-1)^l-adjoint give all l + 1
+    terms.  C(l, l/2) is even, so every weight stays an integer."""
+    weights = _alternating_weights(l)[:l // 2 + 1].copy()
+    if l % 2 == 0:
+        weights[-1] /= 2
+    return _frozen(weights)
+
+
 #: entries of complex128 (32 MB) that one step's product stack may hold; a
 #: table's steps over more middle operators are split into runs of this size
 _NESTING_ENTRIES = 2 ** 21
@@ -211,20 +226,30 @@ def _multinomial_steps(lefts, rights, stack, order):
 
         y_i <- y_(i+1) + Psi(y_i),
 
-    so after t steps y_0 = Y_t.  With commuting factors on each side,
-    Psi^p(X) = sum_{|gamma|=p} (p!/gamma!) L^gamma X R^gamma (multinomial
-    theorem), and Y_t sums t!/(gamma! k!) L^gamma X_k R^gamma over every
-    split |gamma| + k = t.  Every weight comes from adding, none from
-    scaling.  A one-entry stack [X] gives Y_t = Psi^t(X), so steps
-    continued from a kept Y_t repeat the later Y's bit for bit.
+    so after t steps y_0 = Y_t.  Psi(y) is two products per entry: the
+    tall [L_1; ...; L_c] @ y, whose blocks laid side by side make
+    [L_1 y | ... | L_c y], times the tall [R_1; ...; R_c], whose inner
+    dimension sums the c components.  With commuting factors on each
+    side, Psi^p(X) = sum_{|gamma|=p} (p!/gamma!) L^gamma X R^gamma
+    (multinomial theorem), and Y_t sums t!/(gamma! k!) L^gamma X_k
+    R^gamma over every split |gamma| + k = t.  Every weight comes from
+    adding, none from scaling.  Each entry's products are its own, so its
+    Y's do not depend on the entries stacked beside it, and a one-entry
+    stack [X] gives Y_t = Psi^t(X): steps continued from a kept Y_t
+    repeat the later Y's bit for bit.
     """
-    out = np.empty((stack.shape[0], order + 1) + stack.shape[2:],
-                   dtype=np.complex128)
+    c, n = lefts.shape[:2]
+    tall_lefts = lefts.reshape(c * n, n)
+    tall_rights = rights.reshape(c * n, n)
+    b = stack.shape[0]
+    out = np.empty((b, order + 1, n, n), dtype=np.complex128)
     out[:, 0] = stack[:, 0]
     y = stack
     for t in range(1, order + 1):
         live = min(y.shape[1], order - t + 1)
-        step = (lefts @ y[:, :live, None] @ rights).sum(axis=2)
+        wide = (tall_lefts @ y[:, :live]).reshape(b, live, c, n, n) \
+            .transpose(0, 1, 3, 2, 4).reshape(b, live, n, c * n)
+        step = wide @ tall_rights
         carry = y[:, 1:live + 1]
         step[:, :carry.shape[1]] += carry
         y = step
@@ -272,13 +297,14 @@ class DefectTable:
     whose adjoints give the powers T*^k = (T^k)*; ``_sums``, the sums
     B_k(S_l) = Phi_0^k(S_l), k = 0..K, around each S_l read; and
     ``_cells``, every L_{m,n} read.  S_0 is the identity itself, the
-    ladder's first entry; any other S_l is made by one sandwich, the first
-    time it is read.  Each is kept as the sums [S_l], whose B_0 it stays;
-    M_m is one weighted sum of the B_k around S_0 = I, formed when read.
-    One run of multinomial steps re-steps every middle operator's sums
-    that are too short for the order asked, each from its stored S_l,
-    with the stacks of the R_j and the R_j* that the first run builds and
-    ``_components`` keeps; ``prepare(m_max, n_max)`` asks for a whole box.
+    ladder's first entry; any other S_l is made by one sandwich of its
+    terms k <= l/2, the first time it is read.  Each is kept as the sums
+    [S_l], whose B_0 it stays; M_m is one weighted sum of the B_k around
+    S_0 = I, formed when read.  One run of multinomial steps re-steps
+    every middle operator's sums that are too short for the order asked,
+    each from its stored S_l, with the stacks of the R_j and the R_j* that
+    the first run builds and ``_components`` keeps; order 0 asks for no
+    run.  ``prepare(m_max, n_max)`` asks for a whole box.
     A cell is evaluated in both outer forms once; their gap is kept beside
     it and checked against the caller's tolerance on every read.
 
@@ -318,13 +344,16 @@ class DefectTable:
         """B_0..B_order(S_l) for each l in ``middles``, in that order.
 
         B_k(X) = Phi_0^k(X), Phi_0(X) = sum_j R_j* X R_j: the one-entry
-        stack [S_l] (S_0 = I) through ``order`` multinomial steps.  Every
-        middle whose sums stop short of ``order`` is stepped again from its
-        stored S_l, all of them together, in as few runs as
-        _NESTING_ENTRIES allows.
+        stack [S_l] (S_0 = I) through ``order`` multinomial steps.  Each
+        S_l is made first; every middle whose sums then stop short of
+        ``order`` is stepped again from its stored S_l, all of them
+        together, in as few runs as _NESTING_ENTRIES allows, and none is
+        run when no middle is short.
         """
+        for l in middles:
+            self._symmetry(l)
         short = [l for l in dict.fromkeys(middles)
-                 if len(self._sums.get(l, ())) <= order]
+                 if len(self._sums[l]) <= order]
         if short:
             if self._components is None:
                 rights = np.array(self.r.matrices)
@@ -334,7 +363,7 @@ class DefectTable:
             batch = max(1, _NESTING_ENTRIES // (self.r.d * self.r.dim ** 2))
             for start in range(0, len(short), batch):
                 part = short[start:start + batch]
-                stack = np.array([[self._symmetry(l)] for l in part])
+                stack = np.array([[self._sums[l][0]] for l in part])
                 steps = _multinomial_steps(lefts, rights, stack, order)
                 for l, b in zip(part, steps):
                     self._sums[l] = _frozen(b)
@@ -351,12 +380,25 @@ class DefectTable:
 
     def _sandwich(self, n, mid):
         """The S-style sum_k (-1)^(n-k) C(n,k) T*^k X T^(n-k), X = ``mid``
-        (None: I): S_n around I, the sym form of L_{m,n} around M_m."""
+        (None: I): S_n around I, the sym form of L_{m,n} around M_m.
+
+        X must be Hermitian, as I and M_m are for every tuple: term n-k is
+        then (-1)^n times the adjoint of term k.  Only the terms k <= n/2
+        are formed, in one batched product, and summed by one ``_combine``
+        into P, the middle term of an even n at half its weight; the sum
+        is P + (-1)^n P*, exactly (-1)^n-Hermitian.  Every weight stays an
+        integer.  For n = 0 it is X itself.
+        """
+        if not n:
+            return np.eye(self.r.dim, dtype=np.complex128) if mid is None \
+                else mid
+        half = n // 2
         ladder = self._powers(n)
-        stars = ladder[:n + 1].conj().transpose(0, 2, 1)  # T*^k = (T^k)*
-        plain = ladder[n::-1]
+        stars = ladder[:half + 1].conj().transpose(0, 2, 1)  # T*^k = (T^k)*
+        plain = ladder[n:n - half - 1:-1]
         prods = stars @ plain if mid is None else stars @ mid @ plain
-        return _combine(_alternating_weights(n), prods)
+        part = _combine(_paired_weights(n), prods)
+        return part + adjoint(part) if n % 2 == 0 else part - adjoint(part)
 
     def _symmetry(self, l):
         """S_l as a raw matrix: the B_0 of its sums, which start as [S_l]
@@ -514,7 +556,8 @@ def perturbation_expansion(r, q, m, n):
     over 2d + 1 parts: with Psi(X) = sum_j (R_j+Q_j)* X Q_j + Q_j* X R_j,
     whose factors commute on each side under the hypothesis, it is
     sum_k C(m,k) Psi^(m-k)(X_k), the entry Y_m of the multinomial steps
-    over the stack X_0..X_m: 2d m(m+1) matrix products and no ladder.
+    over the stack X_0..X_m: m(m+1) matrix products, each 2d blocks tall
+    or wide, and no ladder.
     """
     _check_orders(m=m, n=n)
     if r.d != q.d:

@@ -708,8 +708,9 @@ def test_construct_nilpotent_predicts_s_of_twice_order_less_one(
 
 
 def _shifted(q):
-    """The reference pair's staircase, clamped to >= 1 and shifted by q."""
-    return [[2 * q - 1, 2 * q], [2 * q - 1, 2 * q + 2], [2 * q, 2 * q]]
+    """The reference pair's staircase [[0, 3], [1, 1], [2, 0]], clamped to
+    >= 1 and shifted by q: (1, 1) dominates the other two."""
+    return [[2 * q - 1, 2 * q]]
 
 
 @pytest.mark.parametrize("order, dim", [(1, 2), (2, 2), (2, 3), (3, 3)])
@@ -829,3 +830,33 @@ def test_construct_jordan_predicted_orders(capsys, tmp_path, reference_file, q):
     assert report["results"]["predicted_orders"] == _shifted(q)
     _, meta = read_tuple(out)
     assert meta["construction"]["predicted_orders"] == _shifted(q)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "jordan"])
+def test_construct_predictions_are_an_antichain_that_minimal_confirms(
+        capsys, tmp_path, reference_file, kind):
+    # ex22's staircase clamps to (1, 1), (1, 3) and (2, 1): only the first
+    # is minimal, so one pair is written, not three
+    out = str(tmp_path / "out.json")
+    if kind == "tensor":
+        nil = str(tmp_path / "nil.json")
+        assert main(["construct", "nilpotent", "--d", "2", "--dim", "3",
+                     "--order", "2", "--out", nil]) == 0
+        capsys.readouterr()
+        argv = ["construct", "tensor", "--left", reference_file,
+                "--right", nil, "--out", out]
+    else:
+        argv = ["construct", "jordan", "--base", reference_file,
+                "--mu", "1,1", "--q", "2", "--out", out]
+    code, report = _run(capsys, argv)
+    assert code == 0
+    predicted = report["results"]["predicted_orders"]
+    assert predicted == [[3, 4]]
+    assert read_tuple(out)[1]["construction"]["predicted_orders"] == predicted
+    assert not any(p != o and p[0] <= o[0] and p[1] <= o[1]
+                   for p in predicted for o in predicted)
+    code, found = _run(capsys, ["minimal", out])
+    assert code == 0
+    staircase = found["results"]["staircase"]
+    for m, n in predicted:
+        assert any(a <= m and b <= n for a, b in staircase), (staircase, m, n)

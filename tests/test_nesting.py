@@ -245,7 +245,8 @@ def test_table_reads_never_take_the_recurrence(monkeypatch):
 @pytest.mark.parametrize("order", [2, 3])
 def test_perturbation_expansion_makes_one_nesting_pass(monkeypatch, order):
     # r's (order+1)^2 cells L_{k,l} share one step run; read one by one,
-    # each would run its own.  The expansion itself is one more run.
+    # each with k >= 1 runs its own, and a cell L_{0,l} steps nothing.
+    # The expansion itself is one more run.
     calls = []
     steps = defect._multinomial_steps
 
@@ -261,7 +262,7 @@ def test_perturbation_expansion_makes_one_nesting_pass(monkeypatch, order):
     calls.clear()
     monkeypatch.setattr(DefectTable, "prepare", lambda self, m, n: None)
     cell_by_cell = perturbation_expansion(r, q, order, order)
-    assert len(calls) == (order + 1) ** 2 + 1
+    assert len(calls) == order * (order + 1) + 1
     assert prepared.tobytes() == cell_by_cell.tobytes()
 
 
