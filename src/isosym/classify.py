@@ -1,4 +1,4 @@
-"""Class membership verdicts, minimal-order search and family ranks."""
+"""Membership verdicts, minimal orders, family ranks, perturbed orders."""
 
 from dataclasses import dataclass
 
@@ -95,6 +95,22 @@ def minimal_orders(r, m_max, n_max, tol=None):
             found.append((m, n))
     return MinimalOrders(staircase=found, search_bounds=(m_max, n_max),
                          exhausted=not found)
+
+
+def minimal_pairs(pairs):
+    """The pairs no other pair dominates, once each, in increasing m."""
+    pairs = set(pairs)
+    return sorted(p for p in pairs
+                  if not any(o != p and o[0] <= p[0] and o[1] <= p[1]
+                             for o in pairs))
+
+
+def perturbed_orders(staircase, q):
+    """Vanishing orders of R + Q, Q cross-commuting and q-nilpotent, from
+    R's: each pair raised to (>= 1, >= 1), shifted by (2q - 2, 2q - 1), and
+    the ``minimal_pairs`` of the results (raising may make one dominate)."""
+    return minimal_pairs((max(m, 1) + 2 * q - 2, max(n, 1) + 2 * q - 1)
+                         for m, n in staircase)
 
 
 def defect_family_rank(r, m, n, direction, tol=None):

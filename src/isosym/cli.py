@@ -17,12 +17,12 @@ import numpy as np
 
 from . import __version__
 from .classify import is_isosymmetric, is_m_isometric, is_n_symmetric, \
-    minimal_orders
+    minimal_orders, minimal_pairs, perturbed_orders
 from .construct import (BETA_TOL, JordanAugmentSpec, ScaledTupleSpec,
                         jordan_augment, nilpotent_tuple,
                         random_commuting_tuple, reference_pair, scaled_tuple,
                         tensor_sum)
-from .defect import TOL_COMM, DefectTable, MultiOperator, isometry_defect, \
+from .defect import TOL_COMM, DefectTable, isometry_defect, \
     isosymmetry_defect, nilpotency_residuals, symmetry_defect, zero_test_base
 from .errors import (BetaNotNormalized, CommutationViolated,
                      ConvergenceFailure, CrossCommutationViolated, DMismatch,
@@ -184,22 +184,6 @@ def _parse_numbers(raw, parse):
     return values
 
 
-def _clamped_predictions(base, q):
-    """Theorem arithmetic from the base's minimal vanishing orders.
-
-    Each minimal pair is clamped up to (>=1, >=1) first (raising orders
-    preserves vanishing), then shifted by the nilpotent order.  Clamping
-    can make one pair dominate another, so only the minimal pairs are
-    kept: an antichain, in increasing m.
-    """
-    found = minimal_orders(base, 3, 3).staircase
-    preds = {(max(m, 1) + 2 * q - 2, max(n, 1) + 2 * q - 1)
-             for m, n in found}
-    return [list(p) for p in sorted(preds)
-            if not any(o != p and o[0] <= p[0] and o[1] <= p[1]
-                       for o in preds)] or None
-
-
 def _nilpotency_order(r):
     """The smallest q with every product of q components numerically 0.
 
@@ -211,9 +195,7 @@ def _nilpotency_order(r):
     tuple with a component of condition number under 1e12 is never called
     nilpotent.  None if no q <= dim qualifies.
     """
-    # r passed its commutation check at its own scale on reading
-    unit = MultiOperator([m / (np.linalg.norm(m, 2) or 1.0)
-                          for m in r.matrices], tol_comm=np.inf)
+    unit = [m / (np.linalg.norm(m, 2) or 1.0) for m in r.matrices]
     pairs = pairwise(nilpotency_residuals(unit))
     for k, (previous, residual) in zip(range(1, r.dim + 1), pairs):
         if residual <= 1e-12 * previous:
@@ -226,10 +208,10 @@ def _cmd_construct(args):
     if seed is not None and seed < 0:
         raise InvalidParams(f"--seed must be >= 0, got {seed}")
     kind = args.kind
-    predicted = None
+    predicted = []
     if kind == "example22":
         op = reference_pair()
-        predicted = [[1, 1]]
+        predicted = [(1, 1)]
         params = {}
     elif kind == "scaled":
         base_op, _ = read_tuple(args.base)
@@ -237,36 +219,35 @@ def _cmd_construct(args):
             raise InvalidParams("--base must hold a single matrix (d=1)")
         beta = _parse_numbers(args.beta, float)
         op = scaled_tuple(ScaledTupleSpec(base=base_op.matrices[0], beta=beta))
-        predicted = [list(p) for p in
-                     minimal_orders(base_op, 3, 3).staircase] or None
-        if abs(sum(beta)) <= BETA_TOL:
-            # (0, 1) joins the staircase and drops the pairs it dominates,
-            # those with n >= 1, unless (0, 0) dominates it in turn
-            rows = [p for p in predicted or [] if p[1] == 0]
-            predicted = rows if [0, 0] in rows else [[0, 1]] + rows
+        predicted = minimal_orders(base_op, 3, 3).staircase
+        if abs(sum(beta)) <= BETA_TOL:  # S_1 of the scaled tuple vanishes
+            predicted = minimal_pairs(predicted + [(0, 1)])
         params = {"beta": list(beta)}
     elif kind == "jordan":
         base_op, _ = read_tuple(args.base)
         mu = _parse_numbers(args.mu, lambda z: complex(z.replace(" ", "")))
         op = jordan_augment(JordanAugmentSpec(base_tuple=base_op, mu=mu,
                                               q=args.q))
-        predicted = _clamped_predictions(base_op, args.q)
+        predicted = perturbed_orders(
+            minimal_orders(base_op, 3, 3).staircase, args.q)
         params = {"mu": mu, "q": args.q}
     elif kind == "tensor":
         left, _ = read_tuple(args.left)
         right, _ = read_tuple(args.right)
         op = tensor_sum(left, right)
         q = _nilpotency_order(right)
-        predicted = _clamped_predictions(left, q) if q else None
+        predicted = (perturbed_orders(minimal_orders(left, 3, 3).staircase, q)
+                     if q else [])
         params = {"left": args.left, "right": args.right}
     elif kind == "nilpotent":
         op = nilpotent_tuple(args.d, args.dim, args.order, seed)
-        predicted = [[0, 2 * args.order - 1]]
+        predicted = [(0, 2 * args.order - 1)]
         params = {"d": args.d, "dim": args.dim, "order": args.order,
                   "seed": seed}
     else:  # random, the last of the kinds the parser accepts
         op = random_commuting_tuple(args.d, args.dim, seed)
         params = {"d": args.d, "dim": args.dim, "seed": seed}
+    predicted = [list(p) for p in predicted] or None
     metadata = {"construction": dict(params, kind=kind,
                                      predicted_orders=predicted)}
     if args.name:

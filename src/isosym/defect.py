@@ -520,27 +520,28 @@ def cross_commutation_residual(r, q):
                    for qc, nq in sides)
 
 
-def nilpotency_residuals(r):
+def nilpotency_residuals(matrices):
     """sqrt(tr G_k) for k = 0, 1, ...: G_0 = I, G_k = sum_j R_j G_(k-1) R_j*.
 
+    The R_j are ``matrices``, square and of one size (a tuple's matrices).
     For commuting R_j, G_k = sum_{|alpha|=k} (k!/alpha!) R^alpha R^alpha*,
     so max ||R^alpha|| <= sqrt(tr G_k) <= d^(k/2) max ||R^alpha||, 0 iff
     every product of k components is.  ``kernels.active.gram_step`` carries
     a factor G_k = F_k F_k*, read as ||F_k||: G_k would round 0 to sqrt(eps).
     """
-    factor = np.eye(r.dim, dtype=np.complex128)
+    factor = np.eye(len(matrices[0]), dtype=np.complex128)
     while True:
         # scaled by the largest entry, whose square may overflow or underflow
         big = np.abs(factor).max()
         yield big * fro_norm(factor / big) if big else 0.0
-        factor = kernels.active.gram_step(r.matrices, factor)
+        factor = kernels.active.gram_step(matrices, factor)
 
 
 def nilpotency_residual(r, k):
     """sqrt(tr G_k) of ``nilpotency_residuals``; 0 iff r is k-nilpotent."""
     if k < 0:
         raise InvalidParams(f"order k must be >= 0, got {k}")
-    return next(islice(nilpotency_residuals(r), k, None))
+    return next(islice(nilpotency_residuals(r.matrices), k, None))
 
 
 def perturbation_expansion(r, q, m, n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .classify import defect_family_rank, minimal_orders
+from .classify import defect_family_rank, minimal_orders, perturbed_orders
 from .construct import (JordanAugmentSpec, ScaledTupleSpec, identity_tuple,
                         jordan_augment_parts, nilpotent_tuple, reference_pair,
                         random_commuting_tuple, scaled_tuple,
@@ -191,10 +191,10 @@ def _nilpotent_factor(d, q, rng):
 def _shifted_residual(left, right, m, n, q):
     """The theorem's conclusion for (m,n)-isosymmetric left, q-nilpotent right.
 
-    Normalized norm of L_{m+2q-2, n+2q-1}(left + right), zero when it holds.
+    Normalized norm of L(left + right) at the ``perturbed_orders`` cell.
     """
     total = MultiOperator([a + b for a, b in zip(left.matrices, right.matrices)])
-    tm, tn = m + 2 * q - 2, n + 2 * q - 1
+    (tm, tn), = perturbed_orders([(m, n)], q)
     return _normalized(isosymmetry_defect_matrix(total, tm, tn), total, tm, tn)
 
 
@@ -394,11 +394,19 @@ def _eval_spectral(tuples, params, tol):
     checks.require_isosymmetric()
     tol_cls, tol_orth = checks.tol_spectra, checks.tol_orthogonality
     worst = 0.0
+    # each record's verdict must be the one its own numbers give
     for c in checks.classifications:
+        norm = float(np.sqrt(sum(abs(z) ** 2 for z in c.mu)))
+        margin = min(abs(norm - 1.0), abs(sum(c.mu).imag))
+        if c.compliant != (margin <= tol_cls):
+            return 1.0
         if not c.compliant:
-            norm = float(np.sqrt(sum(abs(z) ** 2 for z in c.mu)))
-            worst = max(worst, min(abs(norm - 1.0), abs(sum(c.mu).imag)))
+            worst = max(worst, margin)
     for o in checks.orthogonality:
+        required = o.gate_product > tol_orth and o.gate_sum > tol_orth
+        if (o.required_orthogonal, o.compliant) != \
+                (required, not required or o.gram_norm <= tol_orth):
+            return 1.0
         clears = (o.gate_product > 10 * tol_orth and o.gate_sum > 10 * tol_orth)
         if clears and o.gram_norm > tol_orth:
             worst = max(worst, o.gram_norm)

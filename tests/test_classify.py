@@ -3,7 +3,8 @@ import pytest
 
 from isosym import classify
 from isosym.classify import (defect_family_rank, is_isosymmetric,
-                             is_m_isometric, is_n_symmetric, minimal_orders)
+                             is_m_isometric, is_n_symmetric, minimal_orders,
+                             minimal_pairs, perturbed_orders)
 from isosym.construct import (identity_tuple, nilpotent_tuple, reference_pair,
                               random_commuting_tuple)
 from isosym.defect import MultiOperator
@@ -192,3 +193,27 @@ class TestFamilyRank:
             defect_family_rank(_jordan(1j), 3, 2, "sideways")
         with pytest.raises(InvalidParams):
             defect_family_rank(_jordan(1j), 1, 2, "vary_m")
+
+
+@pytest.mark.parametrize("pairs, expect", [
+    ([], []),
+    ([(2, 0), (0, 3), (1, 1)], [(0, 3), (1, 1), (2, 0)]),
+    ([(1, 3), (1, 1), (2, 1), (1, 1)], [(1, 1)]),
+    ([(0, 3), (3, 0), (0, 1)], [(0, 1), (3, 0)]),
+], ids=["empty", "antichain", "dominated-and-repeated", "joined"])
+def test_minimal_pairs_keeps_the_undominated_once_in_increasing_m(pairs,
+                                                                  expect):
+    assert minimal_pairs(pairs) == expect
+
+
+@pytest.mark.parametrize("staircase, q, expect", [
+    ([(1, 1)], 1, [(1, 2)]),
+    ([(2, 1)], 3, [(6, 6)]),
+    # ex22's staircase raises to (1, 3), (1, 1), (2, 1): only (1, 1) stays
+    ([(0, 3), (1, 1), (2, 0)], 2, [(3, 4)]),
+    ([(0, 2), (3, 0)], 2, [(3, 5), (5, 4)]),
+    ([], 2, []),
+])
+def test_perturbed_orders_raise_shift_and_keep_the_minimal(staircase, q,
+                                                           expect):
+    assert perturbed_orders(staircase, q) == expect

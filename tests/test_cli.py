@@ -860,3 +860,54 @@ def test_construct_predictions_are_an_antichain_that_minimal_confirms(
     staircase = found["results"]["staircase"]
     for m, n in predicted:
         assert any(a <= m and b <= n for a, b in staircase), (staircase, m, n)
+
+
+def test_spectrum_eigen_failure_exit_3(capsys, monkeypatch, reference_file):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    assert main(["spectrum", reference_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "tuple file must be a JSON object"),
+    ('{"d": 1, "dim": 1}', "missing field: 'matrices'"),
+], ids=["list", "no-matrices"])
+def test_tuple_file_of_the_wrong_shape_exit_2(capsys, tmp_path, content,
+                                              message):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["check", str(path), "--m", "1", "--n", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_spectrum_with_one_order_exit_2(capsys, reference_file):
+    assert main(["spectrum", reference_file, "--m", "1"]) == 2
+    assert "give both --m and --n, or neither" in capsys.readouterr().err
+
+
+def test_construct_scaled_refuses_a_base_of_two_matrices(capsys, tmp_path,
+                                                         reference_file):
+    out = tmp_path / "scaled.json"
+    assert main(["construct", "scaled", "--base", reference_file,
+                 "--beta", "1", "--out", str(out)]) == 2
+    assert "--base must hold a single matrix (d=1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_random_writes_its_name_and_seed(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    code, report = _run(capsys, ["construct", "random", "--d", "2", "--dim",
+                                 "3", "--seed", "4", "--name", "r",
+                                 "--out", str(out)])
+    assert code == 0
+    assert report["results"]["predicted_orders"] is None
+    op, meta = read_tuple(out)
+    assert (op.d, op.dim) == (2, 3)
+    assert meta["name"] == "r" and meta["seed"] == 4
+    assert meta["construction"]["kind"] == "random"
+    assert meta["construction"]["predicted_orders"] is None

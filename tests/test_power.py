@@ -3,10 +3,17 @@
 A suite that compares two code paths shows something only if a fault in
 one of them makes it fail.  The recurrence step is planted with R_j in
 place of R_j*, so its residual against the definition is of the size of
-the defect itself.
+the defect itself.  The spectral checks are planted with verdicts their
+own numbers contradict, and the perturbation theorem with an m-shift one
+order too low, a cell where L(R + Q) does not vanish in general.
 """
 
-from isosym import defect, harness
+import dataclasses
+
+import pytest
+
+from isosym import defect, harness, spectra
+from isosym.classify import minimal_pairs
 from isosym.defect import DefectTable, isosymmetry_defect_matrix
 from isosym.harness import SuiteConfig, run_suite
 
@@ -30,3 +37,45 @@ def test_recurrence_fails_with_a_planted_step(monkeypatch):
                             _raise_isometry_order_without_adjoints)
     report = run_suite(cfg)
     assert report.trials_run - report.trials_passed >= 30, report
+
+
+def _failures(suite, seed=7, trials=200):
+    report = run_suite(SuiteConfig(suite, trials, seed=seed))
+    return report.trials_run - report.trials_passed
+
+
+def test_spectral_fails_with_points_classified_by_and(monkeypatch):
+    classify = spectra._classify
+
+    def planted(pairs, tol):  # on_sphere and real_sum, not or
+        return [dataclasses.replace(c, compliant=c.on_sphere and c.real_sum)
+                for c in classify(pairs, tol)]
+
+    assert _failures("spectral") == 0
+    monkeypatch.setattr(spectra, "_classify", planted)
+    assert _failures("spectral") >= 1
+
+
+def test_spectral_fails_with_flipped_orthogonality_verdicts(monkeypatch):
+    orthogonality = spectra._orthogonality
+
+    def planted(pairs, tol):
+        return [dataclasses.replace(o, compliant=not o.compliant)
+                for o in orthogonality(pairs, tol)]
+
+    monkeypatch.setattr(spectra, "_orthogonality", planted)
+    assert _failures("spectral") >= 1
+
+
+def _perturbed_orders_m_one_lower(staircase, q):
+    return minimal_pairs((max(m, 1) + 2 * q - 3, max(n, 1) + 2 * q - 1)
+                         for m, n in staircase)
+
+
+@pytest.mark.parametrize("suite", ["perturbation", "jordan", "tensor"])
+def test_theorem_suites_fail_with_an_m_shift_one_lower(monkeypatch, suite):
+    assert _failures(suite) == 0
+    # the harness calls the theorem by the name it imported
+    monkeypatch.setattr(harness, "perturbed_orders",
+                        _perturbed_orders_m_one_lower)
+    assert _failures(suite) >= 1
