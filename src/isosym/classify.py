@@ -7,19 +7,18 @@ from .defect import DefectTable, isometry_defect, isosymmetry_defect, \
 from .errors import HypothesisUnmet, InvalidParams
 from .linalg import matrix_rank
 
-#: width of the indeterminate band around the zero tolerance, as a factor
-STRICTNESS_BAND = 10.0
-
 
 @dataclass(frozen=True)
 class ClassVerdict:
-    """Holds/fails verdict for one membership test."""
+    """Holds/fails verdict of one membership test: its DefectReport, copied."""
 
     property: str          # "m_isometric", "n_symmetric" or "mn_isosymmetric"
     orders: tuple
-    holds: bool
+    holds: bool            # the report's is_zero
     defect_norm: float
     tolerance: float
+    gap: float | None      # the forms gap of L_{m,n}; None for M_m and S_n
+    margin: float          # defect_norm / tolerance: holds means <= 1
 
 
 @dataclass(frozen=True)
@@ -41,32 +40,28 @@ class FamilyRank:
     hypothesis: str        # "met" or "indeterminate"
 
 
-def _verdict(prop, orders, report):
-    return ClassVerdict(property=prop, orders=orders, holds=report.is_zero,
-                        defect_norm=report.norm,
-                        tolerance=report.tolerance_used)
+def _verdict(prop, read, r, orders, tol):
+    """``prop``'s verdict: the report ``read(r, *orders, tol)``, copied."""
+    if sum(orders) < 1:  # named by prop's prefix: "m", "n" or "m + n"
+        raise InvalidParams(f"{' + '.join(prop.split('_')[0])} must be >= 1")
+    report = read(r, *orders, tol)
+    return ClassVerdict(prop, orders, report.is_zero, report.norm,
+                        report.tolerance_used, report.gap, report.margin)
 
 
 def is_m_isometric(r, m, tol=None):
     """Does M_m(r) vanish?  ``r``: a tuple or its DefectTable."""
-    if m < 1:
-        raise InvalidParams("m must be >= 1")
-    return _verdict("m_isometric", (m,), isometry_defect(r, m, tol))
+    return _verdict("m_isometric", isometry_defect, r, (m,), tol)
 
 
 def is_n_symmetric(r, n, tol=None):
     """Does S_n(r) vanish?  ``r``: a tuple or its DefectTable."""
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    return _verdict("n_symmetric", (n,), symmetry_defect(r, n, tol))
+    return _verdict("n_symmetric", symmetry_defect, r, (n,), tol)
 
 
 def is_isosymmetric(r, m, n, tol=None):
     """Does L_{m,n}(r) vanish?  ``r``: a tuple or its DefectTable."""
-    if m + n < 1:
-        raise InvalidParams("m + n must be >= 1")
-    return _verdict("mn_isosymmetric", (m, n),
-                    isosymmetry_defect(r, m, n, tol))
+    return _verdict("mn_isosymmetric", isosymmetry_defect, r, (m, n), tol)
 
 
 def minimal_orders(r, m_max, n_max, tol=None):
@@ -118,9 +113,9 @@ def defect_family_rank(r, m, n, direction, tol=None):
 
     direction "vary_m": the family {L_{k,n-1} : k = 0..m-1} (independent
     means rank m); "vary_n": {L_{m-1,l} : l = 0..n-1} (rank n).  Requires
-    the corner defect L_{m-1,n-1} to be nonzero; when its norm is inside
-    the strictness band just above the tolerance the rank is still
-    reported but flagged "indeterminate".
+    the corner defect L_{m-1,n-1} to be nonzero; when its report is
+    ``within_band`` of the threshold the rank is still reported but
+    flagged "indeterminate".
     """
     if direction not in ("vary_m", "vary_n"):
         raise InvalidParams(f"unknown direction {direction!r}")
@@ -134,15 +129,10 @@ def defect_family_rank(r, m, n, direction, tol=None):
         raise HypothesisUnmet(
             f"L_({m - 1},{n - 1}) vanishes (norm {corner.norm:.3e}); "
             "the independence hypothesis needs it nonzero")
-    hypothesis = ("indeterminate"
-                  if corner.norm <= STRICTNESS_BAND * corner.tolerance_used
-                  else "met")
-    if direction == "vary_m":
-        family = [isosymmetry_defect_matrix(table, k, n - 1) for k in range(m)]
-        size = m
-    else:
-        family = [isosymmetry_defect_matrix(table, m - 1, l) for l in range(n)]
-        size = n
+    hypothesis = "indeterminate" if corner.within_band else "met"
+    family = ([isosymmetry_defect_matrix(table, k, n - 1) for k in range(m)]
+              if direction == "vary_m" else
+              [isosymmetry_defect_matrix(table, m - 1, l) for l in range(n)])
     rank = matrix_rank(family)
-    return FamilyRank(rank=rank, independent=rank == size,
+    return FamilyRank(rank=rank, independent=rank == len(family),
                       hypothesis=hypothesis)

@@ -126,8 +126,8 @@ def _cmd_defect(args):
     report = read(op, *(getattr(args, o) for o in wanted), args.tol)
     results = {"kind": report.kind, "orders": list(report.orders),
                "norm": report.norm, "tolerance": report.tolerance_used,
-               "is_zero": report.is_zero,
-               "matrix": matrix_to_json(report.matrix)}
+               "is_zero": report.is_zero, "gap": report.gap,
+               "margin": report.margin, "matrix": matrix_to_json(report.matrix)}
     _emit(_envelope("defect", results, source, op,
                     {"kind": args.kind, "l": args.l, "m": args.m, "n": args.n},
                     args.tol), args)

@@ -14,11 +14,11 @@ families are
 R^gamma means R_1^g1 ... R_d^gd.  Vanishing of M_m, S_n, L_{m,n} defines
 m-isometric, n-symmetric and (m,n)-isosymmetric tuples respectively.
 
-Zero tests are Frobenius-norm tests against a scaled tolerance: the defect
-of order (m, n) is a polynomial of degree at most 2(m+n) in the tuple
-entries, so the scale is tol * (1 + max_j ||R_j||)^(2(m+n)) * dim.  An
-order whose scale or weights overflow a float is refused (TooLarge)
-before any matrix is formed.
+Every zero test is one Frobenius-norm test, in ``_judged``, against a
+scaled tolerance: the defect of order (m, n) is a polynomial of degree at
+most 2(m+n) in the tuple entries, so the scale is tol * (1 + max_j
+||R_j||)^(2(m+n)) * dim.  An order whose scale or weights overflow a
+float is refused (TooLarge) before any matrix is formed.
 
 Two sums around a middle operator X make every defect: the S-style
 sandwich sum_k (-1)^(n-k) C(n,k) T*^k X T^(n-k), T = sum_j R_j, gives S_n
@@ -78,6 +78,8 @@ from .multiindex import binomial, multinomial_weight
 
 #: base tolerance of all defect zero tests
 TOL_ZERO = 1e-8
+#: width of the indeterminate band above a zero test's threshold, as a factor
+STRICTNESS_BAND = 10.0
 #: relative tolerance of the pairwise commutation invariant
 TOL_COMM = 1e-10
 
@@ -150,14 +152,21 @@ class MultiOperator:
 
 @dataclass(frozen=True)
 class DefectReport:
-    """A computed defect operator with its zero verdict."""
+    """A computed defect operator and its zero verdict, from ``_judged``."""
 
     kind: str              # "S", "M" or "Lambda"
     orders: tuple          # (l,) or (m, n)
     matrix: np.ndarray
     norm: float
     tolerance_used: float
-    is_zero: bool
+    is_zero: bool          # norm <= tolerance_used
+    gap: float | None      # ||sym - iso|| of L_{m,n}; None for S and M
+    margin: float          # norm / tolerance_used: zero means <= 1
+
+    @property
+    def within_band(self):
+        """A zero, or a nonzero within STRICTNESS_BAND of its threshold."""
+        return self.margin <= STRICTNESS_BAND
 
 
 def zero_test_base(tol=None):
@@ -282,11 +291,12 @@ def _check_orders(**orders):
                            "overflow a float")
 
 
-def _report(kind, orders, matrix, tolerance_used):
-    norm = fro_norm(matrix)
+def _judged(kind, orders, matrix, norm, gap, threshold):
+    """The report of a defect of Frobenius norm ``norm``: the one place a
+    defect norm is compared with its zero-test threshold."""
     return DefectReport(kind=kind, orders=orders, matrix=matrix, norm=norm,
-                        tolerance_used=tolerance_used,
-                        is_zero=norm <= tolerance_used)
+                        tolerance_used=threshold, is_zero=norm <= threshold,
+                        gap=gap, margin=norm / threshold)
 
 
 class DefectTable:
@@ -305,8 +315,8 @@ class DefectTable:
     each from its stored S_l, with the stacks of the R_j and the R_j* that
     the first run builds and ``_components`` keeps; order 0 asks for no
     run.  ``prepare(m_max, n_max)`` asks for a whole box.
-    A cell is evaluated in both outer forms once; their gap is kept beside
-    it and checked against the caller's tolerance on every read.
+    A cell is evaluated in both outer forms once and kept with its norm
+    and their gap, which every read checks against the caller's tolerance.
 
     The module functions read it in place of the tuple; it offers only
     ``r``, ``of``, ``prepare`` and ``forms``.  The caller owns the table:
@@ -322,7 +332,7 @@ class DefectTable:
         # [I, T, ..., T^k] as (k+1, n, n)
         self._t_powers = _frozen(np.eye(r.dim, dtype=np.complex128)[None])
         self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n), B_0 = S_l
-        self._cells = {}     # (m, n) -> (L_{m,n}, gap between its two forms)
+        self._cells = {}     # (m, n) -> (L_{m,n}, its norm, its forms gap)
         self._components = None  # (R_j* stack, R_j stack) from the 1st run
 
     @classmethod
@@ -432,19 +442,17 @@ class DefectTable:
         return _frozen(sym), _frozen(iso)
 
     def _checked_cell(self, m, n, tol):
-        """L_{m,n} and its zero tolerance, after the two-form check."""
+        """L_{m,n}, its norm, forms gap and zero tolerance, the gap checked."""
         allowed = zero_tolerance(self.r, m, n, tol)
-        cell = self._cells.get((m, n))
-        if cell is None:
+        if (m, n) not in self._cells:
             sym, iso = self.forms(m, n)
-            cell = (sym, fro_norm(sym - iso))
-            self._cells[(m, n)] = cell
-        matrix, gap = cell
+            self._cells[(m, n)] = sym, fro_norm(sym), fro_norm(sym - iso)
+        matrix, norm, gap = self._cells[(m, n)]
         if gap > allowed:
             raise FormsDisagree(
                 f"the two L_({m},{n}) forms differ by {gap:.3e} "
                 f"(allowed {allowed:.3e}); input likely fails commutation")
-        return matrix, allowed
+        return matrix, norm, gap, allowed
 
 
 def symmetry_defect_matrix(r, l):
@@ -470,20 +478,22 @@ def symmetry_defect(r, l, tol=None):
     """S_l(r) with a zero verdict; S_n(r) = 0 means r is n-symmetric."""
     table = DefectTable.of(r)
     allowed = zero_tolerance(table.r, 0, l, tol)
-    return _report("S", (l,), table._symmetry(l), allowed)
+    s = table._symmetry(l)
+    return _judged("S", (l,), s, fro_norm(s), None, allowed)
 
 
 def isometry_defect(r, l, tol=None):
     """M_l(r) with a zero verdict; M_m(r) = 0 means r is m-isometric."""
     table = DefectTable.of(r)
     allowed = zero_tolerance(table.r, l, 0, tol)
-    return _report("M", (l,), table._isometry(l), allowed)
+    m = table._isometry(l)
+    return _judged("M", (l,), m, fro_norm(m), None, allowed)
 
 
 def isosymmetry_defect(r, m, n, tol=None):
     """L_{m,n}(r) with a zero verdict; zero means (m,n)-isosymmetric."""
-    table = DefectTable.of(r)
-    return _report("Lambda", (m, n), *table._checked_cell(m, n, tol))
+    cell = DefectTable.of(r)._checked_cell(m, n, tol)
+    return _judged("Lambda", (m, n), *cell)
 
 
 def raise_isometry_order(r, m, n):

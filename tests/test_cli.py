@@ -60,6 +60,25 @@ def test_check_failing_property_exit_code(capsys, tmp_path):
     assert not report["results"]["isosymmetric"]["holds"]
 
 
+@pytest.mark.xfail(strict=True, reason="item 1")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_check_huge_scalar_fails_with_a_strict_report(capsys, tmp_path):
+    # L_{4,1} of [[1e25 i]] is -2e225 i against a tolerance of 1e242; its
+    # Frobenius norm overflows, so the report writes Infinity.  A norm that
+    # did not overflow would call the defect zero and the tuple (4,1)-
+    # isosymmetric.  Only a measured error gets both right.
+    path = tmp_path / "huge.json"
+    write_tuple(path, MultiOperator([np.array([[1e25j]])]))
+    code = main(["check", str(path), "--m", "4", "--n", "1"])
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert code == 1
+    assert not report["results"]["isosymmetric"]["holds"]
+
+
 def test_check_noncommuting_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -134,6 +153,31 @@ def test_inputs_sha256_is_the_digest_of_the_file_read(capsys, tmp_path,
     expect = None if command == "construct" else hashlib.sha256(
         (tmp_path / "reference.json").read_bytes()).hexdigest()
     assert report["inputs"]["sha256"] == expect
+
+
+@pytest.mark.parametrize("command", ["check", "defect", "spectrum"])
+def test_every_verdict_carries_gap_and_margin(capsys, tmp_path,
+                                              reference_file, schemas,
+                                              command):
+    report = json.loads(_stdout(capsys, COMMANDS[command][0], reference_file,
+                                tmp_path))
+    results = report["results"]
+    records = [results] if command == "defect" else [
+        results[k] for k in ("isometric", "symmetric", "isosymmetric")
+        if k in results]
+    assert records
+    for record in records:
+        norm = record["norm"] if command == "defect" else record["defect_norm"]
+        assert record["margin"] == norm / record["tolerance"]
+        one_form = record.get("property", "") != "mn_isosymmetric" \
+            and record.get("kind") != "Lambda"
+        assert (record["gap"] is None) == one_form
+        for key in ("gap", "margin"):  # the schema requires both
+            value = record.pop(key)
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(report, schemas["report"])
+            record[key] = value
+    jsonschema.validate(report, schemas["report"])
 
 
 @pytest.mark.parametrize("command", ["check", "defect", "minimal", "spectrum"])
