@@ -195,7 +195,8 @@ def _nilpotency_order(r):
     tuple with a component of condition number under 1e12 is never called
     nilpotent.  None if no q <= dim qualifies.
     """
-    unit = [m / (np.linalg.norm(m, 2) or 1.0) for m in r.matrices]
+    scales = [np.linalg.norm(m, 2) or 1.0 for m in r.matrices]
+    unit = r.stack / np.reshape(scales, (-1, 1, 1))
     pairs = pairwise(nilpotency_residuals(unit))
     for k, (previous, residual) in zip(range(1, r.dim + 1), pairs):
         if residual <= 1e-12 * previous:

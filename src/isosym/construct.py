@@ -75,7 +75,7 @@ class JordanAugmentSpec:
 
 def scaled_tuple(spec):
     """The tuple (beta_1 R, ..., beta_d R); commutes exactly."""
-    return MultiOperator([b * spec.base for b in spec.beta])
+    return MultiOperator(np.multiply.outer(spec.beta, spec.base))
 
 
 def reference_pair():
@@ -105,7 +105,7 @@ def tensor_sum_parts(r, q):
 def tensor_sum(r, q):
     """Component k = R_k (x) I + I (x) Q_k; dims multiply."""
     left, right = tensor_sum_parts(r, q)
-    return MultiOperator([a + b for a, b in zip(left.matrices, right.matrices)])
+    return MultiOperator(left.stack + right.stack)
 
 
 def jordan_augment_parts(spec):
@@ -122,14 +122,14 @@ def jordan_augment_parts(spec):
     shift = _block_shift(spec.q, spec.q)
     eye_dim = np.eye(a.dim, dtype=np.complex128)
     diag = MultiOperator([kron(eye_q, m) for m in a.matrices])
-    nil = MultiOperator([mu * kron(shift, eye_dim) for mu in spec.mu])
+    nil = MultiOperator(np.multiply.outer(spec.mu, kron(shift, eye_dim)))
     return diag, nil
 
 
 def jordan_augment(spec):
     """Block q x q upper-bidiagonal tuple over the base tuple."""
     diag, nil = jordan_augment_parts(spec)
-    return MultiOperator([a + b for a, b in zip(diag.matrices, nil.matrices)])
+    return MultiOperator(diag.stack + nil.stack)
 
 
 def _block_shift(dim, q):

@@ -45,12 +45,9 @@ only adds matrix products and scales none, so an integer tuple's sums
 stay exact while its entries do.  One function, ``_combine``, reduces
 every other weighted sum of matrices.
 
-Every defect is evaluated by a DefectTable, which keeps three stores of
-one tuple and grows them as higher orders need: one power ladder of T,
-whose adjoints are the powers of T*; the M-style sums B_0..B_k(S_l),
-whose B_0 is S_l itself, re-stepped from it when an order needs more;
-and the checked L_{m,n} cells.  M_l is one weighted sum of the B_k
-around S_0 = I, formed when read.
+Every defect is evaluated by a DefectTable, which keeps the ladder of T,
+the M-style sums and the checked cells of one tuple; the tuple itself
+(MultiOperator) owns its components' stack, their norms and T.
 Every function here and in ``classify`` that reads a defect takes a
 tuple, for which it builds a throwaway table, or its DefectTable, which
 it reads and grows.  A caller reading several defects of one tuple
@@ -73,7 +70,7 @@ from . import kernels
 from .errors import (CrossCommutationViolated, CommutationViolated,
                      DimensionMismatch, DMismatch, FormsDisagree,
                      InvalidParams, TooLarge)
-from .linalg import adjoint, as_matrix, checked_tolerance, fro_norm
+from .linalg import adjoint, as_stack, checked_tolerance, fro_norm
 from .multiindex import binomial, multinomial_weight
 
 #: base tolerance of all defect zero tests
@@ -102,28 +99,27 @@ def _commutator_residual(a, b, norm_a, norm_b):
 class MultiOperator:
     """Ordered tuple of pairwise-commuting square matrices of one size.
 
+    The components are one read-only array ``stack`` (d, dim, dim), from
+    a list of matrices or a 3-D array; ``matrices`` are its views stack[j]
+    and ``norms`` their Frobenius norms.  Their sum T is formed once and
+    read through ``op_sum``.
+
     Commutation is enforced at construction: for every i < j the residual
     ||R_i R_j - R_j R_i|| must stay within
     tol_comm * (1 + ||R_i||) * (1 + ||R_j||), else CommutationViolated; a
     component whose norm overflows a float is refused (TooLarge).
-    Matrices are stored read-only; instances are immutable and safe to
-    share between threads.
+    Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("matrices", "d", "dim", "commutation_residual", "_max_norm")
+    __slots__ = ("stack", "matrices", "norms", "d", "dim",
+                 "commutation_residual", "_total")
 
     def __init__(self, matrices, tol_comm=TOL_COMM):
-        mats = tuple(as_matrix(m) for m in matrices)
-        if not mats:
-            raise InvalidParams("a tuple needs at least one component")
-        dim = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (dim, dim):
-                raise DimensionMismatch(
-                    f"components must all be {dim}x{dim}, got {m.shape}")
+        stack = as_stack(matrices)
+        mats = tuple(stack)
         # an overflow is refused here, not raised as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = [fro_norm(m) for m in mats]
+            norms = tuple(fro_norm(m) for m in mats)
             if max(norms) == np.inf:
                 raise TooLarge("a component's norm overflows a float")
             worst = max((_commutator_residual(mats[i], mats[j], norms[i],
@@ -133,18 +129,22 @@ class MultiOperator:
         if not worst <= tol_comm:  # a NaN residual fails too
             raise CommutationViolated(
                 f"commutation residual {worst:.3e} exceeds {tol_comm:.3e}")
+        # T from a zero matrix, one component at a time
+        total = sum(mats, np.zeros(stack.shape[1:], dtype=np.complex128))
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "norms", norms)
         object.__setattr__(self, "d", len(mats))
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", stack.shape[1])
         object.__setattr__(self, "commutation_residual", worst)
-        object.__setattr__(self, "_max_norm", max(norms))
+        object.__setattr__(self, "_total", _frozen(total))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiOperator is immutable")
 
     def max_norm(self):
-        """max_j ||R_j||, taken once at construction."""
-        return self._max_norm
+        """max_j ||R_j||, of the norms taken at construction."""
+        return max(self.norms)
 
     def __repr__(self):
         return f"MultiOperator(d={self.d}, dim={self.dim})"
@@ -188,11 +188,8 @@ def zero_tolerance(r, m, n, tol=None):
 
 
 def op_sum(r):
-    """Sum of the tuple components."""
-    out = np.zeros((r.dim, r.dim), dtype=np.complex128)
-    for m in r.matrices:
-        out = out + m
-    return out
+    """T = sum_j R_j, summed once when the tuple was built (read-only)."""
+    return r._total
 
 
 def _frozen(a):
@@ -312,9 +309,9 @@ class DefectTable:
     [S_l], whose B_0 it stays; M_m is one weighted sum of the B_k around
     S_0 = I, formed when read.  One run of multinomial steps re-steps
     every middle operator's sums that are too short for the order asked,
-    each from its stored S_l, with the stacks of the R_j and the R_j* that
-    the first run builds and ``_components`` keeps; order 0 asks for no
-    run.  ``prepare(m_max, n_max)`` asks for a whole box.
+    each from its stored S_l, with the tuple's ``stack`` and its adjoint;
+    order 0 asks for no run.  ``prepare(m_max, n_max)`` asks for a whole
+    box.
     A cell is evaluated in both outer forms once and kept with its norm
     and their gap, which every read checks against the caller's tolerance.
 
@@ -325,7 +322,7 @@ class DefectTable:
     therefore read-only.
     """
 
-    __slots__ = ("r", "_t_powers", "_sums", "_cells", "_components")
+    __slots__ = ("r", "_t_powers", "_sums", "_cells")
 
     def __init__(self, r):
         self.r = r
@@ -333,7 +330,6 @@ class DefectTable:
         self._t_powers = _frozen(np.eye(r.dim, dtype=np.complex128)[None])
         self._sums = {}      # l -> B_0..B_k(S_l) as (k+1, n, n), B_0 = S_l
         self._cells = {}     # (m, n) -> (L_{m,n}, its norm, its forms gap)
-        self._components = None  # (R_j* stack, R_j stack) from the 1st run
 
     @classmethod
     def of(cls, r):
@@ -365,11 +361,8 @@ class DefectTable:
         short = [l for l in dict.fromkeys(middles)
                  if len(self._sums[l]) <= order]
         if short:
-            if self._components is None:
-                rights = np.array(self.r.matrices)
-                self._components = (np.array([adjoint(a) for a in rights]),
-                                    rights)
-            lefts, rights = self._components
+            rights = self.r.stack
+            lefts = rights.conj().transpose(0, 2, 1)
             batch = max(1, _NESTING_ENTRIES // (self.r.d * self.r.dim ** 2))
             for start in range(0, len(short), batch):
                 part = short[start:start + batch]
@@ -522,36 +515,40 @@ def raise_symmetry_order(r, m, n):
 
 def cross_commutation_residual(r, q):
     """Worst relative residual of [R_j, Q_i] and [R_j, Q_i*] over all i, j."""
+    if r.d != q.d:
+        raise DMismatch("tuples must have the same number of components")
+    if r.dim != q.dim:
+        raise DimensionMismatch("tuples must act on the same space")
     with np.errstate(over="ignore"):
-        sides = [(qc, fro_norm(qi)) for qi in q.matrices
+        sides = [(qc, nq) for qi, nq in zip(q.matrices, q.norms)
                  for qc in (qi, adjoint(qi))]
         return max(_commutator_residual(rj, qc, nr, nq)
-                   for rj, nr in zip(r.matrices, map(fro_norm, r.matrices))
+                   for rj, nr in zip(r.matrices, r.norms)
                    for qc, nq in sides)
 
 
-def nilpotency_residuals(matrices):
+def nilpotency_residuals(stack):
     """sqrt(tr G_k) for k = 0, 1, ...: G_0 = I, G_k = sum_j R_j G_(k-1) R_j*.
 
-    The R_j are ``matrices``, square and of one size (a tuple's matrices).
+    The R_j are the (d, n, n) array ``stack``, a tuple's.
     For commuting R_j, G_k = sum_{|alpha|=k} (k!/alpha!) R^alpha R^alpha*,
     so max ||R^alpha|| <= sqrt(tr G_k) <= d^(k/2) max ||R^alpha||, 0 iff
     every product of k components is.  ``kernels.active.gram_step`` carries
     a factor G_k = F_k F_k*, read as ||F_k||: G_k would round 0 to sqrt(eps).
     """
-    factor = np.eye(len(matrices[0]), dtype=np.complex128)
+    factor = np.eye(stack.shape[-1], dtype=np.complex128)
     while True:
         # scaled by the largest entry, whose square may overflow or underflow
         big = np.abs(factor).max()
         yield big * fro_norm(factor / big) if big else 0.0
-        factor = kernels.active.gram_step(matrices, factor)
+        factor = kernels.active.gram_step(stack, factor)
 
 
 def nilpotency_residual(r, k):
     """sqrt(tr G_k) of ``nilpotency_residuals``; 0 iff r is k-nilpotent."""
     if k < 0:
         raise InvalidParams(f"order k must be >= 0, got {k}")
-    return next(islice(nilpotency_residuals(r.matrices), k, None))
+    return next(islice(nilpotency_residuals(r.stack), k, None))
 
 
 def perturbation_expansion(r, q, m, n):
@@ -571,10 +568,6 @@ def perturbation_expansion(r, q, m, n):
     or wide, and no ladder.
     """
     _check_orders(m=m, n=n)
-    if r.d != q.d:
-        raise DMismatch("tuples must have the same number of components")
-    if r.dim != q.dim:
-        raise DimensionMismatch("tuples must act on the same space")
     resid = cross_commutation_residual(r, q)
     if resid > TOL_COMM:
         raise CrossCommutationViolated(
@@ -596,7 +589,7 @@ def perturbation_expansion(r, q, m, n):
                     for l in range(n + 1)])
     binomials = np.abs(_alternating_weights(n))
     stack = np.array([[_combine(binomials, pair) for pair in pairs]])
-    lefts = np.array([adjoint(a + b) for a, b in zip(r.matrices, q.matrices)]
-                     + [adjoint(b) for b in q.matrices])
-    rights = np.array(q.matrices + r.matrices)
+    lefts = np.concatenate([r.stack + q.stack, q.stack]).conj() \
+        .transpose(0, 2, 1)
+    rights = np.concatenate([q.stack, r.stack])
     return _multinomial_steps(lefts, rights, stack, m)[0, m]

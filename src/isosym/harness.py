@@ -100,19 +100,6 @@ def _dims(rng):
 # ---------------------------------------------------------------------------
 # structured instances with known vanishing orders
 
-def _diag_unitary_tuple(d, dim, rng):
-    """Columnwise-normalized diagonal phases: sum_j R_j* R_j = I."""
-    z = np.exp(2j * np.pi * rng.uniform(size=(d, dim)))
-    z = z / np.linalg.norm(z, axis=0, keepdims=True)
-    return MultiOperator([np.diag(z[j]) for j in range(d)])
-
-
-def _diag_hermitian_tuple(d, dim, rng):
-    vals = rng.uniform(-2.0, 2.0, size=(d, dim))
-    return MultiOperator([np.diag(vals[j].astype(np.complex128))
-                          for j in range(d)])
-
-
 def _maybe_conjugated(r, rng):
     """r, or with probability 1/2 r conjugated by a random unitary."""
     if not rng.integers(2):
@@ -120,7 +107,7 @@ def _maybe_conjugated(r, rng):
     dim = r.dim
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     u, _ = np.linalg.qr(g)
-    return MultiOperator([u @ m @ u.conj().T for m in r.matrices])
+    return MultiOperator(u @ r.stack @ u.conj().T)
 
 
 def _unimodular_jordan(rng, away_from_real=False):
@@ -142,6 +129,10 @@ def _positive_beta(d, rng):
 #: the structured families; all but the last vanish at (1, 1)
 _KINDS = ("reference", "diag_unitary", "diag_hermitian", "scaled_jordan")
 
+#: the points of the spectral suite's "gated" tuples: on the orthogonality
+#: gate sum_j (mu_j - conj(mu'_j)) = 0, or on sum_j mu_j conj(mu'_j) = 1
+_GATED_POINTS = (((1, 0), (0, 1)), ((1, 0), (1, 5)))
+
 
 def _structured(kind, d, dim, rng):
     """(tuple, vanishing orders, joint spectrum or None) of one family.
@@ -155,10 +146,19 @@ def _structured(kind, d, dim, rng):
         base = _unimodular_jordan(rng)
         r = scaled_tuple(ScaledTupleSpec(base=base, beta=_positive_beta(d, rng)))
         return r, (3, 1), None
-    diag = (_diag_unitary_tuple if kind == "diag_unitary"
-            else _diag_hermitian_tuple)(d, dim, rng)
-    points = np.array([np.diag(m) for m in diag.matrices]).T
+    if kind == "diag_unitary":  # columnwise-normalized: sum_j R_j* R_j = I
+        z = np.exp(2j * np.pi * rng.uniform(size=(d, dim)))
+        points = (z / np.linalg.norm(z, axis=0, keepdims=True)).T
+    elif kind == "diag_hermitian":
+        points = rng.uniform(-2.0, 2.0, size=(d, dim)).T.astype(np.complex128)
+    else:  # "gated": its eigenspaces need not be orthogonal
+        points = np.array(_GATED_POINTS[int(rng.integers(2))], dtype=complex)
+    diag = MultiOperator([np.diag(column) for column in points.T])
     mu = [[[z.real, z.imag] for z in point] for point in points]
+    if kind == "gated":  # P diag(mu_j) P^-1, P = I + N: Gram norm 0.514
+        shear = np.array([[0.0, 0.6], [0.0, 0.0]])  # N, N^2 = 0
+        return MultiOperator((np.eye(2) + shear) @ diag.stack
+                             @ (np.eye(2) - shear)), (1, 1), mu
     return _maybe_conjugated(diag, rng), (1, 1), mu
 
 
@@ -193,7 +193,7 @@ def _shifted_residual(left, right, m, n, q):
 
     Normalized norm of L(left + right) at the ``perturbed_orders`` cell.
     """
-    total = MultiOperator([a + b for a, b in zip(left.matrices, right.matrices)])
+    total = MultiOperator(left.stack + right.stack)
     (tm, tn), = perturbed_orders([(m, n)], q)
     return _normalized(isosymmetry_defect_matrix(total, tm, tn), total, tm, tn)
 
@@ -258,7 +258,7 @@ def _gen_expansion(idx, rng):
 def _eval_expansion(tuples, params, tol):
     r, q = tuples["r"], tuples["q"]
     m, n = params["m"], params["n"]
-    total = MultiOperator([a + b for a, b in zip(r.matrices, q.matrices)])
+    total = MultiOperator(r.stack + q.stack)
     lhs = isosymmetry_defect_matrix(total, m, n)
     rhs = perturbation_expansion(r, q, m, n)
     return _normalized(lhs - rhs, total, m, n)
@@ -385,7 +385,8 @@ def _eval_independence(tuples, params, tol):
 
 def _gen_spectral(idx, rng):
     d, dim = _dims(rng)
-    r, (m, n), expected = _structured(_KINDS[idx % 4], d, dim, rng)
+    kind = "gated" if idx % 8 == 4 else _KINDS[idx % 4]
+    r, (m, n), expected = _structured(kind, d, dim, rng)
     return {"r": r}, {"m": m, "n": n, "expected_mu": expected}
 
 
@@ -539,7 +540,7 @@ def _shrink(tuples, residual, params, evaluate, tol):
     while r.dim > 1:
         h = (r.dim + 1) // 2
         try:
-            cand = {label: MultiOperator([m[:h, :h] for m in r.matrices])}
+            cand = {label: MultiOperator(r.stack[:, :h, :h])}
             cand_residual = evaluate(cand, params, tol)
         except IsosymError:
             break

@@ -23,15 +23,33 @@ def checked_tolerance(tol):
     return tol
 
 
-def as_matrix(entries):
-    """Coerce to a finite 2-D complex128 array (copy, read-only)."""
-    m = np.array(entries, dtype=np.complex128, order="C")
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.isfinite(m.view(np.float64)).all():
+def as_stack(components):
+    """A list of square matrices of one size, or a (d, n, n) array, as one
+    finite complex128 stack (copy, C-contiguous, read-only), converted once.
+    No component raises InvalidParams, one that is not a square matrix of
+    the others' size DimensionMismatch, a non-finite entry ValueError."""
+    if not isinstance(components, np.ndarray):
+        components = list(components)  # an iterator is read once
+    try:
+        stack = np.array(components, dtype=np.complex128, order="C")
+    except (TypeError, ValueError):  # ragged, or entries that are no numbers
+        stack = np.empty(0)
+    if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+        # each component on its own: entries that are no numbers raise here
+        shapes = [np.array(m, dtype=np.complex128).shape for m in components]
+        if not shapes:
+            raise InvalidParams("a tuple needs at least one component")
+        raise DimensionMismatch(
+            f"components must be square matrices of one size, got {shapes}")
+    if not np.isfinite(stack.view(np.float64)).all():
         raise ValueError("matrix entries must be finite")
-    m.setflags(write=False)
-    return m
+    stack.setflags(write=False)
+    return stack
+
+
+def as_matrix(entries):
+    """One finite square complex128 matrix (copy, read-only), as_stack's."""
+    return as_stack([entries])[0]
 
 
 def adjoint(m):

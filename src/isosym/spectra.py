@@ -191,24 +191,21 @@ def _null_basis(shifted, cluster_radius, ambient_scale):
 
 
 def _compress(ops, limit, w):
-    """Each op restricted to the invariant subspace spanned by w's columns.
-
-    ``limit`` is the largest invariance residual accepted for any op.
-    """
-    out = []
-    for op in ops:
-        proj = op @ w
-        resid = fro_norm(proj - w @ (w.conj().T @ proj))
+    """The stack ``ops`` restricted to the invariant subspace spanned by w's
+    columns; ``limit`` is the largest invariance residual accepted."""
+    proj = ops @ w
+    out = w.conj().T @ proj
+    for p, o in zip(proj, out):
+        resid = fro_norm(p - w @ o)
         if resid > limit:
             raise InvarianceViolation(
                 f"eigenspace not invariant (residual {resid:.3e}); "
                 "the tuple may not commute")
-        out.append(w.conj().T @ proj)
     return out
 
 
 def _recurse(ops, carrier, out, limit):
-    """Append the basis of every joint eigenspace of the tuple ``ops``.
+    """Append the basis of every joint eigenspace of the stack ``ops``.
 
     ``ops`` are the components still to split, compressed onto the
     subspace whose orthonormal basis, in the original coordinates, is
@@ -220,7 +217,7 @@ def _recurse(ops, carrier, out, limit):
     ``limit``, and recurses.  Only bases come out; joint_point_spectrum
     reads every point's coordinates from its own and checks its residual.
     """
-    if not ops or ops[0].shape[0] == 1:
+    if not len(ops) or ops.shape[1] == 1:
         out.append(carrier)  # a line, or nothing left to split: one point
         return
     a = ops[0]
@@ -286,7 +283,7 @@ def joint_point_spectrum(r, tol=TOL_SPECTRA):
         raise InvalidParams(f"dimension {r.dim} exceeds {MAX_JOINT_DIM}")
     bound = tol * (1.0 + r.max_norm())
     bases = []
-    _recurse(list(r.matrices), np.eye(r.dim, dtype=np.complex128), bases,
+    _recurse(r.stack, np.eye(r.dim, dtype=np.complex128), bases,
              10.0 * bound)
     stacked, owner, blocks = _stacked(bases)
     if np.any(np.diag(blocks) > 1e-10):
@@ -352,14 +349,14 @@ def _orthogonality(pairs, tol):
             compliant.tolist(), g1.tolist(), g2.tolist())]
 
 
-def _zero_coordinate(r, pairs, tol):
-    """The zero-coordinate report; (sum_l R_l)* is only decomposed when
-    some point's coordinate product is <= tol."""
+def _zero_coordinate(total, pairs, tol):
+    """The zero-coordinate report; (sum_l R_l)* = ``total``* is only
+    decomposed when some point's coordinate product is <= tol."""
     products = [(pair, math.prod(abs(z) for z in pair.mu)) for pair in pairs]
     hits = [(pair, prod) for pair, prod in products if prod <= tol]
     if not hits:
         return ZeroCoordinateReport()
-    adj_sum = adjoint(op_sum(r))
+    adj_sum = adjoint(total)
     try:
         adj_eigs = np.linalg.eigvals(adj_sum)
     except np.linalg.LinAlgError as exc:
@@ -396,7 +393,7 @@ def spectral_checks(r, m, n, tol=None):
     return SpectralChecks(verdict, pairs, tol_spectra, tol_orthogonality,
                           _classify(pairs, tol_spectra),
                           _orthogonality(pairs, tol_orthogonality),
-                          _zero_coordinate(r, pairs, tol_spectra))
+                          _zero_coordinate(op_sum(r), pairs, tol_spectra))
 
 
 def classify_spectrum(r, m, n, tol=TOL_SPECTRA):

@@ -57,7 +57,7 @@ def load(path):
 
 
 def matrix_to_json(mat):
-    """Nested-list [re, im] encoding of one matrix."""
+    """Nested-list [re, im] encoding of a matrix, or of a stack of them."""
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
     return mat.view(np.float64).reshape(mat.shape + (2,)).tolist()
 
@@ -90,7 +90,7 @@ def matrix_from_json(rows, dim):
 
 def tuple_to_dict(op, metadata=None):
     out = {"d": op.d, "dim": op.dim,
-           "matrices": [matrix_to_json(m) for m in op.matrices]}
+           "matrices": matrix_to_json(op.stack)}
     if metadata:
         out["metadata"] = metadata
     return out

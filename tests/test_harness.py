@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from isosym import cli, harness
-from isosym.construct import random_commuting_tuple, tensor_sum, \
-    tensor_sum_parts
+from isosym.construct import identity_tuple, nilpotent_tuple, \
+    random_commuting_tuple, tensor_sum, tensor_sum_parts
 from isosym.defect import (MultiOperator, isosymmetry_defect_matrix,
                            zero_tolerance)
-from isosym.errors import InvalidParams, IsosymError, ParseError
+from isosym.errors import DMismatch, InvalidParams, IsosymError, ParseError
 from isosym.harness import (_SUITES, SUITE_NAMES, SuiteConfig,
                             _shifted_residual, _trial_rng,
                             dump_counterexample, replay_counterexample,
                             run_suite)
 from isosym.linalg import fro_norm
-from isosym.tupleio import dumps
+from isosym.spectra import spectral_checks
+from isosym.tupleio import dumps, tuple_to_dict
 
 
 SMALL = dict(trials=12, seed=42)
@@ -178,6 +179,19 @@ class TestCounterexamples:
         with pytest.raises(ParseError):
             replay_counterexample(path)
 
+    @pytest.mark.parametrize("suite, labels", [
+        ("jordan", ("diag", "nil")), ("tensor", ("left", "right")),
+        ("perturbation", ("r", "q"))])
+    def test_replaying_tuples_of_unequal_d_is_a_d_mismatch(self, suite,
+                                                           labels):
+        """Their sum is not a tuple: one of d 1 would broadcast over d 2."""
+        payload = {"suite": suite, "params": {"m": 1, "n": 1, "q": 2},
+                   "tuples": dict(zip(labels, (
+                       tuple_to_dict(identity_tuple(1, 3)),
+                       tuple_to_dict(nilpotent_tuple(2, 3, 2, 0)))))}
+        with pytest.raises(DMismatch):
+            replay_counterexample(payload)
+
     def test_replaying_an_unknown_suite_is_invalid(self, tmp_path):
         ce = dict(self._failing_report().counterexamples[0], suite="nope")
         with pytest.raises(InvalidParams, match="nope"):
@@ -239,6 +253,29 @@ def test_a_raising_trial_is_written_as_null(capsys, tmp_path, monkeypatch,
     _report_validator(schemas).validate(dict(report, counterexamples=written))
 
 
+def test_gated_tuples_put_one_pair_of_points_on_a_gate():
+    """Both "gated" draws of the spectral suite: an exact (1,1) zero whose
+    two eigenspaces meet at Gram norm 0.514 and whose pair sits on the
+    gate_sum, or the gate_product, of the orthogonality test."""
+    seen = set()
+    for seed in range(20):
+        r, orders, mu = harness._structured("gated", 3, 5,
+                                            np.random.default_rng(seed))
+        assert (r.d, r.dim, orders) == (2, 2, (1, 1))
+        checks = spectral_checks(r, 1, 1)
+        assert checks.verdict.holds and checks.verdict.margin == 0.0
+        pair, = checks.orthogonality
+        assert not pair.required_orthogonal and pair.compliant
+        assert pair.gram_norm == pytest.approx(0.6 / np.sqrt(1.36))
+        seen.add("sum" if pair.gate_sum <= checks.tol_orthogonality
+                 else "product")
+        assert min(pair.gate_sum, pair.gate_product) \
+            <= checks.tol_orthogonality
+        want = [[complex(*z) for z in point] for point in sorted(mu)]
+        assert np.allclose([p.mu for p in checks.pairs], want, atol=1e-12)
+    assert seen == {"sum", "product"}
+
+
 def test_config_holds_only_the_settings_callers_set():
     assert [f.name for f in fields(SuiteConfig)] == \
         ["suite", "trials", "seed", "tol"]
@@ -282,10 +319,11 @@ _DRAWS_2026 = {
                      (2, 5, 3, 2), (2, 8, 2, 3), (3, 2, 3, 2), (2, 4, 2, 3),
                      (3, 5, 3, 2), (2, 8, 2, 3), (2, 8, 3, 2), (2, 3, 2, 3),
                      (2, 4, 3, 2), (2, 8, 2, 3), (3, 2, 3, 2), (3, 5, 2, 3)],
+    # trials 4 and 12 draw a "gated" pair, of d 2 and dim 2
     "spectral": [(2, 3, 1, 1), (2, 5, 1, 1), (1, 2, 1, 1), (2, 2, 3, 1),
-                 (2, 3, 1, 1), (1, 2, 1, 1), (1, 4, 1, 1), (2, 2, 3, 1),
+                 (2, 2, 1, 1), (1, 2, 1, 1), (1, 4, 1, 1), (2, 2, 3, 1),
                  (2, 3, 1, 1), (2, 7, 1, 1), (3, 2, 1, 1), (2, 2, 3, 1),
-                 (2, 3, 1, 1), (2, 5, 1, 1), (2, 3, 1, 1), (2, 2, 3, 1),
+                 (2, 2, 1, 1), (2, 5, 1, 1), (2, 3, 1, 1), (2, 2, 3, 1),
                  (2, 3, 1, 1), (2, 8, 1, 1), (3, 4, 1, 1), (3, 2, 3, 1)],
     "forms": [(3, 3, 1, 1), (2, 5, 0, 2), (1, 2, 3, 0), (2, 6, 2, 0),
               (1, 8, 0, 3), (1, 2, 0, 1), (1, 4, 1, 1), (2, 8, 0, 3),

@@ -5,8 +5,9 @@ from isosym import kernels
 
 
 def _mats(rng, d, dim):
-    return list((rng.standard_normal((d, dim, dim))
-                 + 1j * rng.standard_normal((d, dim, dim))) / dim)
+    """A (d, dim, dim) stack, the layout of a tuple's ``stack``."""
+    return (rng.standard_normal((d, dim, dim))
+            + 1j * rng.standard_normal((d, dim, dim))) / dim
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
@@ -31,7 +32,7 @@ def test_gram_step_of_strictly_upper_triangular_components_vanishes_exactly(
     exactly: a zero row of the stack stays a zero row of the factor."""
     dim = 6
     rng = np.random.default_rng(d)
-    mats = [np.triu(m, 1) for m in _mats(rng, d, dim)]
+    mats = np.triu(_mats(rng, d, dim), 1)
     f = np.eye(dim, dtype=np.complex128)
     for k in range(1, dim + 1):
         f = kernels.active.gram_step(mats, f)

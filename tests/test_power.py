@@ -4,8 +4,9 @@ A suite that compares two code paths shows something only if a fault in
 one of them makes it fail.  The recurrence step is planted with R_j in
 place of R_j*, so its residual against the definition is of the size of
 the defect itself.  The spectral checks are planted with verdicts their
-own numbers contradict, and the perturbation theorem with an m-shift one
-order too low, a cell where L(R + Q) does not vanish in general.
+own numbers contradict, and with a pair on one orthogonality gate held
+to orthogonality; the perturbation theorem with an m-shift one order too
+low, a cell where L(R + Q) does not vanish in general.
 """
 
 import dataclasses
@@ -65,6 +66,28 @@ def test_spectral_fails_with_flipped_orthogonality_verdicts(monkeypatch):
 
     monkeypatch.setattr(spectra, "_orthogonality", planted)
     assert _failures("spectral") >= 1
+
+
+@pytest.mark.parametrize("seed", [7, 2026])
+def test_spectral_fails_with_either_gate_requiring_orthogonality(
+        monkeypatch, seed):
+    """``|`` for ``&`` in ``spectra._orthogonality``: the suite's "gated"
+    trials have one pair on a gate and eigenspaces that are not
+    orthogonal, so the verdict their own gates give differs."""
+    orthogonality = spectra._orthogonality
+
+    def planted(pairs, tol):
+        out = []
+        for o in orthogonality(pairs, tol):
+            required = o.gate_product > tol or o.gate_sum > tol
+            out.append(dataclasses.replace(
+                o, required_orthogonal=required,
+                compliant=not required or o.gram_norm <= tol))
+        return out
+
+    assert _failures("spectral", seed) == 0
+    monkeypatch.setattr(spectra, "_orthogonality", planted)
+    assert _failures("spectral", seed) >= 1
 
 
 def _perturbed_orders_m_one_lower(staircase, q):
