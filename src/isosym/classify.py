@@ -1,9 +1,11 @@
-"""Membership verdicts, minimal orders, family ranks, perturbed orders."""
+"""Membership verdicts, minimal orders, family ranks, and the perturbation
+theorem stated once: its hypotheses and its perturbed orders."""
 
 from dataclasses import dataclass
 
-from .defect import DefectTable, isometry_defect, isosymmetry_defect, \
-    isosymmetry_defect_matrix, symmetry_defect
+from .defect import TOL_COMM, DefectTable, cross_commutation_residual, \
+    isometry_defect, isosymmetry_defect, isosymmetry_defect_matrix, \
+    nilpotency_order, symmetry_defect
 from .errors import HypothesisUnmet, InvalidParams
 from .linalg import matrix_rank
 
@@ -106,6 +108,19 @@ def perturbed_orders(staircase, q):
     the ``minimal_pairs`` of the results (raising may make one dominate)."""
     return minimal_pairs((max(m, 1) + 2 * q - 2, max(n, 1) + 2 * q - 1)
                          for m, n in staircase)
+
+
+def perturbation_hypothesis(r, q, m, n, order, tol=None):
+    """Do r and q meet the hypotheses under which ``perturbed_orders`` holds?
+
+    Q commutes with every R_j and R_j* within TOL_COMM, the threshold
+    ``perturbation_expansion`` refuses at (tested first, so tuples of
+    unequal d raise DMismatch); Q is nilpotent of an order <= ``order`` by
+    ``nilpotency_order``; and L_{m,n}(r) is zero at ``tol``.
+    """
+    return (cross_commutation_residual(r, q) <= TOL_COMM
+            and nilpotency_order(q) in range(1, order + 1)
+            and isosymmetry_defect(r, m, n, tol).is_zero)
 
 
 def defect_family_rank(r, m, n, direction, tol=None):

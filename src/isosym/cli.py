@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import sys
-from itertools import pairwise
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .construct import (BETA_TOL, JordanAugmentSpec, ScaledTupleSpec,
                         random_commuting_tuple, reference_pair, scaled_tuple,
                         tensor_sum)
 from .defect import TOL_COMM, DefectTable, isometry_defect, \
-    isosymmetry_defect, nilpotency_residuals, symmetry_defect, zero_test_base
+    isosymmetry_defect, nilpotency_order, symmetry_defect, zero_test_base
 from .errors import (BetaNotNormalized, CommutationViolated,
                      ConvergenceFailure, CrossCommutationViolated, DMismatch,
                      FormsDisagree, HypothesisUnmet, InvalidParams,
@@ -184,26 +183,6 @@ def _parse_numbers(raw, parse):
     return values
 
 
-def _nilpotency_order(r):
-    """The smallest q with every product of q components numerically 0.
-
-    Scale-free: each component is divided by its spectral norm, and order
-    q counts as 0 once sqrt(tr G_q) of ``nilpotency_residuals`` is below
-    1e-12 times that of q - 1 (sqrt(dim) for q = 1).  That is well above
-    the rounding one more Gram step leaves on a zero sum, and below the
-    ratio 1/condition number that any invertible component keeps up, so a
-    tuple with a component of condition number under 1e12 is never called
-    nilpotent.  None if no q <= dim qualifies.
-    """
-    scales = [np.linalg.norm(m, 2) or 1.0 for m in r.matrices]
-    unit = r.stack / np.reshape(scales, (-1, 1, 1))
-    pairs = pairwise(nilpotency_residuals(unit))
-    for k, (previous, residual) in zip(range(1, r.dim + 1), pairs):
-        if residual <= 1e-12 * previous:
-            return k
-    return None
-
-
 def _cmd_construct(args):
     seed = getattr(args, "seed", None)  # nilpotent and random only
     if seed is not None and seed < 0:
@@ -236,7 +215,7 @@ def _cmd_construct(args):
         left, _ = read_tuple(args.left)
         right, _ = read_tuple(args.right)
         op = tensor_sum(left, right)
-        q = _nilpotency_order(right)
+        q = nilpotency_order(right)
         predicted = (perturbed_orders(minimal_orders(left, 3, 3).staircase, q)
                      if q else [])
         params = {"left": args.left, "right": args.right}

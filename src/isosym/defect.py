@@ -62,7 +62,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -549,6 +549,26 @@ def nilpotency_residual(r, k):
     if k < 0:
         raise InvalidParams(f"order k must be >= 0, got {k}")
     return next(islice(nilpotency_residuals(r.stack), k, None))
+
+
+def nilpotency_order(r):
+    """The smallest q with every product of q components numerically 0,
+    the one q-nilpotency rule; None if no q <= dim qualifies.
+
+    Scale-free: each component is divided by its Frobenius norm, and order
+    q counts as 0 once sqrt(tr G_q) of ``nilpotency_residuals`` is at most
+    1e-12 times that of q - 1 (sqrt(dim) for q = 1).  That is well above
+    the rounding one more Gram step leaves on a zero sum, and below the
+    ratio 1 / (sqrt(dim) cond(R_j)) that an invertible R_j keeps up, so a
+    tuple is never called nilpotent while a component's condition number
+    is below 1e12 / sqrt(dim).
+    """
+    unit = r.stack / np.reshape([n or 1.0 for n in r.norms], (-1, 1, 1))
+    pairs = pairwise(nilpotency_residuals(unit))
+    for k, (previous, residual) in zip(range(1, r.dim + 1), pairs):
+        if residual <= 1e-12 * previous:
+            return k
+    return None
 
 
 def perturbation_expansion(r, q, m, n):

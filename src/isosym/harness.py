@@ -10,7 +10,8 @@ Identity suites report the normalized residual ||lhs - rhs|| divided by
 the defect zero-test scale at tol = 1, ``zero_tolerance(r, m, n, 1.0)``;
 verdict suites report 0.0 on a clean pass and the worst violation
 magnitude otherwise.  A trial passes iff its residual is <= the
-configured tolerance.
+configured tolerance.  A theorem-suite draw that misses a hypothesis of
+the perturbation theorem (``classify.perturbation_hypothesis``) reads 1.0.
 """
 
 from dataclasses import dataclass, field
@@ -18,24 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .classify import defect_family_rank, minimal_orders, perturbed_orders
+from .classify import defect_family_rank, minimal_orders, \
+    perturbation_hypothesis, perturbed_orders
 from .construct import (JordanAugmentSpec, ScaledTupleSpec, identity_tuple,
                         jordan_augment_parts, nilpotent_tuple, reference_pair,
                         random_commuting_tuple, scaled_tuple,
                         tensor_sum_parts)
-from .defect import (TOL_ZERO, DefectTable, MultiOperator,
-                     cross_commutation_residual, isosymmetry_defect,
-                     isosymmetry_defect_matrix, nilpotency_residual,
+from .defect import (TOL_COMM, TOL_ZERO, DefectTable, MultiOperator,
+                     cross_commutation_residual, isosymmetry_defect_matrix,
                      perturbation_expansion, raise_isometry_order,
                      raise_symmetry_order, zero_tolerance)
 from .errors import HypothesisUnmet, InvalidParams, IsosymError, ParseError
 from .linalg import checked_tolerance, fro_norm, kron
 from .spectra import spectral_checks
 from .tupleio import dumps, load, tuple_from_dict, tuple_to_dict
-
-#: bound for "exact by construction" checks; the constructions introduce no
-#: residual of their own but measuring them goes through rounded products
-_EXACTNESS = 1e-13
 
 #: bounds of every suite's draws: tuple components d, dimension, orders m, n
 D_MAX, DIM_MAX, M_MAX, N_MAX = 3, 8, 3, 3
@@ -288,11 +285,7 @@ def _gen_perturbation(idx, rng):
 def _eval_perturbation(tuples, params, tol):
     r, q = tuples["r"], tuples["q"]
     m, n, order = params["m"], params["n"], params["q"]
-    if not isosymmetry_defect(r, m, n, tol).is_zero:
-        return 1.0
-    if nilpotency_residual(q, order) > tol:
-        return 1.0
-    if cross_commutation_residual(r, q) > tol:
+    if not perturbation_hypothesis(r, q, m, n, order, tol):
         return 1.0
     return _shifted_residual(r, q, m, n, order)
 
@@ -473,15 +466,7 @@ def _gen_jordan(idx, rng):
 def _eval_jordan(tuples, params, tol):
     left, right = tuples["diag"], tuples["nil"]
     m, n, q = params["m"], params["n"], params["q"]
-    # construction arithmetic is exact; the verification products carry
-    # BLAS rounding, so police at near-rounding level instead of == 0
-    if cross_commutation_residual(left, right) > _EXACTNESS:
-        return 1.0
-    # the residual is at most d^(q/2) times the largest product: scale by it
-    if nilpotency_residual(right, q) > \
-            _EXACTNESS * (np.sqrt(right.d) * (1.0 + right.max_norm())) ** q:
-        return 1.0
-    if not isosymmetry_defect(left, m, n, tol).is_zero:
+    if not perturbation_hypothesis(left, right, m, n, q, tol):
         return 1.0
     return _shifted_residual(left, right, m, n, q)
 
@@ -497,7 +482,7 @@ def _eval_tensor(tuples, params, tol):
     base, nil = tuples["left"], tuples["right"]
     m, n, q = params["m"], params["n"], params["q"]
     left, right = tensor_sum_parts(base, nil)
-    if cross_commutation_residual(left, right) > _EXACTNESS:
+    if cross_commutation_residual(left, right) > TOL_COMM:
         return 1.0
     # the lifted factor inherits the base defect: L(base (x) I) = L(base) (x) I
     lifted = isosymmetry_defect_matrix(left, m, n)

@@ -26,21 +26,21 @@ def checked_tolerance(tol):
 def as_stack(components):
     """A list of square matrices of one size, or a (d, n, n) array, as one
     finite complex128 stack (copy, C-contiguous, read-only), converted once.
-    No component raises InvalidParams, one that is not a square matrix of
-    the others' size DimensionMismatch, a non-finite entry ValueError."""
+    No component raises InvalidParams, a 0 x 0 or non-square one or one of
+    another size DimensionMismatch, a non-finite entry ValueError."""
     if not isinstance(components, np.ndarray):
         components = list(components)  # an iterator is read once
     try:
         stack = np.array(components, dtype=np.complex128, order="C")
     except (TypeError, ValueError):  # ragged, or entries that are no numbers
         stack = np.empty(0)
-    if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+    if stack.ndim != 3 or not stack.size or stack.shape[1] != stack.shape[2]:
         # each component on its own: entries that are no numbers raise here
         shapes = [np.array(m, dtype=np.complex128).shape for m in components]
         if not shapes:
             raise InvalidParams("a tuple needs at least one component")
         raise DimensionMismatch(
-            f"components must be square matrices of one size, got {shapes}")
+            f"components must be square, of one size >= 1, got {shapes}")
     if not np.isfinite(stack.view(np.float64)).all():
         raise ValueError("matrix entries must be finite")
     stack.setflags(write=False)

@@ -7,9 +7,9 @@ import pytest
 
 from isosym import cli, harness
 from isosym.construct import identity_tuple, nilpotent_tuple, \
-    random_commuting_tuple, tensor_sum, tensor_sum_parts
+    random_commuting_tuple, reference_pair, tensor_sum, tensor_sum_parts
 from isosym.defect import (MultiOperator, isosymmetry_defect_matrix,
-                           zero_tolerance)
+                           nilpotency_order, zero_tolerance)
 from isosym.errors import DMismatch, InvalidParams, IsosymError, ParseError
 from isosym.harness import (_SUITES, SUITE_NAMES, SuiteConfig,
                             _shifted_residual, _trial_rng,
@@ -54,6 +54,43 @@ def test_conclusion_reads_the_theorems_shifted_orders(m, n, q, shifted):
     expect = fro_norm(isosymmetry_defect_matrix(total, *shifted)) \
         / zero_tolerance(total, *shifted, 1.0)
     assert _shifted_residual(*tensor_sum_parts(p, r), m, n, q) == expect
+
+
+#: (R, Q) pairs that miss one hypothesis of the perturbation theorem: Q
+#: is a multiple of the identity, which no power annihilates, however
+#: small; or Q is nilpotent and fails to commute with R by 5.2e-10 > TOL_COMM
+_MISSED_HYPOTHESES = {
+    "q-is-1e-9-identity": lambda: (
+        reference_pair(), MultiOperator([1e-9 * np.eye(3)] * 2)),
+    "q-is-1e-14-identity": lambda: (
+        reference_pair(), MultiOperator([1e-14 * np.eye(3)] * 2)),
+    "q-fails-cross-commutation": lambda: (
+        MultiOperator([np.diag([1.0, 1j, -1.0])]),
+        MultiOperator([1e-9 * np.outer([1.0, 0, 0], [0, 1.0, 0])])),
+}
+
+
+@pytest.mark.parametrize("suite, labels", [("perturbation", ("r", "q")),
+                                           ("jordan", ("diag", "nil"))],
+                         ids=["perturbation", "jordan"])
+@pytest.mark.parametrize("pair", _MISSED_HYPOTHESES.values(),
+                         ids=_MISSED_HYPOTHESES.keys())
+def test_a_draw_that_misses_a_hypothesis_replays_to_one(suite, labels, pair):
+    payload = {"suite": suite, "params": {"m": 1, "n": 1, "q": 1},
+               "tuples": {label: tuple_to_dict(t)
+                          for label, t in zip(labels, pair())}}
+    assert replay_counterexample(json.loads(dumps(payload))) == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-14])
+def test_a_small_identity_is_not_nilpotent(scale):
+    for d in (1, 2):
+        assert nilpotency_order(MultiOperator([scale * np.eye(3)] * d)) is None
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_nilpotency_order_of_a_nilpotent_tuple(q):
+    assert nilpotency_order(nilpotent_tuple(2, 6, q, 0)) == q
 
 
 def test_unknown_suite_rejected():

@@ -6,17 +6,22 @@ place of R_j*, so its residual against the definition is of the size of
 the defect itself.  The spectral checks are planted with verdicts their
 own numbers contradict, and with a pair on one orthogonality gate held
 to orthogonality; the perturbation theorem with an m-shift one order too
-low, a cell where L(R + Q) does not vanish in general.
+low, a cell where L(R + Q) does not vanish in general.  The theorem's
+hypotheses have one rule each, so planting a rule that refuses every
+draw must reach every suite and command that reads it.
 """
 
 import dataclasses
+import json
 
 import pytest
 
-from isosym import defect, harness, spectra
+from isosym import cli, defect, harness, spectra
 from isosym.classify import minimal_pairs
+from isosym.construct import nilpotent_tuple, reference_pair
 from isosym.defect import DefectTable, isosymmetry_defect_matrix
 from isosym.harness import SuiteConfig, run_suite
+from isosym.tupleio import write_tuple
 
 
 def _raise_isometry_order_without_adjoints(r, m, n):
@@ -102,3 +107,31 @@ def test_theorem_suites_fail_with_an_m_shift_one_lower(monkeypatch, suite):
     monkeypatch.setattr(harness, "perturbed_orders",
                         _perturbed_orders_m_one_lower)
     assert _failures(suite) >= 1
+
+
+@pytest.mark.parametrize("suite", ["perturbation", "jordan"])
+def test_theorem_suites_read_the_one_hypothesis_check(monkeypatch, suite):
+    assert _failures(suite) == 0
+    # the harness calls the check by the name it imported
+    monkeypatch.setattr(harness, "perturbation_hypothesis",
+                        lambda *args: False)
+    assert _failures(suite) == 200
+
+
+def _predicted_orders(tmp_path, capsys):
+    """``construct tensor`` of the reference pair and a 2-nilpotent pair."""
+    left, right = tmp_path / "ex22.json", tmp_path / "nil.json"
+    write_tuple(left, reference_pair())
+    write_tuple(right, nilpotent_tuple(2, 3, 2, 0))
+    capsys.readouterr()
+    assert cli.main(["construct", "tensor", "--left", str(left), "--right",
+                     str(right), "--out", str(tmp_path / "t.json")]) == 0
+    return json.loads(capsys.readouterr().out)["results"]["predicted_orders"]
+
+
+def test_construct_tensor_reads_the_one_nilpotency_rule(monkeypatch, tmp_path,
+                                                        capsys):
+    assert _predicted_orders(tmp_path, capsys) == [[3, 4]]
+    # the CLI calls the rule by the name it imported
+    monkeypatch.setattr(cli, "nilpotency_order", lambda r: None)
+    assert _predicted_orders(tmp_path, capsys) is None

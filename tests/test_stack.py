@@ -152,8 +152,9 @@ def _noncommuting():
     ([np.array([[np.nan, 0.0], [0.0, 1.0]])], None, ValueError),
     ([np.array([[1e160, 0.0], [0.0, 1.0]])] * 2, None, TooLarge),
     (_noncommuting(), None, CommutationViolated),
+    ([np.zeros((0, 0))], None, DimensionMismatch),
 ], ids=["no-component", "mixed-shapes", "non-square", "not-a-matrix",
-        "non-finite", "overflowing-norm", "non-commuting"])
+        "non-finite", "overflowing-norm", "non-commuting", "dim-0"])
 def test_a_list_and_a_3d_array_are_refused_alike(components, array, error):
     """The same refusal for a list and for the array it stacks into (mixed
     shapes stack into none: a non-square array stands in for them)."""
