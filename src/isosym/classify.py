@@ -116,11 +116,13 @@ def perturbation_hypothesis(r, q, m, n, order, tol=None):
     Q commutes with every R_j and R_j* within TOL_COMM, the threshold
     ``perturbation_expansion`` refuses at (tested first, so tuples of
     unequal d raise DMismatch); Q is nilpotent of an order <= ``order`` by
-    ``nilpotency_order``; and L_{m,n}(r) is zero at ``tol``.
+    ``nilpotency_order``; and L_{m,n}(r) is zero at ``tol``.  ``r`` is a
+    tuple or its DefectTable; ``q`` a tuple.
     """
-    return (cross_commutation_residual(r, q) <= TOL_COMM
+    table = DefectTable.of(r)
+    return (cross_commutation_residual(table.r, q) <= TOL_COMM
             and nilpotency_order(q) in range(1, order + 1)
-            and isosymmetry_defect(r, m, n, tol).is_zero)
+            and isosymmetry_defect(table, m, n, tol).is_zero)
 
 
 def defect_family_rank(r, m, n, direction, tol=None):

@@ -3,15 +3,18 @@
 Every suite draws deterministic instances from (seed, trial index) and
 compares two independent evaluations: a definition against a recurrence,
 a direct defect against an expansion, or a construction's promise against
-the defect verdict.  Failures become counterexample payloads that can be
-dumped to JSON and replayed to the same residual.
+the defect verdict.  Each trial is one draw and one evaluation; a failing
+one becomes a counterexample payload holding the drawn instance and the
+residual the trial counted, which can be dumped to JSON and replayed to
+that residual.
 
 Identity suites report the normalized residual ||lhs - rhs|| divided by
 the defect zero-test scale at tol = 1, ``zero_tolerance(r, m, n, 1.0)``;
 verdict suites report 0.0 on a clean pass and the worst violation
 magnitude otherwise.  A trial passes iff its residual is <= the
-configured tolerance.  A theorem-suite draw that misses a hypothesis of
-the perturbation theorem (``classify.perturbation_hypothesis``) reads 1.0.
+configured tolerance.  The three theorem suites (perturbation, jordan,
+tensor) judge the hypotheses of the perturbation theorem by one rule,
+``classify.perturbation_hypothesis``; a draw that misses one reads 1.0.
 """
 
 from dataclasses import dataclass, field
@@ -25,10 +28,10 @@ from .construct import (JordanAugmentSpec, ScaledTupleSpec, identity_tuple,
                         jordan_augment_parts, nilpotent_tuple, reference_pair,
                         random_commuting_tuple, scaled_tuple,
                         tensor_sum_parts)
-from .defect import (TOL_COMM, TOL_ZERO, DefectTable, MultiOperator,
-                     cross_commutation_residual, isosymmetry_defect_matrix,
-                     perturbation_expansion, raise_isometry_order,
-                     raise_symmetry_order, zero_tolerance)
+from .defect import (TOL_ZERO, DefectTable, MultiOperator,
+                     isosymmetry_defect_matrix, perturbation_expansion,
+                     raise_isometry_order, raise_symmetry_order,
+                     zero_tolerance)
 from .errors import HypothesisUnmet, InvalidParams, IsosymError, ParseError
 from .linalg import checked_tolerance, fro_norm, kron
 from .spectra import spectral_checks
@@ -459,16 +462,8 @@ def _gen_jordan(idx, rng):
     q = int(rng.integers(1, 4))
     left, right = jordan_augment_parts(JordanAugmentSpec(
         base_tuple=base, mu=_jordan_mu(base.d, rng), q=q))
-    return ({"diag": left, "nil": right},
+    return ({"r": left, "q": right},
             {"m": m, "n": n, "q": q, "base_kind": kind})
-
-
-def _eval_jordan(tuples, params, tol):
-    left, right = tuples["diag"], tuples["nil"]
-    m, n, q = params["m"], params["n"], params["q"]
-    if not perturbation_hypothesis(left, right, m, n, q, tol):
-        return 1.0
-    return _shifted_residual(left, right, m, n, q)
 
 
 def _gen_tensor(idx, rng):
@@ -482,10 +477,11 @@ def _eval_tensor(tuples, params, tol):
     base, nil = tuples["left"], tuples["right"]
     m, n, q = params["m"], params["n"], params["q"]
     left, right = tensor_sum_parts(base, nil)
-    if cross_commutation_residual(left, right) > TOL_COMM:
+    table = DefectTable(left)  # L_{m,n}(base (x) I), read by both checks
+    if not perturbation_hypothesis(table, right, m, n, q, tol):
         return 1.0
     # the lifted factor inherits the base defect: L(base (x) I) = L(base) (x) I
-    lifted = isosymmetry_defect_matrix(left, m, n)
+    lifted = isosymmetry_defect_matrix(table, m, n)
     inherited = kron(isosymmetry_defect_matrix(base, m, n),
                      np.eye(nil.dim, dtype=np.complex128))
     if _normalized(lifted - inherited, left, m, n) > tol:
@@ -506,33 +502,11 @@ _SUITES = {
     "spectral": (_gen_spectral, _eval_spectral),
     "forms": (_gen_forms, _eval_forms),
     "scaled": (_gen_scaled, _eval_scaled),
-    "jordan": (_gen_jordan, _eval_jordan),
+    "jordan": (_gen_jordan, _eval_perturbation),
     "tensor": (_gen_tensor, _eval_tensor),
 }
 
 SUITE_NAMES = tuple(_SUITES)
-
-
-def _shrink(tuples, residual, params, evaluate, tol):
-    """Compress a failing single-tuple instance to leading principal blocks.
-
-    Only shrinks while the block tuple still commutes and still fails.
-    Returns the instance and the residual measured on it."""
-    if len(tuples) != 1:
-        return tuples, residual
-    (label, r), = tuples.items()
-    shrunk = tuples
-    while r.dim > 1:
-        h = (r.dim + 1) // 2
-        try:
-            cand = {label: MultiOperator(r.stack[:, :h, :h])}
-            cand_residual = evaluate(cand, params, tol)
-        except IsosymError:
-            break
-        if not cand_residual > tol:
-            break
-        shrunk, residual, r = cand, cand_residual, cand[label]
-    return shrunk, residual
 
 
 def run_suite(cfg):
@@ -551,7 +525,6 @@ def run_suite(cfg):
         if residual is not None and residual <= cfg.tol:
             passed += 1
             continue
-        tuples, residual = _shrink(tuples, residual, params, evaluate, cfg.tol)
         counterexamples.append({
             "suite": cfg.suite, "trial": idx,
             "params": dict(params, tol=cfg.tol),

@@ -1,11 +1,11 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from isosym import cli, harness
+from isosym import cli, harness, spectra
 from isosym.construct import identity_tuple, nilpotent_tuple, \
     random_commuting_tuple, reference_pair, tensor_sum, tensor_sum_parts
 from isosym.defect import (MultiOperator, isosymmetry_defect_matrix,
@@ -70,11 +70,23 @@ _MISSED_HYPOTHESES = {
 }
 
 
-@pytest.mark.parametrize("suite, labels", [("perturbation", ("r", "q")),
-                                           ("jordan", ("diag", "nil"))],
-                         ids=["perturbation", "jordan"])
-@pytest.mark.parametrize("pair", _MISSED_HYPOTHESES.values(),
-                         ids=_MISSED_HYPOTHESES.keys())
+#: (base, right factor) pairs of the tensor suite whose lifted factor
+#: I (x) Q misses q-nilpotency: Q is a small multiple of the identity
+_MISSED_BY_TENSOR = {
+    "q-is-1e-9-identity": lambda: (
+        reference_pair(), MultiOperator([1e-9 * np.eye(2)] * 2)),
+    "q-is-1e-14-identity": lambda: (
+        reference_pair(), MultiOperator([1e-14 * np.eye(2)] * 2)),
+}
+
+
+@pytest.mark.parametrize("suite, labels, pair", [
+    pytest.param(suite, labels, pair, id=f"{name}-{suite}")
+    for cases, suites in (
+        (_MISSED_HYPOTHESES, (("perturbation", ("r", "q")),
+                              ("jordan", ("r", "q")))),
+        (_MISSED_BY_TENSOR, (("tensor", ("left", "right")),)))
+    for name, pair in cases.items() for suite, labels in suites])
 def test_a_draw_that_misses_a_hypothesis_replays_to_one(suite, labels, pair):
     payload = {"suite": suite, "params": {"m": 1, "n": 1, "q": 1},
                "tuples": {label: tuple_to_dict(t)
@@ -136,7 +148,7 @@ def _failing_config(suite, trials):
 
     SuiteConfig refuses tol <= 0 from its callers, so the negative
     tolerance is set past that check: every trial fails, which exercises
-    shrinking, serialization and replay on real payloads.
+    serialization and replay on real payloads.
     """
     cfg = SuiteConfig(suite=suite, trials=trials, seed=8)
     object.__setattr__(cfg, "tol", -1.0)
@@ -217,7 +229,7 @@ class TestCounterexamples:
             replay_counterexample(path)
 
     @pytest.mark.parametrize("suite, labels", [
-        ("jordan", ("diag", "nil")), ("tensor", ("left", "right")),
+        ("jordan", ("r", "q")), ("tensor", ("left", "right")),
         ("perturbation", ("r", "q"))])
     def test_replaying_tuples_of_unequal_d_is_a_d_mismatch(self, suite,
                                                            labels):
@@ -246,7 +258,7 @@ class TestCounterexamples:
             evaluated.append(tuples)
             return evaluate(tuples, params, tol)
 
-        def counting_build(matrices):  # only shrinking builds through here
+        def counting_build(matrices):  # a smaller copy would be built here
             r = MultiOperator(matrices)
             built.append(r)
             return r
@@ -254,8 +266,37 @@ class TestCounterexamples:
         monkeypatch.setitem(_SUITES, "forms", (gen, counting_evaluate))
         monkeypatch.setattr(harness, "MultiOperator", counting_build)
         report = run_suite(_failing_config("forms", 3))
-        assert built  # some trial shrank
-        assert len(evaluated) == report.trials_run + len(built)
+        assert report.trials_passed == 0
+        assert built == []  # no failing trial is re-evaluated on a copy
+        assert len(evaluated) == report.trials_run
+
+
+def test_a_counterexample_is_the_drawn_instance_with_its_residual(
+        monkeypatch):
+    """A failing trial is written as drawn, at the residual it counted: a
+    Gram norm 1e-3 too large is what the counterexample shows, not some
+    other failure of a smaller instance."""
+    orthogonality = spectra._orthogonality
+
+    def planted(pairs, tol):  # every Gram norm 1e-3 larger, verdicts redone
+        out = []
+        for o in orthogonality(pairs, tol):
+            gram_norm = o.gram_norm + 1e-3
+            out.append(replace(
+                o, gram_norm=gram_norm,
+                compliant=not o.required_orthogonal or gram_norm <= tol))
+        return out
+
+    monkeypatch.setattr(spectra, "_orthogonality", planted)
+    cfg = SuiteConfig(suite="spectral", trials=200, seed=7)
+    report = run_suite(cfg)
+    assert len(report.counterexamples) == 200 - report.trials_passed == 100
+    gen, evaluate = _SUITES["spectral"]
+    for ce in report.counterexamples:
+        tuples, params = gen(ce["trial"], _trial_rng(cfg, ce["trial"]))
+        assert ce["tuples"] == {k: tuple_to_dict(v) for k, v in tuples.items()}
+        assert ce["residual"] == evaluate(tuples, params, cfg.tol)
+        assert 1e-3 <= ce["residual"] < 1.0
 
 
 def _report_validator(schemas):

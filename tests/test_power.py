@@ -109,7 +109,7 @@ def test_theorem_suites_fail_with_an_m_shift_one_lower(monkeypatch, suite):
     assert _failures(suite) >= 1
 
 
-@pytest.mark.parametrize("suite", ["perturbation", "jordan"])
+@pytest.mark.parametrize("suite", ["perturbation", "jordan", "tensor"])
 def test_theorem_suites_read_the_one_hypothesis_check(monkeypatch, suite):
     assert _failures(suite) == 0
     # the harness calls the check by the name it imported
