@@ -46,8 +46,9 @@ stay exact while its entries do.  One function, ``_combine``, reduces
 every other weighted sum of matrices.
 
 Every defect is evaluated by a DefectTable, which keeps the ladder of T,
-the M-style sums and the checked cells of one tuple; the tuple itself
-(MultiOperator) owns its components' stack, their norms and T.
+the M-style sums and the checked cells L_{m,n} of one tuple, M_m = L_{m,0}
+and S_n = L_{0,n} among them: on an axis the two forms are one sum.  The
+tuple itself (MultiOperator) owns its components' stack, norms and T.
 Every function here and in ``classify`` that reads a defect takes a
 tuple, for which it builds a throwaway table, or its DefectTable, which
 it reads and grows.  A caller reading several defects of one tuple
@@ -303,7 +304,7 @@ class DefectTable:
     needs more: ``_t_powers``, the one power ladder of T = sum_j R_j,
     whose adjoints give the powers T*^k = (T^k)*; ``_sums``, the sums
     B_k(S_l) = Phi_0^k(S_l), k = 0..K, around each S_l read; and
-    ``_cells``, every L_{m,n} read.  S_0 is the identity itself, the
+    ``_cells``, every L_{m,n} judged.  S_0 is the identity itself, the
     ladder's first entry; any other S_l is made by one sandwich of its
     terms k <= l/2, the first time it is read.  Each is kept as the sums
     [S_l], whose B_0 it stays; M_m is one weighted sum of the B_k around
@@ -312,8 +313,9 @@ class DefectTable:
     each from its stored S_l, with the tuple's ``stack`` and its adjoint;
     order 0 asks for no run.  ``prepare(m_max, n_max)`` asks for a whole
     box.
-    A cell is evaluated in both outer forms once and kept with its norm
-    and their gap, which every read checks against the caller's tolerance.
+    A cell, S_l = L_{0,l} and M_l = L_{l,0} too, is kept with its norm and
+    forms gap (0 on an axis, whose forms are one array), which every
+    judged read checks against the caller's tolerance.
 
     The module functions read it in place of the tuple; it offers only
     ``r``, ``of``, ``prepare`` and ``forms``.  The caller owns the table:
@@ -357,7 +359,7 @@ class DefectTable:
         run when no middle is short.
         """
         for l in middles:
-            self._symmetry(l)
+            self._forms(0, l)  # S_l, stored as its sums [S_l]
         short = [l for l in dict.fromkeys(middles)
                  if len(self._sums[l]) <= order]
         if short:
@@ -390,56 +392,50 @@ class DefectTable:
         are formed, in one batched product, and summed by one ``_combine``
         into P, the middle term of an even n at half its weight; the sum
         is P + (-1)^n P*, exactly (-1)^n-Hermitian.  Every weight stays an
-        integer.  For n = 0 it is X itself.
+        integer.  Order 0 gives (X + X*)/2 = X, but the table never asks
+        for it: S_0 and M_0 are the ladder's stored I.
         """
-        if not n:
-            return np.eye(self.r.dim, dtype=np.complex128) if mid is None \
-                else mid
         half = n // 2
         ladder = self._powers(n)
         stars = ladder[:half + 1].conj().transpose(0, 2, 1)  # T*^k = (T^k)*
-        plain = ladder[n:n - half - 1:-1]
+        plain = ladder[n - half:n + 1][::-1]
         prods = stars @ plain if mid is None else stars @ mid @ plain
         part = _combine(_paired_weights(n), prods)
         return part + adjoint(part) if n % 2 == 0 else part - adjoint(part)
 
-    def _symmetry(self, l):
-        """S_l as a raw matrix: the B_0 of its sums, which start as [S_l]
-        the first time S_l is read: [T^0] = [I] for l = 0, else one
-        sandwich."""
-        _check_orders(l=l)
-        if l not in self._sums:
-            self._sums[l] = (_frozen(self._sandwich(l, None)[None]) if l
-                             else self._t_powers[:1])
-        return self._sums[l][0]
-
-    def _isometry(self, l):
-        """M_l as a raw matrix: the M-style sum around S_0 = I."""
-        _check_orders(l=l)
-        sums, = self._nested((0,), l)
-        return _frozen(_combine(_alternating_weights(l), sums))
-
     def forms(self, m, n):
-        """L_{m,n} through both of its forms, as read-only (sym, iso) arrays.
-
-        ``sym`` is the S-style alternating sum around M_m, ``iso`` the
-        M-style weighted sum around S_n; they agree on commuting input.
-        Each call evaluates both and checks nothing, and the table keeps
-        neither: ``isosymmetry_defect_matrix`` is the checked, stored read.
-        """
+        """L_{m,n} through both of its forms, as read-only (sym, iso) arrays:
+        the S-style alternating sum around M_m and the M-style weighted sum
+        around S_n, which agree on commuting input and on an axis are one
+        array, S_n (m = 0) or M_m (n = 0).  Only the orders are checked,
+        and the table keeps neither: ``isosymmetry_defect_matrix`` is the
+        checked, stored read."""
         _check_orders(m=m, n=n)
+        return self._forms(m, n)
+
+    def _forms(self, m, n):
+        """``forms``, the orders checked by the caller.  At m = 0 both are
+        the B_0 of the sums of S_n, which start as [S_n] when S_n is first
+        read: [T^0] = [I] for n = 0, else one sandwich."""
+        if not m:
+            if n not in self._sums:
+                self._sums[n] = (_frozen(self._sandwich(n, None)[None]) if n
+                                 else self._t_powers[:1])
+            return (self._sums[n][0],) * 2
         zero, around = self._nested((0, n), m)  # one pass for M_m and iso
         weights = _alternating_weights(m)
-        sym = self._sandwich(n, _combine(weights, zero))
-        iso = _combine(weights, around)
-        return _frozen(sym), _frozen(iso)
+        iso = _frozen(_combine(weights, around))
+        sym = self._sandwich(n, _combine(weights, zero)) if n else iso
+        return _frozen(sym), iso
 
     def _checked_cell(self, m, n, tol):
-        """L_{m,n}, its norm, forms gap and zero tolerance, the gap checked."""
+        """The judged read of cell (m, n), S_l and M_l too, its orders checked
+        by the caller: L_{m,n}, its norm, checked forms gap and tolerance."""
         allowed = zero_tolerance(self.r, m, n, tol)
         if (m, n) not in self._cells:
-            sym, iso = self.forms(m, n)
-            self._cells[(m, n)] = sym, fro_norm(sym), fro_norm(sym - iso)
+            sym, iso = self._forms(m, n)
+            gap = 0.0 if sym is iso else fro_norm(sym - iso)
+            self._cells[(m, n)] = sym, fro_norm(sym), gap
         matrix, norm, gap = self._cells[(m, n)]
         if gap > allowed:
             raise FormsDisagree(
@@ -449,13 +445,15 @@ class DefectTable:
 
 
 def symmetry_defect_matrix(r, l):
-    """S_l(r) as a raw (read-only) matrix; ``r`` a tuple or its DefectTable."""
-    return DefectTable.of(r)._symmetry(l)
+    """S_l(r) = L_{0,l}(r) as a raw (read-only) matrix, no norm formed."""
+    _check_orders(l=l)
+    return DefectTable.of(r)._forms(0, l)[0]
 
 
 def isometry_defect_matrix(r, l):
-    """M_l(r) as a raw (read-only) matrix; ``r`` a tuple or its DefectTable."""
-    return DefectTable.of(r)._isometry(l)
+    """M_l(r) = L_{l,0}(r) as a raw (read-only) matrix, no norm formed."""
+    _check_orders(l=l)
+    return DefectTable.of(r)._forms(l, 0)[0]
 
 
 def isosymmetry_defect_matrix(r, m, n, tol=None):
@@ -464,27 +462,27 @@ def isosymmetry_defect_matrix(r, m, n, tol=None):
     Its two forms must agree within the scaled tolerance (the cheapest
     end-to-end detector of a corrupted input), else FormsDisagree.
     """
+    _check_orders(m=m, n=n)
     return DefectTable.of(r)._checked_cell(m, n, tol)[0]
 
 
 def symmetry_defect(r, l, tol=None):
     """S_l(r) with a zero verdict; S_n(r) = 0 means r is n-symmetric."""
-    table = DefectTable.of(r)
-    allowed = zero_tolerance(table.r, 0, l, tol)
-    s = table._symmetry(l)
-    return _judged("S", (l,), s, fro_norm(s), None, allowed)
+    _check_orders(l=l)
+    s, norm, _, allowed = DefectTable.of(r)._checked_cell(0, l, tol)
+    return _judged("S", (l,), s, norm, None, allowed)
 
 
 def isometry_defect(r, l, tol=None):
     """M_l(r) with a zero verdict; M_m(r) = 0 means r is m-isometric."""
-    table = DefectTable.of(r)
-    allowed = zero_tolerance(table.r, l, 0, tol)
-    m = table._isometry(l)
-    return _judged("M", (l,), m, fro_norm(m), None, allowed)
+    _check_orders(l=l)
+    m, norm, _, allowed = DefectTable.of(r)._checked_cell(l, 0, tol)
+    return _judged("M", (l,), m, norm, None, allowed)
 
 
 def isosymmetry_defect(r, m, n, tol=None):
     """L_{m,n}(r) with a zero verdict; zero means (m,n)-isosymmetric."""
+    _check_orders(m=m, n=n)
     cell = DefectTable.of(r)._checked_cell(m, n, tol)
     return _judged("Lambda", (m, n), *cell)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isosym import defect
+from isosym.classify import is_isosymmetric
 from isosym.defect import (DefectTable, MultiOperator, isometry_defect,
                            isometry_defect_matrix, isosymmetry_defect,
                            isosymmetry_defect_matrix, nilpotency_residual,
@@ -254,11 +255,18 @@ class TestIsosymmetryDefect:
         lambda r, k: isosymmetry_defect(r, k, 1),
         lambda r, k: isosymmetry_defect(r, 1, k),
         isometry_defect, symmetry_defect,
-    ], ids=["m", "n", "M", "S"])
+        lambda r, k: isosymmetry_defect_matrix(r, k, 1),
+        lambda r, k: is_isosymmetric(r, k, 1),
+    ], ids=["m", "n", "M", "S", "L-matrix", "is_isosymmetric"])
     def test_order_that_is_no_integer_rejected(self, read, order):
-        # a boolean is not read as the order 1
-        with pytest.raises(TypeError, match="not an int"):
-            read(reference_pair(), order)
+        # a boolean is not read as the order 1: not on a fresh table, and
+        # not as the stored cell of order 1 on a table that holds it
+        warm = DefectTable(reference_pair())
+        for cell in ((1, 1), (0, 1), (1, 0)):
+            isosymmetry_defect(warm, *cell)
+        for r in (reference_pair(), warm):
+            with pytest.raises(TypeError, match="not an int"):
+                read(r, order)
 
     def test_numpy_integer_order_accepted(self):
         r = reference_pair()

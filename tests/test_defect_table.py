@@ -13,7 +13,7 @@ from isosym.defect import (DefectTable, MultiOperator, isometry_defect,
                            isosymmetry_defect_matrix, raise_isometry_order,
                            raise_symmetry_order, symmetry_defect,
                            symmetry_defect_matrix, zero_tolerance)
-from isosym.errors import FormsDisagree, InvalidParams
+from isosym.errors import FormsDisagree, InvalidParams, TooLarge
 from isosym.linalg import fro_norm
 from isosym.spectra import spectral_checks
 
@@ -158,6 +158,37 @@ def test_scan_with_shared_table_matches_fresh_scan():
     isosymmetry_defect_matrix(table, 5, 5)  # grow the ingredients first
     assert minimal_orders(table, 6, 6) == minimal_orders(r, 6, 6)
 
+
+def test_raw_axis_reads_keep_their_reach():
+    # no norm is formed, so no overflow warning is raised: S_7 is
+    # (-2e25 i)^7 and M_6 is (1e50 - 1)^6, both finite, whose squares are not
+    r = MultiOperator([np.array([[1e25j]])])
+    assert symmetry_defect_matrix(r, 7)[0, 0] == pytest.approx(1.28e177j)
+    assert isometry_defect_matrix(r, 6)[0, 0] == pytest.approx(1e300)
+    with pytest.raises(TooLarge):  # the judged read forms its scale first
+        symmetry_defect(r, 7)
+
+
+def test_a_judged_cell_is_built_once(monkeypatch):
+    table = DefectTable(random_commuting_tuple(2, 4, 7))
+    verdicts = [is_m_isometric(table, 2), is_n_symmetric(table, 3),
+                is_isosymmetric(table, 2, 3)]  # the order ``cli check`` reads
+    calls = []
+
+    def spy(name, original):
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(defect, "fro_norm", spy("fro_norm", defect.fro_norm))
+    for name in ("forms", "_forms"):
+        monkeypatch.setattr(DefectTable, name,
+                            spy(name, getattr(DefectTable, name)))
+    again = [isometry_defect(table, 2), symmetry_defect(table, 3),
+             isosymmetry_defect(table, 2, 3)]
+    assert calls == []
+    assert [v.defect_norm for v in verdicts] == [a.norm for a in again]
 
 
 #: every reader of a defect, each called with its first argument left open

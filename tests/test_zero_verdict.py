@@ -85,6 +85,33 @@ def test_reports_carry_gap_and_margin_by_their_definitions(r, m, n):
                     report.gap, report.margin)
 
 
+@given(TUPLES, st.integers(0, 5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_s_and_m_are_the_axis_cells_of_l(r, l, warm):
+    # S_l = L_{0,l} and M_l = L_{l,0}: on an axis the two forms are one
+    # array, the raw S or M read, and the forms gap is no evidence
+    table = DefectTable(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if warm:  # cells on and off the axes, sums and ladder grown first
+            for m, n in ((0, l), (l, 0), (l, l), (3, 3)):
+                try:
+                    isosymmetry_defect(table, m, n)
+                except (FormsDisagree, TooLarge):
+                    pass
+        axes = [(defect.symmetry_defect_matrix(table, l), table.forms(0, l)),
+                (defect.isometry_defect_matrix(table, l), table.forms(l, 0))]
+        for raw, forms in axes:
+            for form in forms:
+                assert form.shape == raw.shape
+                assert form.tobytes() == raw.tobytes()
+        try:
+            gaps = [isosymmetry_defect(table, 0, l).gap,
+                    isosymmetry_defect(table, l, 0).gap]
+        except TooLarge:  # the zero-test scale of [[1e25i]] overflows
+            reject()
+    assert gaps == [0.0, 0.0]
+
+
 def _jordan(lam):
     return MultiOperator([np.array([[lam, 1.0], [0.0, lam]], dtype=complex)])
 
