@@ -3,9 +3,9 @@ theorem stated once: its hypotheses and its perturbed orders."""
 
 from dataclasses import dataclass
 
-from .defect import TOL_COMM, DefectTable, cross_commutation_residual, \
-    isometry_defect, isosymmetry_defect, isosymmetry_defect_matrix, \
-    nilpotency_order, symmetry_defect
+from .defect import TOL_COMM, DefectTable, _check_orders, \
+    cross_commutation_residual, isometry_defect, isosymmetry_defect, \
+    isosymmetry_defect_matrix, nilpotency_order, symmetry_defect
 from .errors import HypothesisUnmet, InvalidParams
 from .linalg import matrix_rank
 
@@ -44,8 +44,10 @@ class FamilyRank:
 
 def _verdict(prop, read, r, orders, tol):
     """``prop``'s verdict: the report ``read(r, *orders, tol)``, copied."""
-    if sum(orders) < 1:  # named by prop's prefix: "m", "n" or "m + n"
-        raise InvalidParams(f"{' + '.join(prop.split('_')[0])} must be >= 1")
+    names = tuple(prop.split("_")[0])  # the orders' names: m, n or m and n
+    _check_orders(**dict(zip(names, orders)))
+    if sum(orders) < 1:
+        raise InvalidParams(f"{' + '.join(names)} must be >= 1")
     report = read(r, *orders, tol)
     return ClassVerdict(prop, orders, report.is_zero, report.norm,
                         report.tolerance_used, report.gap, report.margin)
@@ -134,6 +136,7 @@ def defect_family_rank(r, m, n, direction, tol=None):
     ``within_band`` of the threshold the rank is still reported but
     flagged "indeterminate".
     """
+    _check_orders(m=m, n=n)
     if direction not in ("vary_m", "vary_n"):
         raise InvalidParams(f"unknown direction {direction!r}")
     if direction == "vary_m" and (m < 2 or n < 1):

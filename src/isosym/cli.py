@@ -1,8 +1,8 @@
 """Command line surface: isosym check|defect|minimal|spectrum|construct|verify.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 invalid input
-(parse or commutation failure, bad parameters, an output that cannot be
-written), 3 numerical failure.
+(an ``errors.InputError``, or an output that cannot be written), 3
+numerical failure (an ``errors.NumericalFailure``).
 """
 
 import argparse
@@ -23,11 +23,7 @@ from .construct import (BETA_TOL, JordanAugmentSpec, ScaledTupleSpec,
                         tensor_sum)
 from .defect import TOL_COMM, DefectTable, isometry_defect, \
     isosymmetry_defect, nilpotency_order, symmetry_defect, zero_test_base
-from .errors import (BetaNotNormalized, CommutationViolated,
-                     ConvergenceFailure, CrossCommutationViolated, DMismatch,
-                     FormsDisagree, HypothesisUnmet, InvalidParams,
-                     InvariantViolation, InvarianceViolation, ParseError,
-                     TooLarge)
+from .errors import InputError, InvalidParams, NumericalFailure
 from .harness import SUITE_NAMES, SuiteConfig, dump_counterexample, run_suite
 from .linalg import TOL_RANK
 from .spectra import (TOL_SPECTRA, joint_point_spectrum, spectral_checks,
@@ -39,10 +35,6 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL = 3
-
-_INPUT_ERRORS = (ParseError, CommutationViolated, CrossCommutationViolated,
-                 FormsDisagree, InvalidParams, DMismatch, BetaNotNormalized,
-                 TooLarge, InvariantViolation)
 
 
 def _read_input(path):
@@ -185,8 +177,6 @@ def _parse_numbers(raw, parse):
 
 def _cmd_construct(args):
     seed = getattr(args, "seed", None)  # nilpotent and random only
-    if seed is not None and seed < 0:
-        raise InvalidParams(f"--seed must be >= 0, got {seed}")
     kind = args.kind
     predicted = []
     if kind == "example22":
@@ -355,13 +345,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except OSError as exc:  # an output path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (ConvergenceFailure, InvarianceViolation, HypothesisUnmet) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

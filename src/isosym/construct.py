@@ -12,7 +12,7 @@ import numpy as np
 
 from .defect import MultiOperator
 from .errors import BetaNotNormalized, DMismatch, InvalidParams, TooLarge
-from .linalg import as_matrix, fro_norm, kron
+from .linalg import as_matrix, checked_count, fro_norm, kron
 
 #: rounding allowance on |sum(beta_j^2) - 1| and on a vanishing sum(beta_j)
 BETA_TOL = 1e-12
@@ -69,8 +69,7 @@ class JordanAugmentSpec:
         object.__setattr__(self, "mu", tuple(complex(m) for m in self.mu))
         if len(self.mu) != self.base_tuple.d:
             raise InvalidParams("need one mu per tuple component")
-        if self.q < 1:
-            raise InvalidParams("q must be >= 1")
+        object.__setattr__(self, "q", checked_count("q", self.q, 1))
 
 
 def scaled_tuple(spec):
@@ -150,6 +149,7 @@ def nilpotent_tuple(d, dim, order, seed):
     components vanish exactly (strictly triangular support).  The linear
     coefficient is bounded away from zero so the order is exact.
     """
+    seed = checked_count("seed", seed, 0)
     if order < 1 or order > dim:
         raise InvalidParams(f"need 1 <= order <= dim, got order={order}")
     _check_built_dim(dim, "nilpotent tuple")
@@ -178,6 +178,7 @@ def random_commuting_tuple(d, dim, seed):
     defect zero-test scale factors stay moderate.  Deterministic in
     ``seed`` (PCG64 stream).
     """
+    seed = checked_count("seed", seed, 0)
     if not 1 <= dim <= 64:
         raise InvalidParams(f"random tuples need 1 <= dim <= 64, got {dim}")
     _check_built_entries(d, dim, "random tuple")

@@ -59,7 +59,6 @@ the recurrence, and the arrays a table hands out are read-only because
 it keeps them for later reads.
 """
 
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,7 +70,7 @@ from . import kernels
 from .errors import (CrossCommutationViolated, CommutationViolated,
                      DimensionMismatch, DMismatch, FormsDisagree,
                      InvalidParams, TooLarge)
-from .linalg import adjoint, as_stack, checked_tolerance, fro_norm
+from .linalg import adjoint, as_stack, checked_tolerance, fro_norm, is_int
 from .multiindex import binomial, multinomial_weight
 
 #: base tolerance of all defect zero tests
@@ -278,12 +277,17 @@ def _weights_overflow(l):
     return binomial(l, l // 2) > sys.float_info.max
 
 
+def _check_order(what, value):
+    """Refuse an order that is not an int (TypeError) or is below 0."""
+    if not is_int(value):
+        raise TypeError(f"{what} is not an int: {value!r}")
+    if value < 0:
+        raise InvalidParams(f"{what} must be >= 0, got {value}")
+
+
 def _check_orders(**orders):
     for name, value in orders.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"defect order {name} is not an int: {value!r}")
-        if value < 0:
-            raise InvalidParams(f"defect order {name} must be >= 0, got {value}")
+        _check_order(f"defect order {name}", value)
         if _weights_overflow(value):
             raise TooLarge(f"the binomial weights of order {name} = {value} "
                            "overflow a float")
@@ -417,6 +421,8 @@ class DefectTable:
         """``forms``, the orders checked by the caller.  At m = 0 both are
         the B_0 of the sums of S_n, which start as [S_n] when S_n is first
         read: [T^0] = [I] for n = 0, else one sandwich."""
+        if not n and (m, 0) in self._cells:  # M_m, kept by a judged read
+            return (self._cells[(m, 0)][0],) * 2
         if not m:
             if n not in self._sums:
                 self._sums[n] = (_frozen(self._sandwich(n, None)[None]) if n
@@ -544,8 +550,7 @@ def nilpotency_residuals(stack):
 
 def nilpotency_residual(r, k):
     """sqrt(tr G_k) of ``nilpotency_residuals``; 0 iff r is k-nilpotent."""
-    if k < 0:
-        raise InvalidParams(f"order k must be >= 0, got {k}")
+    _check_order("order k", k)
     return next(islice(nilpotency_residuals(r.stack), k, None))
 
 

@@ -33,17 +33,12 @@ from .defect import (TOL_ZERO, DefectTable, MultiOperator,
                      raise_isometry_order, raise_symmetry_order,
                      zero_tolerance)
 from .errors import HypothesisUnmet, InvalidParams, IsosymError, ParseError
-from .linalg import checked_tolerance, fro_norm, kron
+from .linalg import checked_count, checked_tolerance, fro_norm, kron
 from .spectra import spectral_checks
 from .tupleio import dumps, load, tuple_from_dict, tuple_to_dict
 
 #: bounds of every suite's draws: tuple components d, dimension, orders m, n
 D_MAX, DIM_MAX, M_MAX, N_MAX = 3, 8, 3, 3
-
-
-def _is_int(value):
-    """Is ``value`` an int?  A boolean is not one here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,12 +53,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
             raise InvalidParams(f"unknown suite {self.suite!r}")
-        if not _is_int(self.trials) or self.trials < 1:
-            raise InvalidParams(
-                f"trials must be an integer >= 1, got {self.trials!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise InvalidParams(
-                f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, low in (("trials", 1), ("seed", 0)):  # kept as ints: JSON
+            value = checked_count(name, getattr(self, name), low)
+            object.__setattr__(self, name, value)
         checked_tolerance(self.tol)
 
 

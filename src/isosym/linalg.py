@@ -2,9 +2,10 @@
 
 Matrices are plain numpy arrays of complex128.  Everything here is a thin
 contract layer over numpy: shape and finiteness checks, the Frobenius norm,
-a relative rank threshold and the one test of whether a tolerance is usable.
-"""
+a relative rank threshold, and the one test each of what is an integer, a
+usable count and a usable tolerance."""
 
+import numbers
 from math import sqrt
 
 import numpy as np
@@ -13,6 +14,18 @@ from .errors import DimensionMismatch, InvalidParams
 
 #: default relative threshold for rank / null-space decisions
 TOL_RANK = 1e-9
+
+
+def is_int(value):
+    """Is ``value`` an integer, numpy's included?  A boolean is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def checked_count(name, value, low):
+    """``value`` as an int if it is an integer >= ``low``, else InvalidParams."""
+    if not is_int(value) or value < low:
+        raise InvalidParams(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def checked_tolerance(tol):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .defect import MultiOperator
 from .errors import ParseError
+from .linalg import is_int
 
 FORMAT_KEYS = {"d", "dim", "matrices", "metadata"}
 
@@ -62,19 +63,15 @@ def matrix_to_json(mat):
     return mat.view(np.float64).reshape(mat.shape + (2,)).tolist()
 
 
-def matrix_from_json(rows, dim):
-    """One dim x dim matrix from its nested [re, im] lists.
-
-    Every entry must be exactly two finite real numbers (booleans are not
-    numbers here), else ParseError.
-    """
-    parts = np.array(rows, dtype=object)  # (dim, dim, 2) when well formed
-    if parts.ndim != 3 or parts.shape[2] != 2:
-        raise ParseError("bad matrix entry: every entry must be a pair "
-                         "[re, im] of real numbers")
-    if parts.shape[:2] != (dim, dim):
-        raise ParseError(f"matrix shape {parts.shape[:2]} does not match "
-                         f"dim {dim}")
+def matrix_from_json(rows, shape):
+    """The complex128 array of ``shape``, one matrix or a stack, from the
+    nested [re, im] lists ``matrix_to_json`` writes.  Every entry must be
+    two real numbers (booleans are not numbers here) that fit a float, else
+    ParseError; finiteness is left to ``linalg.as_stack``."""
+    parts = np.array(rows, dtype=object)
+    if parts.shape != (*shape, 2):
+        raise ParseError(f"expected {tuple(shape)} entries [re, im] of real "
+                         f"numbers, got shape {parts.shape}")
     for kind in set(map(type, parts.flat)):
         if not issubclass(kind, numbers.Real) or issubclass(kind, bool):
             raise ParseError(f"bad matrix entry: {kind.__name__} is not a "
@@ -83,8 +80,6 @@ def matrix_from_json(rows, dim):
         pairs = parts.astype(np.float64)
     except OverflowError as exc:
         raise ParseError(f"bad matrix entry: {exc}") from exc
-    if not np.isfinite(pairs).all():
-        raise ParseError("matrix entries must be finite (no NaN or Infinity)")
     return pairs.view(np.complex128)[..., 0]
 
 
@@ -98,17 +93,7 @@ def tuple_to_dict(op, metadata=None):
 
 def _is_integer(value):
     """Is ``value`` a schema integer?  2.0 is one, a boolean is not."""
-    return not isinstance(value, bool) and (
-        isinstance(value, numbers.Integral)
-        or (isinstance(value, float) and value.is_integer()))
-
-
-def _count(name, value):
-    """``value`` as an int if the schema takes it as a count (an integer
-    of at least 1), else ParseError."""
-    if not _is_integer(value) or value < 1:
-        raise ParseError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
+    return is_int(value) or (isinstance(value, float) and value.is_integer())
 
 
 def tuple_from_dict(data):
@@ -126,11 +111,10 @@ def tuple_from_dict(data):
         d, dim, raw = data["d"], data["dim"], data["matrices"]
     except KeyError as exc:
         raise ParseError(f"missing field: {exc}") from exc
-    d, dim = _count("d", d), _count("dim", dim)
-    if not isinstance(raw, list) or len(raw) != d:
-        raise ParseError(f"expected {d} matrices, got "
-                         f"{len(raw) if isinstance(raw, list) else type(raw)}")
-    mats = [matrix_from_json(rows, dim) for rows in raw]
+    # a d or dim below 1 fails the shape check
+    if not (_is_integer(d) and _is_integer(dim)):
+        raise ParseError(f"d and dim must be integers, got {d!r} and {dim!r}")
+    stack = matrix_from_json(raw, (d, dim, dim))
     metadata = data.get("metadata", {})
     if not (isinstance(metadata, dict)
             and isinstance(metadata.get("name", ""), str)
@@ -138,7 +122,10 @@ def tuple_from_dict(data):
             and isinstance(metadata.get("construction", {}), dict)):
         raise ParseError("metadata must be an object with a string name, an "
                          "integer seed and an object construction")
-    return MultiOperator(mats), metadata
+    try:
+        return MultiOperator(stack), metadata
+    except ValueError as exc:  # as_stack's refusal of a non-finite entry
+        raise ParseError(str(exc)) from exc
 
 
 def write_tuple(path, op, metadata=None):

@@ -66,6 +66,27 @@ def test_order_validation():
         is_isosymmetric(r, 0, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda r: is_m_isometric(r, 1.0), "defect order m is not an int: 1.0"),
+    (lambda r: is_n_symmetric(r, True), "defect order n is not an int: True"),
+    (lambda r: is_isosymmetric(r, 1, 0.5),
+     "defect order n is not an int: 0.5"),
+    (lambda r: defect_family_rank(r, 2.5, 2, "vary_m"),
+     "defect order m is not an int: 2.5"),
+    (lambda r: defect_family_rank(r, 2, 2.5, "vary_n"),
+     "defect order n is not an int: 2.5"),
+], ids=["isometric", "symmetric", "isosymmetric", "rank-m", "rank-n"])
+def test_an_order_error_names_the_callers_parameter(monkeypatch, call,
+                                                    message):
+    # the order is refused by its own name before any defect is read
+    monkeypatch.setattr(classify, "DefectTable", None)
+    for read in ("isometry_defect", "symmetry_defect", "isosymmetry_defect"):
+        monkeypatch.setattr(classify, read, None)
+    with pytest.raises(TypeError) as info:
+        call(reference_pair())
+    assert str(info.value) == message
+
+
 class TestMinimalOrders:
     def test_identity(self):
         found = minimal_orders(identity_tuple(1, 3), 3, 3)

@@ -11,6 +11,8 @@ from isosym.construct import (identity_tuple, nilpotent_tuple,
                               random_commuting_tuple, reference_pair)
 from isosym.defect import (MultiOperator, isosymmetry_defect, symmetry_defect,
                            zero_tolerance)
+from isosym.errors import (ConvergenceFailure, HypothesisUnmet, InputError,
+                           InvarianceViolation, IsosymError, NumericalFailure)
 from isosym.tupleio import matrix_from_json, read_tuple, write_tuple
 
 
@@ -203,7 +205,7 @@ def test_defect_matrix_of_a_dim_16_tuple_reads_back_bit_exact(capsys,
                                  "--m", "2", "--n", "2"])
     assert code == 0
     expect = isosymmetry_defect(read_tuple(path)[0], 2, 2).matrix
-    got = matrix_from_json(report["results"]["matrix"], 16)
+    got = matrix_from_json(report["results"]["matrix"], (16, 16))
     assert np.array_equal(got, expect)
     assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
@@ -597,6 +599,42 @@ def test_malformed_construct_value_exit_2(capsys, tmp_path, reference_file,
     assert main(["construct"] + argv + ["--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _concrete_errors():
+    """Every IsosymError class but the base and its two families, by name."""
+    found, todo = set(), [IsosymError]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        found.add(cls)
+    found -= {IsosymError, InputError, NumericalFailure}
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def test_every_error_is_in_exactly_one_family():
+    errors = _concrete_errors()
+    assert len(errors) >= 13
+    for error in errors:
+        assert issubclass(error, InputError) != issubclass(
+            error, NumericalFailure), error
+    assert {e for e in errors if issubclass(e, NumericalFailure)} == {
+        ConvergenceFailure, InvarianceViolation, HypothesisUnmet}
+
+
+@pytest.mark.parametrize("error", _concrete_errors(),
+                         ids=lambda error: error.__name__)
+def test_an_error_raised_in_a_command_exits_by_its_family(
+        capsys, monkeypatch, reference_file, error):
+    def planted(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "minimal_orders", planted)
+    code = main(["minimal", reference_file])
+    numerical = issubclass(error, NumericalFailure)
+    assert code == (3 if numerical else 2)
+    assert capsys.readouterr().err == (
+        "numerical failure: planted\n" if numerical else "error: planted\n")
 
 
 def test_verify_seed_below_zero_exit_2(capsys):

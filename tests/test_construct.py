@@ -134,6 +134,16 @@ class TestJordanAugment:
         with pytest.raises(InvalidParams):
             JordanAugmentSpec(base_tuple=reference_pair(), mu=(1.0,), q=2)
 
+    @pytest.mark.parametrize("q", [0, -1, True, 1.5, 2.0])
+    def test_q_must_be_a_positive_integer(self, q):
+        with pytest.raises(InvalidParams, match="q must be an integer"):
+            JordanAugmentSpec(base_tuple=reference_pair(), mu=(1.0, 1.0), q=q)
+
+    def test_numpy_integer_q_accepted(self):
+        spec = JordanAugmentSpec(base_tuple=reference_pair(), mu=(1.0, 1.0),
+                                 q=np.int64(2))
+        assert type(spec.q) is int and jordan_augment(spec).dim == 6
+
 
 class TestBuiltDimLimit:
     """A jordan or tensor result above MAX_BUILT_DIM, or a seeded tuple of
@@ -209,6 +219,26 @@ class TestNilpotentTuple:
     def test_order_validation(self):
         with pytest.raises(InvalidParams):
             nilpotent_tuple(1, 2, 3, seed=0)
+
+
+#: the seeded builders, each with its seed left open
+SEEDED = pytest.mark.parametrize("build", [
+    lambda seed: nilpotent_tuple(2, 4, 2, seed),
+    lambda seed: random_commuting_tuple(2, 4, seed),
+], ids=["nilpotent", "random"])
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, np.True_, "1"],
+                         ids=["negative", "bool", "float", "np-bool", "string"])
+@SEEDED
+def test_a_seeded_builder_refuses_a_seed_that_is_no_count(build, seed):
+    with pytest.raises(InvalidParams, match="seed must be an integer >= 0"):
+        build(seed)
+
+
+@SEEDED
+def test_a_numpy_integer_seed_is_its_int(build):
+    assert np.array_equal(build(np.uint64(7)).stack, build(7).stack)
 
 
 class TestRandomCommutingTuple:

@@ -528,3 +528,14 @@ class TestNilpotencyResidual:
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidParams):
             nilpotency_residual(reference_pair(), -1)
+
+    @pytest.mark.parametrize("k", [1.5, True, np.True_, "2"])
+    def test_order_that_is_no_integer_rejected(self, k):
+        # a boolean is not read as the order 1
+        with pytest.raises(TypeError, match="order k is not an int"):
+            nilpotency_residual(reference_pair(), k)
+
+    def test_order_has_no_binomial_bound(self):
+        # k forms no binomial weights, so an order above 1030 is no overflow
+        r = nilpotent_tuple(2, 3, 2, 0)
+        assert nilpotency_residual(r, np.int64(1100)) == 0.0

@@ -191,6 +191,27 @@ def test_a_judged_cell_is_built_once(monkeypatch):
     assert [v.defect_norm for v in verdicts] == [a.norm for a in again]
 
 
+@pytest.mark.parametrize("raw, judged", [
+    (isometry_defect_matrix, isometry_defect),
+    (symmetry_defect_matrix, symmetry_defect),
+], ids=["M", "S"])
+def test_a_raw_axis_read_of_a_judged_cell_sums_nothing(monkeypatch, raw,
+                                                       judged):
+    table = DefectTable(random_commuting_tuple(2, 4, 7))
+    report = judged(table, 3)
+    sums = []
+    combine = defect._combine
+
+    def counted(weights, stack):
+        sums.append(len(weights))
+        return combine(weights, stack)
+
+    monkeypatch.setattr(defect, "_combine", counted)
+    reads = [raw(table, 3) for _ in range(3)]
+    assert sums == []
+    assert all(m.tobytes() == report.matrix.tobytes() for m in reads)
+
+
 #: every reader of a defect, each called with its first argument left open
 READERS = {
     "symmetry_defect_matrix": lambda r: symmetry_defect_matrix(r, 3),

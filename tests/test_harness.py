@@ -124,6 +124,14 @@ def test_trials_must_be_a_positive_integer(trials):
         SuiteConfig(suite="forms", trials=trials)
 
 
+def test_numpy_integer_counts_are_accepted_as_ints():
+    cfg = SuiteConfig(suite="forms", trials=np.int64(3), seed=np.uint32(5))
+    assert (type(cfg.trials), type(cfg.seed)) == (int, int)
+    assert cfg == SuiteConfig(suite="forms", trials=3, seed=5)
+    assert dumps(run_suite(cfg)) == dumps(run_suite(
+        SuiteConfig(suite="forms", trials=3, seed=5)))
+
+
 def test_a_seed_of_2_to_the_64_is_its_own_seed():
     # no seed wraps round onto another: 2^64 draws other trials than 0
     draws = [_trial_rng(SuiteConfig(suite="forms", seed=seed), 0).random()

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isosym.construct import random_commuting_tuple, reference_pair
 from isosym.defect import MultiOperator
@@ -23,6 +24,34 @@ def test_round_trip_bit_exact(tmp_path):
     assert meta["seed"] == 2024
     for a, b in zip(op.matrices, loaded.matrices):
         assert np.array_equal(a, b)  # bit exact
+
+
+#: finite floats whose tuples keep a finite norm, the signed zeros and the
+#: smallest subnormals among them
+_ENTRIES = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324])
+
+
+@st.composite
+def _tuples(draw):
+    """A diagonal tuple of any such entries (its commutators are exactly 0),
+    or a dense random commuting one."""
+    d, dim = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return random_commuting_tuple(d, dim, draw(st.integers(0, 2 ** 32)))
+    parts = draw(st.lists(_ENTRIES, min_size=2 * d * dim,
+                          max_size=2 * d * dim))
+    diagonals = np.array(parts).view(np.complex128).reshape(d, dim)
+    return MultiOperator([np.diag(z) for z in diagonals])
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=_tuples())
+def test_a_tuple_reads_back_from_its_dict_byte_for_byte(op):
+    data = tuple_to_dict(op)
+    for document in (data, json.loads(dumps(data))):
+        back, _ = tuple_from_dict(document)
+        assert back.stack.tobytes() == op.stack.tobytes()
 
 
 def test_written_file_matches_schema(tmp_path, schemas):
@@ -211,7 +240,17 @@ def test_written_matrix_reads_back_bit_exact(tmp_path, view):
 @pytest.mark.parametrize("content", [
     b'\xff\xfe{"d": 1}',
     b'{"d": 1, "dim": 1, "matrices": ' + b"[" * 5000 + b"]" * 5000 + b"}",
-], ids=["not-utf-8", "nested-5000-deep"])
+    b'{"d": 1, "dim": 1, "matrices": [[[[NaN, 0]]]]}',
+    b'{"d": 1, "dim": 1, "matrices": [[[[0, -Infinity]]]]}',
+    b'{"d": 1, "dim": 1, "matrices": [[[[1e400, 0]]]]}',
+    b'{"d": 1, "dim": 1, "matrices": [[[[true, 0]]]]}',
+    b'{"d": 1, "dim": 1, "matrices": [[[["1", 0]]]]}',
+    b'{"d": 1, "dim": 2, "matrices": [[[[1, 0], [0, 0]], [[0, 0]]]]}',
+    b'{"d": 2, "dim": 1, "matrices": [[[[1, 0]]]]}',
+    b'{"d": 1, "dim": 2, "matrices": [[[[1, 0]]]]}',
+    b'{"d": 1, "dim": 1, "matrices": [[[[1' + b"0" * 400 + b', 0]]]]}',
+], ids=["not-utf-8", "nested-5000-deep", "nan", "infinity", "float-overflow",
+        "bool", "string", "ragged", "wrong-d", "wrong-dim", "int-overflow"])
 def test_malformed_file_fails_to_parse(tmp_path, content):
     path = tmp_path / "malformed.json"
     path.write_bytes(content)
